@@ -40,6 +40,12 @@ DEGENERATE_EVENT_TOL = 1e-12
 #: tolerated numerical spill of a probability outside [0, 1]
 PROBABILITY_SPILL_TOL = 1e-6
 
+#: element budget of the inner kernel's widest temporary in its first sweep:
+#: 15 u-nodes x serving distances x pieces x expansion points x interferer
+#: gain atoms x (jet order + 1).  Longer vectors of serving distances are
+#: sliced; a refinement sweep on k panels is 2k times as wide.
+_INNER_ELEMENTS = 2**13
+
 
 @dataclass(frozen=True)
 class TierMetrics:
@@ -69,9 +75,19 @@ class CoverageReport:
 class AnalyticEngine:
     """Per-config caches and the quadrature pipeline.
 
-    The outer expectations over the serving distance run at ``rel_tol``; the
-    inner interference integrals run 10x tighter, and the tail caches another
-    three decades tighter so they are effectively exact for the outer loops.
+    The outer expectations over the serving distance x run at ``rel_tol``.
+    The inner interference integrals run 10x tighter (``q_inner``), batched:
+    one ``integrate`` per outer sweep and interferer segment serves the
+    sweep's whole vector of x.  Each x's range [lo(x), z_p] is cut at
+    ``_inner_breaks``, its pieces are mapped onto shared panels in u in
+    [0, 1] (affinely; by a cubic on the off-centre arccos branch of the
+    distance law), and its column is divided by the segment's interferer
+    mass over the range (a tail lookup), so the max-norm tolerance applies
+    per x.  The x are sliced so that the kernel's widest temporary stays
+    within ``_INNER_ELEMENTS`` elements in the first sweep.  The rate
+    level's threshold integral, between the two, runs at
+    ``max(10 * rel_tol, 1e-6)``: looser than the outer level, not tighter.
+    The tail caches run at 1e-11, effectively exact for the outer loops.
     """
 
     def __init__(self, cfg: NetworkConfig, rel_tol: float = 1e-7):
@@ -92,12 +108,13 @@ class AnalyticEngine:
         self.excl = ExclusionRegions(self.sup.z_l, self.sup.z_p, r, self.mean_gain)
 
         self.q_outer = Quadrature(rel_tol=rel_tol, abs_tol=1e-11)
-        # pre-split the inner interval: the MGF kernels turn over close to the
-        # lower limit, and seeding panels there saves refinement sweeps
+        self.q_inner = Quadrature(rel_tol=rel_tol * 0.1, abs_tol=1e-13)
+        # pre-split every inner range: the MGF kernels turn over close to the
+        # lower limit, and seeding pieces there saves refinement sweeps
         zl, zp = self.sup.z_l, self.sup.z_p
-        seeds = tuple(zl + (zp - zl) * f for f in (0.03, 0.12, 0.3, 0.6))
-        self.q_inner = Quadrature(rel_tol=rel_tol * 0.1, abs_tol=1e-13,
-                                  breakpoints=tuple(sorted({self.sup.z_m, *seeds})))
+        seeds = (zl + (zp - zl) * f for f in (0.03, 0.12, 0.3, 0.6))
+        self._inner_breaks = np.array(
+            sorted({p for p in (self.sup.z_m, *seeds) if zl < p < zp}))
         self.q_rate_t = Quadrature(rel_tol=max(10 * rel_tol, 1e-6), abs_tol=1e-9)
         q_tail = Quadrature(rel_tol=1e-11, abs_tol=1e-15,
                             breakpoints=(self.sup.z_m,))
@@ -121,10 +138,11 @@ class AnalyticEngine:
         int_p = np.asarray(self.pmf_interf.probs)
         int_g, int_p = int_g[int_p > 0], int_p[int_p > 0]
         # per-event tables: serving-side quantities and the interferer mixture
-        # segments (lower-limit fn, kappa fn, amplitude, absorption, alpha, m)
-        seg_los = (self._kl, amp_thz, r.k_a, r.alpha_L, r.m_L)
-        seg_nlos = (self._kn, amp_thz, r.k_a, r.alpha_N, r.m_N)
-        seg_rf = (None, amp_rf, 0.0, r.alpha_R, 1)
+        # segments (lower-limit fn; kappa fn, its tail mass, amplitude,
+        # absorption, alpha, m)
+        seg_los = (self._kl, self.SL, amp_thz, r.k_a, r.alpha_L, r.m_L)
+        seg_nlos = (self._kn, self.SN, amp_thz, r.k_a, r.alpha_N, r.m_N)
+        seg_rf = (None, self.S1, amp_rf, 0.0, r.alpha_R, 1)
         self._ev = {
             "L": dict(m=r.m_L, alpha=r.alpha_L, amp=amp_thz, k_a=r.k_a,
                       sigma2=r.sigma2_T, bw=r.W_T,
@@ -245,62 +263,129 @@ class AnalyticEngine:
 
     # -- interference Laplace transforms ----------------------------------------
 
-    def _laplace_coeffs(self, event: str, nu0, order: int, x_serv: float):
-        """Taylor coefficients (order+1, M) of L_I at M expansion points.
+    def _laplace_coeffs(self, event: str, xs, nu0, order: int):
+        """Taylor coefficients (order+1, X, M) of L_I at serving distances
+        ``xs`` (X,) and expansion points ``nu0`` (X, M), one row per x.
+
+        Per segment, column x integrates over [lo(x), z_p], lo = lower_fn(x)
+        clipped to z_l, cut into pieces at the inner breakpoints inside it.
+        Every piece [a, b] is mapped onto u in [0, 1], and column x's
+        integrand at u is the sum over its pieces times the map's Jacobian,
+        so one integral in u serves all x on shared panels.  The map is
+        affine, so the first sweep evaluates a per-x call's initial nodes,
+        except on the arccos branch of the off-centre distance law (pieces
+        at or above z_m < z_p).  There it is the cubic
+        y = a + (b - a)(3u^2 - 2u^3), whose Jacobian 6u(1 - u)(b - a)
+        vanishes at both ends and so smooths the density's square-root
+        endpoints at z_m and z_p; on shared panels they would make every
+        column refine with the worst one.  Each column is divided by the
+        segment's interferer mass over [lo(x), z_p] (a tail lookup) and
+        multiplied back afterwards: all columns are O(1), so the shared
+        max-norm tolerance holds per x.  The xs are sorted by lo and sliced
+        so the widest temporary stays within ``_INNER_ELEMENTS`` in the
+        first sweep.
 
         The normalizing denominator is integrated on the same panels as the
-        MGF kernels (an extra constant component), so L(0) = 1 holds to
-        machine precision by construction.
+        MGF kernels (an extra component per x), so L(0) = 1 holds to machine
+        precision by construction.  Raises ``DegenerateEvent`` where an x has
+        no interferer mass although the event has interferers.
         """
         ev = self._ev[event]
-        nu0 = np.atleast_1d(np.asarray(nu0, dtype=float))
-        m_pts = nu0.size
+        xs = np.asarray(xs, dtype=float)
+        nu0 = np.asarray(nu0, dtype=float)
+        n_x, m_pts = nu0.shape
         k1 = order + 1
         n_exp = ev["bracket_exp"]
         if n_exp == 0:
-            out = np.zeros((k1, m_pts))
+            out = np.zeros((k1, n_x, m_pts))
             out[0] = 1.0
             return out
 
         gains = ev["int_gains"]
         probs = ev["int_probs"]
         n_g = gains.size
-        zp = self.sup.z_p
-        num = np.zeros((m_pts, n_g, k1))
-        den = 0.0
-        nu_col = nu0.reshape(1, m_pts, 1)
-        for lower_fn, (kap, amp, k_abs, alpha, m_seg) in ev["segments"]:
-            lo = float(lower_fn(x_serv))
-            if not math.isfinite(lo) or lo >= zp:
-                continue
-            lo = max(lo, self.sup.z_l)
+        zl, zp = self.sup.z_l, self.sup.z_p
+        breaks = self._inner_breaks
+        per_piece = m_pts * n_g * k1          # kernel elements per node and piece
+        num = np.zeros((n_x, m_pts, n_g, k1))
+        den = np.zeros(n_x)
+        mass_total = np.zeros(n_x)
+        for lower_fn, seg in ev["segments"]:
+            lo = np.asarray(lower_fn(xs), dtype=float)
+            idx = np.flatnonzero(np.isfinite(lo) & (lo < zp))
+            lo = np.maximum(lo[idx], zl)
+            mass = seg[1](lo)
+            keep = mass > 0.0
+            idx, lo, mass = idx[keep], lo[keep], mass[keep]
+            mass_total[idx] += mass
+            # sorted by lo, a slice's first column has the most pieces
+            by_lo = np.argsort(lo)
+            pieces = 1 + breaks.size - np.searchsorted(breaks, lo[by_lo],
+                                                       side="right")
+            c = 0
+            while c < idx.size:
+                step = max(1, _INNER_ELEMENTS // (15 * pieces[c] * per_piece))
+                sl = by_lo[c:c + step]
+                c += step
+                res = self._segment_integral(seg, lo[sl], mass[sl], nu0[idx[sl]],
+                                             gains, order)
+                n_c = sl.size
+                num[idx[sl]] += res[:-n_c].reshape(n_c, m_pts, n_g, k1) \
+                    * mass[sl, None, None, None]
+                den[idx[sl]] += res[-n_c:] * mass[sl]
 
-            def seg_integrand(y, kap=kap, amp=amp, k_abs=k_abs, alpha=alpha,
-                              m_seg=m_seg):
-                w = self._fz(y)
-                if kap is not None:
-                    w = w * kap(y)
-                c = amp * np.exp(-k_abs * y) * y ** (-alpha)
-                ctil = (c[:, None, None] / m_seg) * gains.reshape(1, 1, n_g)
-                # the kernel is affine in the Laplace argument
-                ker = affine_power(1.0 + nu_col * ctil, ctil, -float(m_seg),
-                                   order)
-                kc = np.moveaxis(ker.coeffs, 0, -1)    # (n, M, J, K+1)
-                kc = kc * w[:, None, None, None]
-                return np.concatenate(
-                    [kc.reshape(y.size, -1), w[:, None]], axis=1)
-
-            res = integrate(seg_integrand, lo, zp, self.q_inner).value
-            num += res[:-1].reshape(m_pts, n_g, k1)
-            den += float(res[-1])
-
-        if den <= 0.0 or not math.isfinite(den):
-            out = np.zeros((k1, m_pts))
-            out[0] = 1.0
-            return out
-        bracket = np.tensordot(num, probs, axes=([1], [0])) / den  # (M, K+1)
-        bracket_jet = Jet(np.moveaxis(bracket, -1, 0))
+        bad = ~(mass_total > 0.0)
+        if bad.any():
+            raise DegenerateEvent(
+                f"event {event} has interferers but no interferer mass at "
+                f"serving distance {float(xs[bad][0])!r}"
+            )
+        bracket = np.tensordot(num, probs, axes=([2], [0])) / den[:, None, None]
+        bracket_jet = Jet(np.moveaxis(bracket, -1, 0))         # (K+1, X, M)
         return (bracket_jet ** float(n_exp)).coeffs
+
+    def _segment_integral(self, seg, lo, mass, nu0, gains, order: int):
+        """One segment's mass-normalized kernel integrals over [lo, z_p] for
+        each lower limit in ``lo``: the flat (X*M*J*(order+1) + X,) result of
+        one ``integrate`` in u, numerators first, then the denominators."""
+        kap, _, amp, k_abs, alpha, m_seg = seg
+        zp = self.sup.z_p
+        breaks = self._inner_breaks
+        # pieces per x: [lo, breakpoints above lo..., z_p], left-aligned and
+        # padded with zero-width pieces at z_p
+        first = np.searchsorted(breaks, lo, side="right")
+        n_pieces = 1 + breaks.size - int(first.min())
+        ends = np.append(breaks, zp)
+        inner = ends[np.minimum(first[:, None] + np.arange(n_pieces - 1),
+                                breaks.size)]
+        edges = np.column_stack([lo, inner, np.full(lo.size, zp)])
+        start = edges[:, :-1]                                  # (X, P)
+        width = np.diff(edges, axis=1)
+        scale = width / mass[:, None]
+        nu = nu0[None, :, None, :, None]                       # (1, X, 1, M, 1)
+        # pieces on the arccos branch of the distance law (off-centre only)
+        cubic = start >= self.sup.z_m
+
+        def integrand(u):
+            uu = u[:, None, None]
+            t = np.where(cubic, uu * uu * (3.0 - 2.0 * uu), uu)
+            jac = np.where(cubic, 6.0 * uu * (1.0 - uu), 1.0)
+            y = start + width * t                              # (n, X, P)
+            w = self._fz(y)
+            if kap is not None:
+                w = w * kap(y)
+            c = amp * np.exp(-k_abs * y) * y ** (-alpha)
+            ctil = ((c / m_seg)[..., None] * gains)[:, :, :, None, :]
+            # the kernel is affine in the Laplace argument
+            a0 = nu * ctil
+            a0 += 1.0
+            ker = affine_power(a0, ctil, -float(m_seg), order)
+            wt = w * scale * jac
+            kc = np.einsum("knxpmj,nxp->nxmjk", ker.coeffs, wt)
+            return np.concatenate(
+                [kc.reshape(u.size, -1), wt.sum(axis=2)], axis=1)
+
+        return integrate(integrand, 0.0, 1.0, self.q_inner).value
 
     def laplace_interference(self, event: str, s, x_serv: float):
         """Laplace transform of the conditional interference at s.
@@ -308,66 +393,68 @@ class AnalyticEngine:
         Scalar s returns a float; a Jet argument returns the composed Jet,
         i.e. derivatives with respect to the jet's variable.
         """
+        xs = np.array([float(x_serv)])
         if isinstance(s, Jet):
             if np.any(s.value < 0):
                 raise ValueError("laplace_interference requires s >= 0")
-            coeffs = self._laplace_coeffs(event, np.atleast_1d(s.value).ravel(),
-                                          s.order, x_serv)
+            coeffs = self._laplace_coeffs(
+                event, xs, np.reshape(s.value, (1, -1)), s.order)
             own = Jet(coeffs.reshape((s.order + 1,) + np.shape(s.value)))
             return own.compose_into(s)
         if s < 0:
             raise ValueError("laplace_interference requires s >= 0")
-        coeffs = self._laplace_coeffs(event, [float(s)], 0, x_serv)
-        return float(coeffs[0, 0])
+        coeffs = self._laplace_coeffs(event, xs, np.array([[float(s)]]), 0)
+        return float(coeffs[0, 0, 0])
 
     # -- coverage and rate -------------------------------------------------------
 
-    def _s_factor(self, event: str, x: float) -> float:
+    def _s_factor(self, event: str, xs):
         """s(x) at unit threshold; multiply by theta (or by t) to finish."""
         ev = self._ev[event]
-        if event == "R":
-            return x ** ev["alpha"] / ev["amp"]
-        return ev["m"] * math.exp(ev["k_a"] * x) * x ** ev["alpha"] / ev["amp"]
+        return ev["m"] * np.exp(ev["k_a"] * xs) * xs ** ev["alpha"] / ev["amp"]
 
     def _assemble_ccdf(self, event: str, s_vals, l_coeffs):
         """Combine Laplace derivatives into the conditional SINR tail.
 
-        ``s_vals`` has shape () or (T,), ``l_coeffs`` (K+1, [T,] n_gains).
-        All series terms are positive (the gamma-tail structure), so the sum
-        is numerically benign.
+        ``s_vals`` has shape (X, T), ``l_coeffs`` (K+1, X, T * n_gains); the
+        result has shape (X, T).  All series terms are positive (the
+        gamma-tail structure), so the sum is numerically benign.
         """
         ev = self._ev[event]
         m = ev["m"]
         gains = ev["gains"]
         probs = ev["probs"]
-        s_arr = np.atleast_1d(np.asarray(s_vals, dtype=float))
-        nu = s_arr[:, None] / gains            # (T, Kk)
-        lam = s_arr[:, None] * (ev["sigma2"] / gains)
-        lc = l_coeffs.reshape(m, s_arr.size, gains.size)
+        nu = s_vals[..., None] / gains                # (X, T, Kk)
+        lam = s_vals[..., None] * (ev["sigma2"] / gains)
+        lc = l_coeffs.reshape((m,) + nu.shape)
 
-        pois = np.empty((m, s_arr.size, gains.size))
+        pois = np.empty((m,) + nu.shape)
         pois[0] = np.exp(-lam)
         for j in range(1, m):
             pois[j] = pois[j - 1] * lam / j
         cum = np.cumsum(pois, axis=0)
 
-        total = np.zeros((s_arr.size, gains.size))
+        total = np.zeros(nu.shape)
         for u in range(m):
             total += (-1.0) ** u * nu**u * lc[u] * cum[m - 1 - u]
-        out = total @ probs
-        return out if np.ndim(s_vals) else float(out[0])
+        return total @ probs
 
-    def _coverage_kernel(self, event: str, x: float, thresholds) -> np.ndarray:
-        """P[SINR > t | serving event, serving distance x] on a grid of t."""
+    def _coverage_kernel(self, event: str, xs, thresholds) -> np.ndarray:
+        """P[SINR > t | serving event, serving distance x], shape (X, T), at
+        serving distances ``xs`` (X,) and thresholds t (T,)."""
         ev = self._ev[event]
         t_arr = np.atleast_1d(np.asarray(thresholds, dtype=float))
-        s_vals = self._s_factor(event, x) * t_arr
-        nu0 = (s_vals[:, None] / ev["gains"]).ravel()
-        lc = self._laplace_coeffs(event, nu0, ev["m"] - 1, x)
+        s_vals = self._s_factor(event, xs)[:, None] * t_arr
+        nu0 = (s_vals[..., None] / ev["gains"]).reshape(xs.size, -1)
+        lc = self._laplace_coeffs(event, xs, nu0, ev["m"] - 1)
         return self._assemble_ccdf(event, s_vals, lc)
 
     def _expect_over_serving(self, event: str, point_fn) -> float:
-        """(1/A) * int w(x) point_fn(x) dx over the serving support."""
+        """(1/A) * int w(x) point_fn(x) dx over the serving support.
+
+        ``point_fn`` takes the vector of one outer sweep's serving distances
+        with w(x) > 0 and returns one value per distance.
+        """
         a = self.assoc_probabilities().get(event)
         if a <= DEGENERATE_EVENT_TOL:
             raise DegenerateEvent(
@@ -379,9 +466,9 @@ class AnalyticEngine:
         def outer(xs):
             w = self._weight(event, xs)
             out = np.zeros_like(xs)
-            for i, x in enumerate(xs):
-                if w[i] > 0.0:
-                    out[i] = w[i] * point_fn(float(x))
+            pos = w > 0.0
+            if pos.any():
+                out[pos] = w[pos] * point_fn(xs[pos])
             return out
 
         return integrate(outer, self.sup.z_l, self.sup.z_p, q).value / a
@@ -389,7 +476,7 @@ class AnalyticEngine:
     def conditional_coverage(self, event: str) -> float:
         theta = self.cfg.radio.theta
         val = self._expect_over_serving(
-            event, lambda x: float(self._coverage_kernel(event, x, theta)[0]))
+            event, lambda xs: self._coverage_kernel(event, xs, theta)[:, 0])
         if not -PROBABILITY_SPILL_TOL <= val <= 1.0 + PROBABILITY_SPILL_TOL:
             raise NumericalInconsistency(
                 f"conditional coverage for event {event} is {val!r}"
@@ -399,9 +486,13 @@ class AnalyticEngine:
     def conditional_rate(self, event: str) -> float:
         ev = self._ev[event]
 
-        def mean_log(x):
-            f_t = lambda ts: self._coverage_kernel(event, x, ts)
-            return integrate_semiinfinite(f_t, self.q_rate_t).value
+        def mean_log(xs):
+            # one threshold integral per serving distance
+            return np.array([
+                integrate_semiinfinite(
+                    lambda ts, x=xs[i:i + 1]: self._coverage_kernel(event, x, ts)[0],
+                    self.q_rate_t).value
+                for i in range(xs.size)])
 
         val = self._expect_over_serving(event, mean_log)
         return ev["bw"] / math.log(2.0) * max(val, 0.0)

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import random_config
+import hexnet.analytic as analytic
 from hexnet import with_updates
 from hexnet.analytic import (
+    _INNER_ELEMENTS,
     DEGENERATE_EVENT_TOL,
     AnalyticEngine,
     EVENTS,
@@ -138,6 +140,92 @@ def test_laplace_jet_argument(engine):
     assert jet.value == pytest.approx(scalar, rel=1e-12)
     # derivative sign pattern of a completely monotone transform
     assert jet.derivative(1) < 0 < jet.derivative(2)
+
+
+def test_laplace_without_interferer_mass_raises(engine):
+    # at x = z_p the N and R events leave no room for their interferers,
+    # while the L event still has NLOS interferers inside e_ln(z_p)
+    zp = engine.sup.z_p
+    for event in ("N", "R"):
+        with pytest.raises(DegenerateEvent, match="interferer mass"):
+            engine.laplace_interference(event, 1e12, zp)
+    assert engine.excl.e_ln(zp) < zp
+    val = engine.laplace_interference("L", 1e12, zp)
+    assert 0.0 < val < 1.0
+    assert val == pytest.approx(
+        engine.laplace_interference("L", 1e12, np.nextafter(zp, 0.0)), rel=1e-9)
+
+
+def test_laplace_vector_matches_per_x(table3):
+    # one kernel call over many serving distances equals one call per x
+    sig = math.radians(10.0)
+    cases = {
+        "table3": table3,
+        "v_0=10": with_updates(table3, v_0=10.0),       # pieces split at z_m
+        "sigma_eps=10": with_updates(table3, sigma_eps_T=sig, sigma_eps_U=sig),
+        "n_thz=1": with_updates(table3, delta_T=0.05),  # bracket_exp = 0
+    }
+    thresholds = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, cfg in cases.items():
+            eng = AnalyticEngine(cfg)
+            sup = eng.sup
+            assert (name == "v_0=10") == (sup.z_m in eng._inner_breaks)
+            xs = np.linspace(sup.z_l, sup.z_p, 121)
+            # the N segment of LOS interferers is empty for the largest x
+            assert np.any(eng.excl.e_nl(xs[:-1]) >= sup.z_p)
+            for event in EVENTS:
+                ev = eng._ev[event]
+                # no interferer mass at z_p for N and R (tested above)
+                xe = xs if event == "L" else xs[:-1]
+                nu0 = (eng._s_factor(event, xe)[:, None, None]
+                       * thresholds[:, None] / ev["gains"]).reshape(xe.size, -1)
+                order = ev["m"] - 1
+                width = nu0.shape[1] * ev["int_gains"].size * (order + 1)
+                if ev["bracket_exp"] > 0:
+                    # longer than one slice of the element budget, even
+                    # where an x has a single piece
+                    assert 15 * xe.size * width > _INNER_ELEMENTS
+                vec = eng._laplace_coeffs(event, xe, nu0, order)
+                per = np.stack(
+                    [eng._laplace_coeffs(event, xe[i:i + 1], nu0[i:i + 1],
+                                         order)[:, 0]
+                     for i in range(xe.size)], axis=1)
+                assert vec.shape == (order + 1, xe.size, nu0.shape[1])
+                scale = np.abs(per).max(axis=2, keepdims=True)
+                assert np.all(np.abs(vec - per) <= eng.q_inner.rel_tol * scale), \
+                    (name, event)
+                if ev["bracket_exp"] == 0:
+                    assert np.all(vec[0] == 1.0) and np.all(vec[1:] == 0.0)
+
+
+def test_inner_calls_batched_over_serving_distances(table3, monkeypatch):
+    # a guard against one inner integral per outer node, counted, not timed
+    eng = AnalyticEngine(table3)
+    eng.assoc_probabilities()
+    ev = eng._ev["L"]
+    width = ev["gains"].size * ev["int_gains"].size * ev["m"]
+    min_slice = max(1, _INNER_ELEMENTS
+                    // (15 * (eng._inner_breaks.size + 1) * width))
+    inner_calls = [0]
+    bound = [0]
+    plain = analytic.integrate
+
+    def counting(f, a, b, q=None):
+        if q is eng.q_inner:
+            inner_calls[0] += 1
+            return plain(f, a, b, q)
+
+        def outer(xs):
+            # segments x budget slices this outer integrand call may use
+            bound[0] += len(ev["segments"]) * -(-xs.size // min_slice)
+            return f(xs)
+        return plain(outer, a, b, q)
+
+    monkeypatch.setattr(analytic, "integrate", counting)
+    eng.conditional_coverage("L")
+    assert 0 < inner_calls[0] <= bound[0]
 
 
 def test_laplace_r_against_conditional_mc(table3):
