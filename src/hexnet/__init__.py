@@ -8,25 +8,12 @@ Laplace-transform derivatives, and a Monte-Carlo simulator
 
 from importlib import resources
 
-from .analytic import (
-    AnalyticEngine,
-    CoverageReport,
-    TierMetrics,
-    assoc_probabilities,
-    conditional_coverage,
-    conditional_rate,
-    coverage,
-    full_report,
-    laplace_interference,
-    rate,
-    serving_distance_pdf,
-)
-from .montecarlo import McEstimate, SimulationSummary, TrialOutcome, estimate, run_trial
+from .analytic import AnalyticEngine, CoverageReport, TierMetrics
+from .montecarlo import McEstimate, SimulationSummary, estimate
 from .params import (
     NetworkConfig,
     derived_constants,
     load_config,
-    load_config_file,
     serialize_config,
     with_updates,
 )
@@ -50,22 +37,11 @@ __all__ = [
     "NetworkConfig",
     "SimulationSummary",
     "TierMetrics",
-    "TrialOutcome",
-    "assoc_probabilities",
-    "conditional_coverage",
-    "conditional_rate",
-    "coverage",
     "default_config",
     "default_config_text",
     "derived_constants",
     "estimate",
-    "full_report",
-    "laplace_interference",
     "load_config",
-    "load_config_file",
-    "rate",
-    "run_trial",
     "serialize_config",
-    "serving_distance_pdf",
     "with_updates",
 ]

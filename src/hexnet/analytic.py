@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -74,6 +73,19 @@ class CoverageReport:
 
 class AnalyticEngine:
     """Per-config caches and the quadrature pipeline.
+
+    Each association event (LOS THz, NLOS THz, RF) is one table entry in
+    ``_ev``: the serving tier's AP count and blockage law (``kappa``, None
+    for RF), the serving link's ``m``, ``alpha``, ``amp``, ``k_a``,
+    ``sigma2`` and ``bw``, the desired and interferer gain atoms, and two
+    competing tiers, RF first, then THz.  A tier is ``(count, terms)``, one
+    term per link class: ``(boundary key, tail mass, segment parameters)``,
+    with key None for the identity or "xy" for ``ExclusionRegions.e_xy``.
+    The event's density is the serving density times each tier's summed
+    tail mass beyond its boundaries to the power ``count`` (``_weight``);
+    the keys give the panel breakpoints (``_event_breakpoints``); and the
+    serving tier, ``tiers[own]``, gives the interferer segments of the
+    Laplace transform (``_laplace_coeffs``).
 
     The outer expectations over the serving distance x run at ``rel_tol``.
     The inner interference integrals run 10x tighter (``q_inner``), batched:
@@ -137,62 +149,71 @@ class AnalyticEngine:
         int_g = np.asarray(self.pmf_interf.gains)
         int_p = np.asarray(self.pmf_interf.probs)
         int_g, int_p = int_g[int_p > 0], int_p[int_p > 0]
-        # per-event tables: serving-side quantities and the interferer mixture
-        # segments (lower-limit fn; kappa fn, its tail mass, amplitude,
-        # absorption, alpha, m)
-        seg_los = (self._kl, self.SL, amp_thz, r.k_a, r.alpha_L, r.m_L)
-        seg_nlos = (self._kn, self.SN, amp_thz, r.k_a, r.alpha_N, r.m_N)
-        seg_rf = (None, self.S1, amp_rf, 0.0, r.alpha_R, 1)
+        one = np.asarray([1.0])
+        # per link class: its tail mass and its interferer segment parameters
+        # (kappa fn, amplitude, absorption, alpha, m)
+        tail = {"L": self.SL, "N": self.SN, "R": self.S1}
+        seg = {"L": (self._kl, amp_thz, r.k_a, r.alpha_L, r.m_L),
+               "N": (self._kn, amp_thz, r.k_a, r.alpha_N, r.m_N),
+               "R": (None, amp_rf, 0.0, r.alpha_R, 1)}
+
+        def tier(event, count, classes):
+            # (count, terms); a term's boundary key is None for the identity,
+            # else "xy" for ExclusionRegions.e_xy, x the serving class
+            return count, tuple(
+                (None if c == event else (event + c).lower(), tail[c], seg[c])
+                for c in classes)
+
+        thz = dict(amp=amp_thz, k_a=r.k_a, sigma2=r.sigma2_T, bw=r.W_T,
+                   gains=des_g, probs=des_p, int_gains=int_g, int_probs=int_p)
         self._ev = {
-            "L": dict(m=r.m_L, alpha=r.alpha_L, amp=amp_thz, k_a=r.k_a,
-                      sigma2=r.sigma2_T, bw=r.W_T,
-                      gains=des_g, probs=des_p,
-                      int_gains=int_g, int_probs=int_p,
-                      bracket_exp=self.n_thz - 1,
-                      segments=((lambda x: x, seg_los),
-                                (self.excl.e_ln, seg_nlos))),
-            "N": dict(m=r.m_N, alpha=r.alpha_N, amp=amp_thz, k_a=r.k_a,
-                      sigma2=r.sigma2_T, bw=r.W_T,
-                      gains=des_g, probs=des_p,
-                      int_gains=int_g, int_probs=int_p,
-                      bracket_exp=self.n_thz - 1,
-                      segments=((lambda x: x, seg_nlos),
-                                (self.excl.e_nl, seg_los))),
-            "R": dict(m=1, alpha=r.alpha_R, amp=amp_rf, k_a=0.0,
-                      sigma2=r.sigma2_R, bw=r.W_R,
-                      gains=np.asarray([1.0]), probs=np.asarray([1.0]),
-                      int_gains=np.asarray([1.0]), int_probs=np.asarray([1.0]),
-                      bracket_exp=self.n_rf - 1,
-                      segments=((lambda x: x, seg_rf),)),
+            "L": dict(thz, count=self.n_thz, kappa=self._kl, m=r.m_L,
+                      alpha=r.alpha_L, own=1,
+                      tiers=(tier("L", self.n_rf, "R"),
+                             tier("L", self.n_thz - 1, "LN"))),
+            "N": dict(thz, count=self.n_thz, kappa=self._kn, m=r.m_N,
+                      alpha=r.alpha_N, own=1,
+                      tiers=(tier("N", self.n_rf, "R"),
+                             tier("N", self.n_thz - 1, "NL"))),
+            "R": dict(count=self.n_rf, kappa=None, m=1, alpha=r.alpha_R,
+                      amp=amp_rf, k_a=0.0, sigma2=r.sigma2_R, bw=r.W_R,
+                      gains=one, probs=one, int_gains=one, int_probs=one,
+                      own=0, tiers=(tier("R", self.n_rf - 1, "R"),
+                                    tier("R", self.n_thz, "LN"))),
         }
         self._assoc: Optional[TierMetrics] = None
         self._breaks: dict[str, tuple] = {}
 
     # -- serving-distance machinery --------------------------------------------
 
+    def _boundary(self, key, x):
+        """A term's lower limit at serving distance x: x itself for the
+        identity key None, else the exclusion boundary ``e_<key>(x)``."""
+        return x if key is None else getattr(self.excl, "e_" + key)(x)
+
     def _event_breakpoints(self, event: str) -> tuple:
         """Panel breakpoints: density kink, piecewise thresholds, and the radii
-        where an exclusion boundary crosses z_m or z_p."""
+        where an exclusion boundary crosses z_m or z_p.  A boundary key "xy"
+        contributes h_xy and the reverse boundary e_yx at z_m and z_p."""
         if event in self._breaks:
             return self._breaks[event]
         ex, sup = self.excl, self.sup
         zm, zp = sup.z_m, sup.z_p
-        if event == "L":
-            cands = [zm, ex.h_lr, ex.h_ln, ex.e_rl(zm), ex.e_rl(zp),
-                     ex.e_nl(zm), ex.e_nl(zp)]
-        elif event == "N":
-            cands = [zm, ex.h_nr, ex.h_nl, ex.e_rn(zm), ex.e_rn(zp),
-                     ex.e_ln(zm), ex.e_ln(zp)]
-        else:
-            cands = [zm, ex.h_rl, ex.h_rn, ex.e_lr(zm), ex.e_lr(zp),
-                     ex.e_nr(zm), ex.e_nr(zp)]
+        cands = [zm]
+        for _, terms in self._ev[event]["tiers"]:
+            for key, _, _ in terms:
+                if key is not None:
+                    back = getattr(ex, "e_" + key[::-1])
+                    cands += [getattr(ex, "h_" + key), back(zm), back(zp)]
         out = tuple(sorted({float(c) for c in cands
                             if math.isfinite(c) and sup.z_l < c < zp}))
         self._breaks[event] = out
         return out
 
     def _weight(self, event: str, x):
-        """Unnormalized serving-distance density of one association event.
+        """Unnormalized serving-distance density of one association event:
+        count * f_Z(x) * kappa(x), times each competing tier's tail mass
+        beyond its exclusion boundaries to the power of its AP count.
 
         Its integral over [z_l, z_p] is the event's association probability.
         Zero outside [z_l, z_p]: every factor is evaluated at x clipped to the
@@ -200,29 +221,17 @@ class AnalyticEngine:
         blockage and exclusion laws inside their domains.  A scalar x gives a
         float, an array x an array of the same shape.
         """
+        ev = self._ev[event]
         x_raw = np.asarray(x, dtype=float)
         zl, zp = self.sup.z_l, self.sup.z_p
         x = np.clip(x_raw, zl, zp)
-        fz = self._fz(x)
-        ex = self.excl
-        if event == "L":
-            out = self.n_thz * fz * self._kl(x)
-            if self.n_rf > 0:
-                out = out * self.S1(ex.e_lr(x)) ** self.n_rf
-            if self.n_thz > 1:
-                out = out * (self.SL(x) + self.SN(ex.e_ln(x))) ** (self.n_thz - 1)
-        elif event == "N":
-            out = self.n_thz * fz * self._kn(x)
-            if self.n_rf > 0:
-                out = out * self.S1(ex.e_nr(x)) ** self.n_rf
-            if self.n_thz > 1:
-                out = out * (self.SN(x) + self.SL(ex.e_nl(x))) ** (self.n_thz - 1)
-        else:
-            out = self.n_rf * fz
-            if self.n_rf > 1:
-                out = out * self.S1(x) ** (self.n_rf - 1)
-            if self.n_thz > 0:
-                out = out * (self.SL(ex.e_rl(x)) + self.SN(ex.e_rn(x))) ** self.n_thz
+        out = ev["count"] * self._fz(x)
+        if ev["kappa"] is not None:
+            out = out * ev["kappa"](x)
+        for count, terms in ev["tiers"]:
+            if count > 0:
+                out = out * sum(tail(self._boundary(key, x))
+                                for key, tail, _ in terms) ** count
         out = np.where((x_raw < zl) | (x_raw > zp), 0.0, out)
         return float(out) if out.ndim == 0 else out
 
@@ -267,8 +276,9 @@ class AnalyticEngine:
         """Taylor coefficients (order+1, X, M) of L_I at serving distances
         ``xs`` (X,) and expansion points ``nu0`` (X, M), one row per x.
 
-        Per segment, column x integrates over [lo(x), z_p], lo = lower_fn(x)
-        clipped to z_l, cut into pieces at the inner breakpoints inside it.
+        The segments are the serving tier's terms.  Per segment, column x
+        integrates over [lo(x), z_p], lo the term's boundary at x clipped to
+        z_l, cut into pieces at the inner breakpoints inside it.
         Every piece [a, b] is mapped onto u in [0, 1], and column x's
         integrand at u is the sum over its pieces times the map's Jacobian,
         so one integral in u serves all x on shared panels.  The map is
@@ -295,7 +305,7 @@ class AnalyticEngine:
         nu0 = np.asarray(nu0, dtype=float)
         n_x, m_pts = nu0.shape
         k1 = order + 1
-        n_exp = ev["bracket_exp"]
+        n_exp, terms = ev["tiers"][ev["own"]]
         if n_exp == 0:
             out = np.zeros((k1, n_x, m_pts))
             out[0] = 1.0
@@ -310,11 +320,11 @@ class AnalyticEngine:
         num = np.zeros((n_x, m_pts, n_g, k1))
         den = np.zeros(n_x)
         mass_total = np.zeros(n_x)
-        for lower_fn, seg in ev["segments"]:
-            lo = np.asarray(lower_fn(xs), dtype=float)
+        for key, tail, seg in terms:
+            lo = np.asarray(self._boundary(key, xs), dtype=float)
             idx = np.flatnonzero(np.isfinite(lo) & (lo < zp))
             lo = np.maximum(lo[idx], zl)
-            mass = seg[1](lo)
+            mass = tail(lo)
             keep = mass > 0.0
             idx, lo, mass = idx[keep], lo[keep], mass[keep]
             mass_total[idx] += mass
@@ -348,7 +358,7 @@ class AnalyticEngine:
         """One segment's mass-normalized kernel integrals over [lo, z_p] for
         each lower limit in ``lo``: the flat (X*M*J*(order+1) + X,) result of
         one ``integrate`` in u, numerators first, then the denominators."""
-        kap, _, amp, k_abs, alpha, m_seg = seg
+        kap, amp, k_abs, alpha, m_seg = seg
         zp = self.sup.z_p
         breaks = self._inner_breaks
         # pieces per x: [lo, breakpoints above lo..., z_p], left-aligned and
@@ -387,23 +397,12 @@ class AnalyticEngine:
 
         return integrate(integrand, 0.0, 1.0, self.q_inner).value
 
-    def laplace_interference(self, event: str, s, x_serv: float):
-        """Laplace transform of the conditional interference at s.
-
-        Scalar s returns a float; a Jet argument returns the composed Jet,
-        i.e. derivatives with respect to the jet's variable.
-        """
-        xs = np.array([float(x_serv)])
-        if isinstance(s, Jet):
-            if np.any(s.value < 0):
-                raise ValueError("laplace_interference requires s >= 0")
-            coeffs = self._laplace_coeffs(
-                event, xs, np.reshape(s.value, (1, -1)), s.order)
-            own = Jet(coeffs.reshape((s.order + 1,) + np.shape(s.value)))
-            return own.compose_into(s)
+    def laplace_interference(self, event: str, s: float, x_serv: float) -> float:
+        """Laplace transform of the conditional interference at s >= 0."""
         if s < 0:
             raise ValueError("laplace_interference requires s >= 0")
-        coeffs = self._laplace_coeffs(event, xs, np.array([[float(s)]]), 0)
+        coeffs = self._laplace_coeffs(event, np.array([float(x_serv)]),
+                                      np.array([[float(s)]]), 0)
         return float(coeffs[0, 0, 0])
 
     # -- coverage and rate -------------------------------------------------------
@@ -495,7 +494,11 @@ class AnalyticEngine:
                 for i in range(xs.size)])
 
         val = self._expect_over_serving(event, mean_log)
-        return ev["bw"] / math.log(2.0) * max(val, 0.0)
+        if val < 0.0:
+            raise NumericalInconsistency(
+                f"conditional mean log-rate for event {event} is {val!r}"
+            )
+        return ev["bw"] / math.log(2.0) * val
 
     def _per_event(self, fn) -> tuple[TierMetrics, float]:
         assoc = self.assoc_probabilities()
@@ -526,40 +529,3 @@ class AnalyticEngine:
         cond_rate, total_rate = self._per_event(self.conditional_rate)
         return CoverageReport(self.assoc_probabilities(), cond_cov, total_cov,
                               cond_rate, total_rate)
-
-
-@lru_cache(maxsize=16)
-def _engine(cfg: NetworkConfig) -> AnalyticEngine:
-    return AnalyticEngine(cfg)
-
-
-def assoc_probabilities(cfg: NetworkConfig) -> TierMetrics:
-    return _engine(cfg).assoc_probabilities()
-
-
-def serving_distance_pdf(event: str, x, cfg: NetworkConfig):
-    return _engine(cfg).serving_distance_pdf(event, x)
-
-
-def laplace_interference(event: str, s, x_serv: float, cfg: NetworkConfig):
-    return _engine(cfg).laplace_interference(event, s, x_serv)
-
-
-def conditional_coverage(event: str, cfg: NetworkConfig) -> float:
-    return _engine(cfg).conditional_coverage(event)
-
-
-def coverage(cfg: NetworkConfig) -> CoverageReport:
-    return _engine(cfg).coverage()
-
-
-def conditional_rate(event: str, cfg: NetworkConfig) -> float:
-    return _engine(cfg).conditional_rate(event)
-
-
-def rate(cfg: NetworkConfig) -> CoverageReport:
-    return _engine(cfg).rate()
-
-
-def full_report(cfg: NetworkConfig) -> CoverageReport:
-    return _engine(cfg).report()

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import click
 import numpy as np
 
-from . import analytic, montecarlo
+from . import montecarlo
+from .analytic import AnalyticEngine
 from .errors import (
     ConfigError,
     DegenerateEvent,
@@ -197,7 +198,7 @@ def _fmt(value) -> str:
 
 
 def _analytic_cells(cfg: NetworkConfig) -> dict:
-    rep = analytic.full_report(cfg)
+    rep = AnalyticEngine(cfg).report()
     return {
         "A_L": rep.assoc.los, "A_N": rep.assoc.nlos, "A_R": rep.assoc.rf,
         "Pcov_L": rep.cond_coverage.los, "Pcov_N": rep.cond_coverage.nlos,

@@ -17,13 +17,11 @@ distance requires the principal branch of the Lambert W function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError
-from .params import NetworkConfig, RadioParams
+from .params import RadioParams
 
 INV_E = math.exp(-1.0)
 
@@ -71,16 +69,6 @@ def lambert_w0(x):
             break
     w = np.maximum(w, -1.0)
     return float(w[0]) if scalar else w
-
-
-@dataclass(frozen=True)
-class ExclusionPair:
-    """The two boundaries active for one THz association event."""
-
-    to_rf: Callable
-    to_other_thz: Callable
-    h_break_rf: float
-    h_break_other: float
 
 
 class ExclusionRegions:
@@ -198,37 +186,3 @@ class ExclusionRegions:
     def e_rn(self, r):
         """Nearest-NLOS boundary given an RF server at r."""
         return self._piecewise(r, self.h_rn, self._bal_rn, self.z_l)
-
-    def pair(self, event: str) -> ExclusionPair:
-        if event == "L":
-            return ExclusionPair(self.e_lr, self.e_ln, self.h_lr, self.h_ln)
-        if event == "N":
-            return ExclusionPair(self.e_nr, self.e_nl, self.h_nr, self.h_nl)
-        raise ValueError(f"no RF/other-THz pair for event {event!r}")
-
-
-def _regions(cfg: NetworkConfig) -> ExclusionRegions:
-    from .antenna import mean_desired_gain
-    from .geometry import support
-
-    sup = support(cfg)
-    return ExclusionRegions(sup.z_l, sup.z_p, cfg.radio,
-                            mean_desired_gain(cfg.antenna))
-
-
-def exclusion_given_los(r, cfg: NetworkConfig):
-    """(nearest-RF, nearest-NLOS) boundaries for a LOS THz server at r."""
-    ex = _regions(cfg)
-    return ex.e_lr(r), ex.e_ln(r)
-
-
-def exclusion_given_nlos(r, cfg: NetworkConfig):
-    """(nearest-RF, nearest-LOS) boundaries for a NLOS THz server at r."""
-    ex = _regions(cfg)
-    return ex.e_nr(r), ex.e_nl(r)
-
-
-def exclusion_given_rf(r, cfg: NetworkConfig):
-    """(nearest-LOS, nearest-NLOS) boundaries for an RF server at r."""
-    ex = _regions(cfg)
-    return ex.e_rl(r), ex.e_rn(r)

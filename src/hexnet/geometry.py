@@ -1,4 +1,4 @@
-"""AP-to-UE distance law for a uniform deployment on a disk, plus samplers.
+"""AP-to-UE distance law for a uniform deployment on a disk, plus its sampler.
 
 The APs live on a ceiling disk of radius ``r_d`` at height ``h_A``; the UE
 sits at horizontal offset ``v_0`` from the disk center at height ``h_U``.
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -83,22 +82,6 @@ def distance_pdf(z, sup: DistanceSupport, v_0: float, r_d: float):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class ApPoint:
-    """One AP of a sampled deployment, in UE-plane-projected coordinates."""
-
-    x: float
-    y: float
-    kind: str             # "RF" or "THZ"
-    link: Optional[str]   # "LOS" / "NLOS" for THZ, None for RF
-
-
-def distance_to_ue(p: ApPoint, cfg: NetworkConfig) -> float:
-    """3-D distance from an AP to the UE at (v_0, 0, h_U)."""
-    g = cfg.geometry
-    return math.sqrt((p.x - g.v_0) ** 2 + p.y**2 + (g.h_A - g.h_U) ** 2)
-
-
 def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
                              n_trials: int):
     """Vectorized deployment sampler for ``n_trials`` independent networks.
@@ -133,16 +116,3 @@ def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
     dist = np.sqrt((x - g.v_0) ** 2 + y**2 + der.delta_h**2)
     is_los = rng.random((n_trials, n_a)) < kappa_los(dist, der.beta, der.delta_h)
     return x, y, dist, is_thz, is_los
-
-
-def sample_deployment(cfg: NetworkConfig, rng: np.random.Generator) -> list[ApPoint]:
-    """Sample one deployment: N_A points, exactly n_thz marked THZ."""
-    x, y, _, is_thz, is_los = sample_deployment_arrays(cfg, rng, 1)
-    points = []
-    for i in range(cfg.geometry.N_A):
-        if is_thz[0, i]:
-            points.append(ApPoint(x[0, i], y[0, i], "THZ",
-                                  "LOS" if is_los[0, i] else "NLOS"))
-        else:
-            points.append(ApPoint(x[0, i], y[0, i], "RF", None))
-    return points

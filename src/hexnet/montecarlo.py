@@ -16,24 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import TierMetrics
-from .antenna import desired_gain_pmf, interferer_gain_pmf, mean_desired_gain
+from .antenna import (
+    desired_gain_pmf,
+    interferer_gain_pmf,
+    mean_desired_gain,
+    sample_gain,
+)
 from .geometry import sample_deployment_arrays
 from .params import NetworkConfig, derived_constants
 from .propagation import LinkClass, sample_fading
 
 MIN_TRIALS = 1000
 DEFAULT_SUBSTREAMS = 16
-
-_EVENT_CODES = ("L", "N", "R")
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    assoc_event: str      # "L", "N" or "R"
-    sinr: float           # linear
-    covered: bool         # sinr >= theta
-    rate_sample: float    # bits/s, tier bandwidth times log2(1 + sinr)
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -53,19 +47,8 @@ class SimulationSummary:
     n_trials: int
 
 
-def _categorical(probs, rng, size):
-    cum = np.cumsum(probs)
-    idx = np.searchsorted(cum, rng.random(size), side="right")
-    return np.minimum(idx, len(probs) - 1)
-
-
-def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int,
-                    pin_fading: bool = False):
-    """Vectorized trials; returns (event codes 0/1/2, sinr, rate, x_serv).
-
-    ``pin_fading`` replaces every fading draw by its mean (1.0); it exists for
-    deterministic unit tests only and is not reachable from the CLI.
-    """
+def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
+    """Vectorized trials; returns (event codes 0/1/2, sinr, rate, x_serv)."""
     g, r = cfg.geometry, cfg.radio
     der = derived_constants(cfg)
     mean_gain = mean_desired_gain(cfg.antenna)
@@ -87,14 +70,11 @@ def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int,
     event = np.where(win_thz & win_los, 0, np.where(win_thz, 1, 2)).astype(np.int8)
 
     # fixed draw order and count, independent of trial outcomes
-    gain_des = np.asarray(pmf0.gains)[_categorical(pmf0.probs, rng, n)]
-    gain_int = np.asarray(pmf_i.gains)[_categorical(pmf_i.probs, rng, (n, g.N_A))]
-    if pin_fading:
-        fad_rf = fad_los = fad_nlos = np.ones((n, g.N_A))
-    else:
-        fad_rf = sample_fading(LinkClass.RF, rng, r, (n, g.N_A))
-        fad_los = sample_fading(LinkClass.THZ_LOS, rng, r, (n, g.N_A))
-        fad_nlos = sample_fading(LinkClass.THZ_NLOS, rng, r, (n, g.N_A))
+    gain_des = sample_gain(pmf0, rng, n)
+    gain_int = sample_gain(pmf_i, rng, (n, g.N_A))
+    fad_rf = sample_fading(LinkClass.RF, rng, r, (n, g.N_A))
+    fad_los = sample_fading(LinkClass.THZ_LOS, rng, r, (n, g.N_A))
+    fad_nlos = sample_fading(LinkClass.THZ_NLOS, rng, r, (n, g.N_A))
     fad_thz = np.where(is_los, fad_los, fad_nlos)
 
     # per-AP interference terms; the serving AP's own term is subtracted
@@ -123,19 +103,6 @@ def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int,
     bw = np.where(event == 2, r.W_R, r.W_T)
     rate = bw * np.log2(1.0 + sinr)
     return event, sinr, rate, x_serv
-
-
-def run_trial(cfg: NetworkConfig, rng: np.random.Generator,
-              pin_fading: bool = False) -> TrialOutcome:
-    """One trial; fully determined by the generator state."""
-    event, sinr, rate, _ = _simulate_batch(cfg, rng, 1, pin_fading=pin_fading)
-    s = float(sinr[0])
-    return TrialOutcome(
-        assoc_event=_EVENT_CODES[int(event[0])],
-        sinr=s,
-        covered=bool(s >= cfg.radio.theta),
-        rate_sample=float(rate[0]),
-    )
 
 
 def _stream_sums(cfg: NetworkConfig, seed_seq, n: int):

@@ -1,6 +1,6 @@
 """Numeric engines: adaptive quadrature and truncated-Taylor (jet) arithmetic."""
 
-from .jets import Jet, jet_eval
+from .jets import Jet, affine_power
 from .quadrature import (
     Quadrature,
     QuadResult,
@@ -11,7 +11,7 @@ from .quadrature import (
 
 __all__ = [
     "Jet",
-    "jet_eval",
+    "affine_power",
     "Quadrature",
     "QuadResult",
     "TailIntegral",

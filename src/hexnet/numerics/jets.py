@@ -1,28 +1,21 @@
-"""Univariate truncated-Taylor (jet) arithmetic for exact higher derivatives.
+"""Truncated Taylor series (jets) of the interference Laplace transforms.
 
 A jet stores the normalized Taylor coefficients ``coeffs[k] = f^(k)(s0) / k!``
-of a function at an expansion point.  Arithmetic follows the truncated
-composition rules exactly, so derivatives up to the jet order come out to
-machine precision - unlike finite differences, which degrade catastrophically
-on high powers.
+of a function at an expansion point, so derivatives up to the jet order come
+out to machine precision - unlike finite differences, which degrade
+catastrophically on high powers.  Coefficient arrays may carry trailing axes
+(``coeffs.shape == (K+1, ...)``), which vectorizes over grids of expansion
+points or quadrature nodes.
 
-Coefficient arrays may carry trailing axes (``coeffs.shape == (K+1, ...)``),
-which vectorizes a jet computation over grids of expansion points or
-quadrature nodes.
+The pipeline needs two primitives: ``affine_power`` expands one interferer's
+kernel (a0 + a1 ds)^p, in which the Laplace argument enters affinely, and
+``Jet.__pow__`` raises the integrated interferer bracket to the interferer
+count.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-
-def _pad_trailing(coeffs, rank):
-    """Insert singleton axes after the jet axis until trailing rank matches."""
-    while coeffs.ndim - 1 < rank:
-        coeffs = coeffs[:, None]
-    return coeffs
 
 
 class Jet:
@@ -31,143 +24,19 @@ class Jet:
     def __init__(self, coeffs):
         self.coeffs = np.asarray(coeffs, dtype=float)
 
-    @classmethod
-    def variable(cls, s0, order: int) -> "Jet":
-        """The identity function s -> s expanded at s0 (scalar or array)."""
-        s0 = np.asarray(s0, dtype=float)
-        c = np.zeros((order + 1,) + s0.shape)
-        c[0] = s0
-        if order >= 1:
-            c[1] = 1.0
-        return cls(c)
-
-    @classmethod
-    def constant(cls, value, order: int) -> "Jet":
-        value = np.asarray(value, dtype=float)
-        c = np.zeros((order + 1,) + value.shape)
-        c[0] = value
-        return cls(c)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def value(self):
-        return self.coeffs[0]
-
-    def derivative(self, u: int):
-        """u-th derivative at the expansion point: u! * coeffs[u]."""
-        return self.coeffs[u] * math.factorial(u)
-
-    # -- ring operations -------------------------------------------------------
-
-    def _aligned(self, other: "Jet"):
-        if self.order != other.order:
-            raise ValueError("jet orders differ")
-        rank = max(self.coeffs.ndim, other.coeffs.ndim) - 1
-        return _pad_trailing(self.coeffs, rank), _pad_trailing(other.coeffs, rank)
-
-    def __add__(self, other):
-        if isinstance(other, Jet):
-            a, b = self._aligned(other)
-            return Jet(a + b)
-        arr = np.asarray(other, dtype=float)
-        a = _pad_trailing(self.coeffs, max(self.coeffs.ndim - 1, arr.ndim))
-        shape = np.broadcast_shapes(a.shape[1:], arr.shape)
-        out = np.broadcast_to(a, (a.shape[0],) + shape).copy()
-        out[0] = out[0] + arr
-        return Jet(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            arr = np.asarray(other, dtype=float)
-            a = _pad_trailing(self.coeffs, max(self.coeffs.ndim - 1, arr.ndim))
-            return Jet(a * arr)
-        a, b = self._aligned(other)
-        k1 = a.shape[0]
-        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
-        out = np.zeros((k1,) + shape)
-        for k in range(k1):
-            for j in range(k + 1):
-                out[k] += a[j] * b[k - j]
-        return Jet(out)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "Jet":
-        a = self.coeffs
-        out = np.zeros_like(a)
-        out[0] = 1.0 / a[0]
-        for k in range(1, a.shape[0]):
-            acc = 0.0
-            for j in range(1, k + 1):
-                acc = acc + a[j] * out[k - j]
-            out[k] = -out[0] * acc
-        return Jet(out)
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other.reciprocal()
-        return self * (1.0 / np.asarray(other, dtype=float))
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
-
-    # -- analytic primitives ----------------------------------------------------
-
-    def exp(self) -> "Jet":
-        a = self.coeffs
-        out = np.zeros_like(a)
-        out[0] = np.exp(a[0])
-        for k in range(1, a.shape[0]):
-            acc = 0.0
-            for j in range(1, k + 1):
-                acc = acc + j * a[j] * out[k - j]
-            out[k] = acc / k
-        return Jet(out)
-
-    def log(self) -> "Jet":
-        a = self.coeffs
-        out = np.zeros_like(a)
-        out[0] = np.log(a[0])
-        for k in range(1, a.shape[0]):
-            acc = 0.0
-            for j in range(1, k):
-                acc = acc + j * out[j] * a[k - j]
-            out[k] = (a[k] - acc / k) / a[0]
-        return Jet(out)
-
     def __pow__(self, exponent: float) -> "Jet":
-        """Real power of a jet with strictly positive value."""
-        if exponent == 0:
-            return Jet.constant(np.ones_like(self.coeffs[0]), self.order)
-        return (self.log() * float(exponent)).exp()
-
-    def compose_into(self, inner: "Jet") -> "Jet":
-        """Substitute another jet with matching value: (self o shift)(inner).
-
-        ``self`` holds the coefficients of g around s0 = inner.value; the
-        result is the jet of g(inner(.)) around the inner variable, obtained
-        by Horner evaluation of the truncated polynomial at (inner - s0).
-        """
-        delta = inner - inner.value
-        acc = Jet.constant(np.broadcast_to(self.coeffs[-1], delta.coeffs[0].shape).copy(),
-                           inner.order)
-        for k in range(self.order - 1, -1, -1):
-            acc = acc * delta + self.coeffs[k]
-        return acc
+        """Real power of a jet with non-zero value, by J.C.P. Miller's
+        recurrence c_k = sum_{j=1..k} ((p+1) j - k) a_j c_{k-j} / (k a_0)."""
+        a = self.coeffs
+        p1 = float(exponent) + 1.0
+        out = np.empty_like(a)
+        out[0] = a[0] ** float(exponent)
+        for k in range(1, a.shape[0]):
+            acc = (p1 - k) * a[1] * out[k - 1]
+            for j in range(2, k + 1):
+                acc = acc + (p1 * j - k) * a[j] * out[k - j]
+            out[k] = acc / (k * a[0])
+        return Jet(out)
 
 
 def affine_power(a0, a1, exponent: float, order: int) -> Jet:
@@ -175,8 +44,7 @@ def affine_power(a0, a1, exponent: float, order: int) -> Jet:
 
     Powers of an affine jet have the closed binomial recurrence
     c_u = c_{u-1} * (p - u + 1)/u * (a1/a0); this is the hot path of the
-    interference kernels, where the Laplace argument enters affinely.
-    Equivalent to ``(a0 + a1 * ds) ** p`` with the generic jet power.
+    interference kernels.
     """
     a0 = np.asarray(a0, dtype=float)
     a1 = np.asarray(a1, dtype=float)
@@ -188,8 +56,3 @@ def affine_power(a0, a1, exponent: float, order: int) -> Jet:
         for u in range(1, order + 1):
             out[u] = out[u - 1] * ((exponent - u + 1.0) / u) * ratio
     return Jet(out)
-
-
-def jet_eval(f, s0, order: int) -> Jet:
-    """Jet of a jet-closed callable at s0: coeffs[u] = f^(u)(s0) / u!."""
-    return f(Jet.variable(s0, order))

@@ -183,7 +183,9 @@ class TailIntegral:
     Builds one adaptive panelization of [a, b] up front (each panel refined to
     its length-proportional error share), then answers arbitrary lower limits
     with a suffix sum plus a single fresh Kronrod rule on the partial panel.
-    Vectorized over x.
+    Vectorized over x.  Raises MaxDepthExceeded (reporting the worst panel)
+    if the tolerance cannot be met: a panel over its error share would have
+    to be split below a width of 64 ulp or beyond ``max_depth`` halvings.
     """
 
     def __init__(self, f, a: float, b: float, q: Quadrature | None = None):
@@ -206,10 +208,11 @@ class TailIntegral:
             if errs.sum() <= tol:
                 break
             split = (errs > tol * (pb - pa) / span) & (pb - pa > min_width)
-            if not split.any():
-                break
-            if depths[split].max() >= q.max_depth:
-                worst = int(np.argmax(np.where(split, errs, -np.inf)))
+            if not split.any() or depths[split].max() >= q.max_depth:
+                # the tolerance is out of reach: every panel over its share
+                # is at min_width, or one would be split beyond max_depth
+                pool = split if split.any() else np.ones_like(split)
+                worst = int(np.argmax(np.where(pool, errs, -np.inf)))
                 raise MaxDepthExceeded(float(pa[worst]), float(pb[worst]),
                                        float(errs[worst]))
             sa, sb = pa[split], pb[split]

@@ -30,17 +30,8 @@ def from_db(x: float) -> float:
     return 10.0 ** (x / 10.0)
 
 
-def to_db(x: float) -> float:
-    """Linear power ratio -> dB."""
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watt(x: float) -> float:
     return 10.0 ** ((x - 30.0) / 10.0)
-
-
-def watt_to_dbm(x: float) -> float:
-    return 10.0 * math.log10(x) + 30.0
 
 
 @dataclass(frozen=True)
@@ -319,11 +310,6 @@ def serialize_config(cfg: NetworkConfig) -> str:
             buf.write(f"{key} = {getattr(obj, key)!r}\n")
         buf.write("\n")
     return buf.getvalue()
-
-
-def load_config_file(path) -> NetworkConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_config(fh.read())
 
 
 def with_updates(cfg: NetworkConfig, **updates) -> NetworkConfig:

@@ -1,8 +1,7 @@
-"""Blockage probabilities, path loss with molecular absorption, and fading."""
+"""Blockage probabilities and fading draws of the radio link classes."""
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
@@ -15,18 +14,11 @@ DISTANCE_SPILL_TOL = 1e-9
 
 
 class LinkClass(Enum):
-    """Radio link classes; each selects a (path-loss exponent, fading) pair."""
+    """Radio link classes; each selects a fading shape."""
 
     RF = "rf"
     THZ_LOS = "thz_los"
     THZ_NLOS = "thz_nlos"
-
-    def alpha(self, radio: RadioParams) -> float:
-        return {
-            LinkClass.RF: radio.alpha_R,
-            LinkClass.THZ_LOS: radio.alpha_L,
-            LinkClass.THZ_NLOS: radio.alpha_N,
-        }[self]
 
     def nakagami_m(self, radio: RadioParams) -> int:
         # Rayleigh power fading is the m = 1 special case.
@@ -53,40 +45,6 @@ def kappa_los(r, beta: float, delta_h: float):
 
 def kappa_nlos(r, beta: float, delta_h: float):
     return 1.0 - kappa_los(r, beta, delta_h)
-
-
-def path_gain(link: LinkClass, z, radio: RadioParams):
-    """Distance-dependent channel gain (no antenna gains, no fading).
-
-    RF: gamma_R z^-alpha_R.  THz: gamma_T e^{-k_a z} z^-alpha_xi, with the
-    exponent chosen by the LOS/NLOS class.  Strictly decreasing in z.
-    """
-    z_arr = np.asarray(z, dtype=float)
-    if link is LinkClass.RF:
-        out = radio.gamma_R * z_arr ** (-radio.alpha_R)
-    else:
-        alpha = link.alpha(radio)
-        out = radio.gamma_T * np.exp(-radio.k_a * z_arr) * z_arr ** (-alpha)
-    return float(out) if np.ndim(z) == 0 else out
-
-
-def fading_ccdf(link: LinkClass, x, radio: RadioParams):
-    """P[fading power gain > x] for a unit-mean link of the given class.
-
-    Gamma(m, 1/m) tail: sum_{k<m} (m x)^k / k! * e^{-m x}; reduces to e^{-x}
-    for the RF (Rayleigh) case.
-    """
-    m = link.nakagami_m(radio)
-    x_arr = np.asarray(x, dtype=float)
-    mx = m * x_arr
-    total = np.zeros_like(x_arr)
-    term = np.ones_like(x_arr)
-    for k in range(m):
-        if k > 0:
-            term = term * mx / k
-        total = total + term
-    out = total * np.exp(-mx)
-    return float(out) if np.ndim(x) == 0 else out
 
 
 def sample_fading(link: LinkClass, rng: np.random.Generator,

@@ -10,6 +10,7 @@ from hypothesis import settings
 
 from hexnet import default_config, with_updates
 from hexnet.analytic import AnalyticEngine
+from hexnet.propagation import LinkClass
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -96,6 +97,16 @@ def random_config(base, rng) -> "NetworkConfig":
         phi_U=rng.uniform(math.radians(5), math.radians(60)),
     )
     return cfg
+
+
+def path_gain(link, z, radio):
+    """Oracle: distance-dependent channel gain of a link class (no antenna
+    gains, no fading).  RF: gamma_R z^-alpha_R.  THz: gamma_T e^{-k_a z}
+    z^-alpha, with the exponent of the LOS/NLOS class."""
+    if link is LinkClass.RF:
+        return radio.gamma_R * z ** -radio.alpha_R
+    alpha = radio.alpha_L if link is LinkClass.THZ_LOS else radio.alpha_N
+    return radio.gamma_T * np.exp(-radio.k_a * z) * z ** -alpha
 
 
 def chi2_pvalue(samples, bin_edges, bin_probs):

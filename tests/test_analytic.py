@@ -13,10 +13,9 @@ from hexnet.analytic import (
     AnalyticEngine,
     EVENTS,
     TierMetrics,
-    assoc_probabilities,
 )
-from hexnet.errors import DegenerateEvent
-from hexnet.numerics import Jet, Quadrature, integrate
+from hexnet.errors import DegenerateEvent, NumericalInconsistency
+from hexnet.numerics import Quadrature, integrate
 
 
 def test_assoc_simplex_table3(engine):
@@ -34,9 +33,9 @@ def test_assoc_simplex_random_configs(table3):
 
 
 def test_assoc_degenerate_fractions(table3):
-    a0 = assoc_probabilities(with_updates(table3, delta_T=0.0))
+    a0 = AnalyticEngine(with_updates(table3, delta_T=0.0)).assoc_probabilities()
     assert (a0.los, a0.nlos, a0.rf) == (0.0, 0.0, 1.0)
-    a1 = assoc_probabilities(with_updates(table3, delta_T=1.0))
+    a1 = AnalyticEngine(with_updates(table3, delta_T=1.0)).assoc_probabilities()
     assert a1.rf == 0.0
     assert a1.los + a1.nlos == pytest.approx(1.0, abs=1e-6)
 
@@ -49,7 +48,7 @@ def test_assoc_rejects_zero_bias(table3):
 def test_assoc_monotone_in_bias(table3):
     vals = []
     for b in (0.05, 0.5, 1.0, 5.0, 50.0):
-        a = assoc_probabilities(with_updates(table3, B_T=b))
+        a = AnalyticEngine(with_updates(table3, B_T=b)).assoc_probabilities()
         vals.append(a.los + a.nlos)
     assert all(x <= y + 1e-9 for x, y in zip(vals, vals[1:]))
 
@@ -134,12 +133,19 @@ def test_laplace_no_interferers(table3):
 
 
 def test_laplace_jet_argument(engine):
-    s0 = 1e12
-    jet = engine.laplace_interference("L", Jet.variable(s0, 2), 8.0)
-    scalar = engine.laplace_interference("L", s0, 8.0)
-    assert jet.value == pytest.approx(scalar, rel=1e-12)
-    # derivative sign pattern of a completely monotone transform
-    assert jet.derivative(1) < 0 < jet.derivative(2)
+    # the jet of L in its argument s: value, sign pattern of a completely
+    # monotone transform, and central differences of the scalar transform
+    s0, x = 1e12, 8.0
+    jet = engine._laplace_coeffs("L", np.array([x]), np.array([[s0]]), 2)[:, 0, 0]
+    scalar = engine.laplace_interference("L", s0, x)
+    assert jet[0] == pytest.approx(scalar, rel=1e-12)
+    assert jet[1] < 0 < jet[2]
+    h = 0.05 * s0
+    lap = [engine.laplace_interference("L", s0 + k * h, x) for k in (-1, 0, 1)]
+    assert jet[1] == pytest.approx((lap[2] - lap[0]) / (2 * h), rel=1e-3)
+    # second derivative: coeffs[2] is L''/2
+    assert 2 * jet[2] == pytest.approx((lap[2] - 2 * lap[1] + lap[0]) / h**2,
+                                       rel=1e-2)
 
 
 def test_laplace_without_interferer_mass_raises(engine):
@@ -177,13 +183,14 @@ def test_laplace_vector_matches_per_x(table3):
             assert np.any(eng.excl.e_nl(xs[:-1]) >= sup.z_p)
             for event in EVENTS:
                 ev = eng._ev[event]
+                n_exp = ev["tiers"][ev["own"]][0]
                 # no interferer mass at z_p for N and R (tested above)
                 xe = xs if event == "L" else xs[:-1]
                 nu0 = (eng._s_factor(event, xe)[:, None, None]
                        * thresholds[:, None] / ev["gains"]).reshape(xe.size, -1)
                 order = ev["m"] - 1
                 width = nu0.shape[1] * ev["int_gains"].size * (order + 1)
-                if ev["bracket_exp"] > 0:
+                if n_exp > 0:
                     # longer than one slice of the element budget, even
                     # where an x has a single piece
                     assert 15 * xe.size * width > _INNER_ELEMENTS
@@ -196,7 +203,7 @@ def test_laplace_vector_matches_per_x(table3):
                 scale = np.abs(per).max(axis=2, keepdims=True)
                 assert np.all(np.abs(vec - per) <= eng.q_inner.rel_tol * scale), \
                     (name, event)
-                if ev["bracket_exp"] == 0:
+                if n_exp == 0:
                     assert np.all(vec[0] == 1.0) and np.all(vec[1:] == 0.0)
 
 
@@ -205,6 +212,7 @@ def test_inner_calls_batched_over_serving_distances(table3, monkeypatch):
     eng = AnalyticEngine(table3)
     eng.assoc_probabilities()
     ev = eng._ev["L"]
+    segments = ev["tiers"][ev["own"]][1]
     width = ev["gains"].size * ev["int_gains"].size * ev["m"]
     min_slice = max(1, _INNER_ELEMENTS
                     // (15 * (eng._inner_breaks.size + 1) * width))
@@ -219,7 +227,7 @@ def test_inner_calls_batched_over_serving_distances(table3, monkeypatch):
 
         def outer(xs):
             # segments x budget slices this outer integrand call may use
-            bound[0] += len(ev["segments"]) * -(-xs.size // min_slice)
+            bound[0] += len(segments) * -(-xs.size // min_slice)
             return f(xs)
         return plain(outer, a, b, q)
 
@@ -331,6 +339,15 @@ def test_rate_linear_in_bandwidth(table3):
     doubled = AnalyticEngine(
         with_updates(table3, W_T=2 * table3.radio.W_T)).conditional_rate("L")
     assert doubled == pytest.approx(2.0 * base, rel=1e-12)
+
+
+def test_rate_rejects_negative_mean_log(table3, monkeypatch):
+    # a negative threshold integral raises instead of clamping to rate 0
+    eng = AnalyticEngine(table3, rel_tol=1e-4)
+    monkeypatch.setattr(eng, "_coverage_kernel", lambda event, xs, ts:
+                        -np.exp(-np.outer(np.ones(np.size(xs)), ts)))
+    with pytest.raises(NumericalInconsistency, match="event L"):
+        eng.conditional_rate("L")
 
 
 def test_rate_nonnegative_and_total(engine):

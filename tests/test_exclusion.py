@@ -6,13 +6,7 @@ import pytest
 from hexnet import with_updates
 from hexnet.antenna import mean_desired_gain
 from hexnet.errors import DomainError
-from hexnet.exclusion import (
-    ExclusionRegions,
-    exclusion_given_los,
-    exclusion_given_nlos,
-    exclusion_given_rf,
-    lambert_w0,
-)
+from hexnet.exclusion import ExclusionRegions, lambert_w0
 from hexnet.geometry import support
 
 
@@ -150,22 +144,3 @@ def test_zero_bias_conventions(table3):
     assert np.all(ex.e_nr(r) == sup.z_p)
     assert np.all(ex.e_rl(r) == sup.z_l)
     assert np.all(ex.e_rn(r) == sup.z_l)
-
-
-def test_module_level_operations(table3):
-    sup = support(table3)
-    r = 20.0
-    e_rf, e_nlos = exclusion_given_los(r, table3)
-    assert e_rf > sup.z_l and e_nlos > sup.z_l
-    e_rf2, e_los2 = exclusion_given_nlos(r, table3)
-    e_los3, e_nlos3 = exclusion_given_rf(r, table3)
-    assert e_los3 > sup.z_l and e_nlos3 >= sup.z_l
-
-
-def test_pair_accessor(table3, regions):
-    _, ex = regions
-    pair = ex.pair("L")
-    assert pair.h_break_rf == ex.h_lr
-    assert pair.to_other_thz(12.0) == ex.e_ln(12.0)
-    with pytest.raises(ValueError):
-        ex.pair("R")

@@ -6,11 +6,8 @@ import pytest
 from hexnet import with_updates
 from hexnet.errors import DomainError
 from hexnet.geometry import (
-    ApPoint,
     DistanceSupport,
     distance_pdf,
-    distance_to_ue,
-    sample_deployment,
     sample_deployment_arrays,
     support,
 )
@@ -117,29 +114,36 @@ def test_pdf_domain_error_on_bad_arccos():
 
 
 def test_distance_to_ue(table3):
+    # the sampler's 3-D distances to the UE at (v_0, 0, h_U)
     cfg = with_updates(table3, v_0=40.0)
-    assert distance_to_ue(ApPoint(40.0, 0.0, "RF", None), cfg) == pytest.approx(3.1)
+    x, y, dist, _, _ = sample_deployment_arrays(cfg, np.random.default_rng(5), 50)
+    expected = np.sqrt((x - 40.0) ** 2 + y**2 + 3.1**2)
+    assert dist == pytest.approx(expected, rel=1e-12)
     flat = with_updates(table3, h_A=1.4000001, v_0=0.0)  # nearly coplanar
-    assert distance_to_ue(ApPoint(4.0, 3.0, "RF", None), flat) == pytest.approx(5.0, abs=1e-5)
-    far = distance_to_ue(ApPoint(0.0, 0.0, "RF", None), cfg)
-    assert far == pytest.approx(math.sqrt(1600 + 9.61), rel=1e-12)
+    x, y, dist, _, _ = sample_deployment_arrays(flat, np.random.default_rng(6), 50)
+    assert dist == pytest.approx(np.hypot(x, y), abs=1e-5)
 
 
 def test_sample_counts_and_marking(table3):
-    rng = np.random.default_rng(1)
-    pts = sample_deployment(table3, rng)
-    assert len(pts) == 20
-    assert sum(p.kind == "THZ" for p in pts) == 16
-    assert all((p.link is None) == (p.kind == "RF") for p in pts)
+    _, _, _, is_thz, _ = sample_deployment_arrays(table3, np.random.default_rng(1), 50)
+    assert is_thz.shape == (50, 20)
+    assert np.all(is_thz.sum(axis=1) == 16)
+    # the THz subset varies from trial to trial
+    assert len({tuple(row) for row in is_thz}) > 1
     rf_only = with_updates(table3, delta_T=0.0)
-    pts = sample_deployment(rf_only, np.random.default_rng(2))
-    assert all(p.kind == "RF" and p.link is None for p in pts)
+    _, _, _, is_thz, _ = sample_deployment_arrays(rf_only, np.random.default_rng(2), 50)
+    assert not is_thz.any()
+    # without blockers every AP is marked LOS
+    clear = with_updates(table3, lambda_B=0.0)
+    _, _, _, _, is_los = sample_deployment_arrays(clear, np.random.default_rng(3), 50)
+    assert is_los.all()
 
 
 def test_sampling_deterministic(table3):
-    a = sample_deployment(table3, np.random.default_rng(7))
-    b = sample_deployment(table3, np.random.default_rng(7))
-    assert a == b
+    a = sample_deployment_arrays(table3, np.random.default_rng(7), 20)
+    b = sample_deployment_arrays(table3, np.random.default_rng(7), 20)
+    for u, v in zip(a, b):
+        assert np.array_equal(u, v)
 
 
 def test_radius_distribution_ks(table3):

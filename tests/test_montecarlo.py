@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from hexnet import with_updates
-from hexnet.geometry import distance_to_ue, sample_deployment
-from hexnet.montecarlo import MIN_TRIALS, estimate, run_trial
-from hexnet.params import derived_constants
+from conftest import path_gain
+from hexnet import montecarlo, with_updates
+from hexnet.geometry import sample_deployment_arrays, support
+from hexnet.montecarlo import MIN_TRIALS, _simulate_batch, estimate
+from hexnet.propagation import LinkClass
 
 
 def test_min_trials_guard(table3):
@@ -49,54 +50,69 @@ def test_near_certain_coverage_at_low_threshold(table3):
 
 
 def test_trial_outcome_invariants(table3):
-    rng = np.random.default_rng(17)
-    for _ in range(40):
-        out = run_trial(table3, rng)
-        assert out.assoc_event in "LNR"
-        assert out.covered == (out.sinr >= table3.radio.theta)
-        w = table3.radio.W_R if out.assoc_event == "R" else table3.radio.W_T
-        assert out.rate_sample == pytest.approx(w * math.log2(1 + out.sinr), rel=1e-12)
+    event, sinr, rate, x_serv = _simulate_batch(table3, np.random.default_rng(17), 40)
+    assert set(event.tolist()) <= {0, 1, 2}
+    r = table3.radio
+    bw = np.where(event == 2, r.W_R, r.W_T)
+    assert rate == pytest.approx(bw * np.log2(1 + sinr), rel=1e-12)
+    sup = support(table3)
+    assert np.all((x_serv >= sup.z_l) & (x_serv <= sup.z_p))
 
 
 def test_run_trial_deterministic(table3):
-    a = run_trial(table3, np.random.default_rng(23))
-    b = run_trial(table3, np.random.default_rng(23))
-    assert a == b
+    a = _simulate_batch(table3, np.random.default_rng(23), 5)
+    b = _simulate_batch(table3, np.random.default_rng(23), 5)
+    for u, v in zip(a, b):
+        assert np.array_equal(u, v)
 
 
-def test_single_ap_snr_matches_hand_formula(table3):
+@pytest.fixture
+def pinned_fading(monkeypatch):
+    """Every fading draw at its mean (1.0), without consuming the stream."""
+    monkeypatch.setattr(montecarlo, "sample_fading",
+                        lambda link, rng, radio, size: np.ones(size))
+
+
+def _trial(cfg, seed):
+    """(deployment, (event, sinr)) of one trial with the same stream."""
+    _, _, dist, is_thz, is_los = sample_deployment_arrays(
+        cfg, np.random.default_rng(seed), 1)
+    event, sinr, _, _ = _simulate_batch(cfg, np.random.default_rng(seed), 1)
+    return (dist[0], is_thz[0], is_los[0]), (int(event[0]), float(sinr[0]))
+
+
+def _thz_power(radio, g, d, los):
+    link = LinkClass.THZ_LOS if los else LinkClass.THZ_NLOS
+    return radio.P_T * g * path_gain(link, d, radio)
+
+
+def test_single_ap_snr_matches_hand_formula(table3, pinned_fading):
     # one LOS THz AP, no blockers, no steering error, fading pinned at 1:
     # SINR must equal the deterministic SNR of the sampled position
     cfg = with_updates(table3, N_A=1, delta_T=1.0, lambda_B=0.0)
-    seed = 31
-    pts = sample_deployment(cfg, np.random.default_rng(seed))
-    assert pts[0].kind == "THZ" and pts[0].link == "LOS"
-    d = distance_to_ue(pts[0], cfg)
+    (dist, is_thz, is_los), (event, sinr) = _trial(cfg, 31)
+    assert is_thz[0] and is_los[0]
     r = cfg.radio
     g1 = cfg.antenna.g_T_max * cfg.antenna.g_U_max
-    expected = (r.P_T * r.gamma_T * g1 * math.exp(-r.k_a * d) * d**-r.alpha_L
-                / r.sigma2_T)
-    out = run_trial(cfg, np.random.default_rng(seed), pin_fading=True)
-    assert out.assoc_event == "L"
-    assert out.sinr == pytest.approx(expected, rel=1e-12)
+    expected = _thz_power(r, g1, dist[0], True) / r.sigma2_T
+    assert event == 0
+    assert sinr == pytest.approx(expected, rel=1e-12)
 
 
-def test_rf_two_ap_interference_structure(table3):
+def test_rf_two_ap_interference_structure(table3, pinned_fading):
     # two RF APs, pinned fading: SINR is the closed-form two-node expression
     # and the serving AP is excluded from its own interference
     cfg = with_updates(table3, N_A=2, delta_T=0.0)
-    seed = 7
-    pts = sample_deployment(cfg, np.random.default_rng(seed))
-    d = sorted(distance_to_ue(p, cfg) for p in pts)
+    (dist, _, _), (event, sinr) = _trial(cfg, 7)
+    d = sorted(dist)
     r = cfg.radio
-    sig = r.P_R * r.gamma_R * d[0] ** -r.alpha_R
-    interf = r.P_R * r.gamma_R * d[1] ** -r.alpha_R
-    out = run_trial(cfg, np.random.default_rng(seed), pin_fading=True)
-    assert out.assoc_event == "R"
-    assert out.sinr == pytest.approx(sig / (interf + r.sigma2_R), rel=1e-12)
+    sig = r.P_R * path_gain(LinkClass.RF, d[0], r)
+    interf = r.P_R * path_gain(LinkClass.RF, d[1], r)
+    assert event == 2
+    assert sinr == pytest.approx(sig / (interf + r.sigma2_R), rel=1e-12)
 
 
-def test_interferer_uses_own_link_class(table3):
+def test_interferer_uses_own_link_class(table3, pinned_fading):
     # two THz APs, huge beamwidths pin the interferer gain at its main lobe;
     # scan seeds for a deployment whose interferer link class differs from the
     # server's, then check the interference kernel uses the interferer's own
@@ -106,25 +122,17 @@ def test_interferer_uses_own_link_class(table3):
                        phi_T=phi, phi_U=phi)
     r = cfg.radio
     g1 = cfg.antenna.g_T_max * cfg.antenna.g_U_max
-    der = derived_constants(cfg)
     checked_mixed = 0
     for seed in range(120):
-        pts = sample_deployment(cfg, np.random.default_rng(seed))
-        ds = [distance_to_ue(p, cfg) for p in pts]
-        alphas = [r.alpha_L if p.link == "LOS" else r.alpha_N for p in pts]
-        brsp = [r.B_T * r.P_T * r.gamma_T * g1 * math.exp(-r.k_a * d) * d**-a
-                for d, a in zip(ds, alphas)]
+        (ds, _, is_los), (_, sinr) = _trial(cfg, seed)
+        brsp = [r.B_T * _thz_power(r, g1, d, los) for d, los in zip(ds, is_los)]
         win = int(np.argmax(brsp))
         other = 1 - win
-        if pts[win].link == pts[other].link:
+        if is_los[win] == is_los[other]:
             continue
-        desired = (r.P_T * r.gamma_T * g1 * math.exp(-r.k_a * ds[win])
-                   * ds[win] ** -alphas[win])
-        interf = (r.P_T * r.gamma_T * g1 * math.exp(-r.k_a * ds[other])
-                  * ds[other] ** -alphas[other])
-        expected = desired / (interf + r.sigma2_T)
-        out = run_trial(cfg, np.random.default_rng(seed), pin_fading=True)
-        assert out.sinr == pytest.approx(expected, rel=1e-9)
+        desired = _thz_power(r, g1, ds[win], is_los[win])
+        interf = _thz_power(r, g1, ds[other], is_los[other])
+        assert sinr == pytest.approx(desired / (interf + r.sigma2_T), rel=1e-9)
         checked_mixed += 1
         if checked_mixed >= 3:
             break

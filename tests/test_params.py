@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from hexnet import default_config_text, load_config, serialize_config, with_updates
 from hexnet.errors import ConfigError, MissingKey, NonIntegerThzCount, OutOfRange
-from hexnet.params import derived_constants, from_db, to_db
+from hexnet.params import derived_constants, from_db
 
 
 def _doc(**overrides):
@@ -99,4 +99,4 @@ def test_bias_defaults_to_unbiased():
 
 @given(st.floats(min_value=-120.0, max_value=120.0))
 def test_db_round_trip(x):
-    assert to_db(from_db(x)) == pytest.approx(x, abs=1e-12)
+    assert 10.0 * math.log10(from_db(x)) == pytest.approx(x, abs=1e-12)

@@ -3,18 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from conftest import path_gain
 from hexnet.errors import DomainError
-from hexnet.propagation import (
-    LinkClass,
-    fading_ccdf,
-    kappa_los,
-    kappa_nlos,
-    path_gain,
-    sample_fading,
-)
+from hexnet.propagation import LinkClass, kappa_los, kappa_nlos, sample_fading
 
 BETA = 0.012774193548387098
 DH = 3.1
+
+
+def fading_ccdf(link, x, radio):
+    """Oracle: P[fading power gain > x] for a unit-mean link of the class.
+
+    Gamma(m, 1/m) tail: sum_{k<m} (m x)^k / k! * e^{-m x}; reduces to e^{-x}
+    for the RF (Rayleigh) case.
+    """
+    m = link.nakagami_m(radio)
+    mx = m * np.asarray(x, dtype=float)
+    terms = [mx**k / math.factorial(k) for k in range(m)]
+    return sum(terms) * np.exp(-mx)
 
 
 def test_kappa_overhead_and_no_blockers(table3):
@@ -78,15 +84,18 @@ def test_sample_fading_moments(table3):
     draws = sample_fading(LinkClass.THZ_LOS, rng, table3.radio, 1_000_000)
     assert abs(draws.mean() - 1.0) < 0.003
     assert abs(draws.var() - 1.0 / 3.0) < 0.005
-    emp_tail = (draws >= 1.0).mean()
-    assert emp_tail == pytest.approx(0.4231900811268436, abs=0.002)
+    for x in (0.25, 1.0, 2.5):
+        assert (draws >= x).mean() == pytest.approx(
+            fading_ccdf(LinkClass.THZ_LOS, x, table3.radio), abs=0.002)
 
 
 def test_sample_fading_rayleigh_case(table3):
     rng = np.random.default_rng(12)
     draws = sample_fading(LinkClass.RF, rng, table3.radio, 500_000)
     assert abs(draws.mean() - 1.0) < 0.005
-    assert (draws >= 0.5).mean() == pytest.approx(math.exp(-0.5), abs=0.003)
+    for x in (0.5, 1.0, 3.0):
+        assert (draws >= x).mean() == pytest.approx(
+            fading_ccdf(LinkClass.RF, x, table3.radio), abs=0.003)
 
 
 def test_unit_mean_every_class(table3):
@@ -94,3 +103,5 @@ def test_unit_mean_every_class(table3):
     for link in LinkClass:
         draws = sample_fading(link, rng, table3.radio, 1_000_000)
         assert abs(draws.mean() - 1.0) < 0.003
+        assert (draws >= 2.0).mean() == pytest.approx(
+            fading_ccdf(link, 2.0, table3.radio), abs=0.002)

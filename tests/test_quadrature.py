@@ -101,3 +101,16 @@ def test_tail_integral_vectorized():
     tail = TailIntegral(f, 0.0, 1.0)
     xs = np.array([0.0, 0.25, 0.5, 1.0])
     assert tail(xs) == pytest.approx(1.0 - xs**2, abs=1e-13)
+
+
+def test_tail_integral_raises_when_tolerance_out_of_reach():
+    # an undeclared jump far from the origin: the panel holding it reaches the
+    # 64-ulp minimum width with its error still above the tolerance
+    a = 1e6
+    cut = a + 1.0 / math.pi
+    f = lambda x: np.where(x < cut, 1.0, 0.0)
+    with pytest.raises(MaxDepthExceeded) as info:
+        TailIntegral(f, a, a + 1.0, Quadrature(rel_tol=1e-13, abs_tol=0.0))
+    lo, hi = info.value.panel
+    assert lo <= cut <= hi
+    assert hi - lo <= 64.0 * np.finfo(float).eps * (a + 1.0)
