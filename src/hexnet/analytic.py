@@ -117,7 +117,7 @@ class AnalyticEngine:
         self.mean_gain = mean_desired_gain(cfg.antenna)
         self.pmf_desired = desired_gain_pmf(cfg.antenna)
         self.pmf_interf = interferer_gain_pmf(cfg.antenna)
-        self.excl = ExclusionRegions(self.sup.z_l, self.sup.z_p, r, self.mean_gain)
+        self.excl = ExclusionRegions(self.sup.z_l, r, self.mean_gain)
 
         self.q_outer = Quadrature(rel_tol=rel_tol, abs_tol=1e-11)
         self.q_inner = Quadrature(rel_tol=rel_tol * 0.1, abs_tol=1e-13)

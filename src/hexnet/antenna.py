@@ -79,11 +79,8 @@ def mean_desired_gain(ant: AntennaParams) -> float:
     return desired_gain_pmf(ant).mean
 
 
-def sample_gain(pmf: GainPmf, rng: np.random.Generator, size=None):
-    """Categorical draw(s) from a gain PMF via inverse-CDF on one uniform."""
+def sample_gain(pmf: GainPmf, rng: np.random.Generator, size):
+    """Categorical draws from a gain PMF via inverse-CDF, one uniform each."""
     cum = np.cumsum(pmf.probs)
-    u = rng.random(size)
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(pmf.gains) - 1)
-    gains = np.asarray(pmf.gains)
-    out = gains[idx]
-    return float(out) if size is None else out
+    idx = np.searchsorted(cum, rng.random(size), side="right")
+    return np.asarray(pmf.gains)[np.minimum(idx, len(pmf.gains) - 1)]

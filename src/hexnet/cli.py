@@ -20,13 +20,7 @@ import numpy as np
 
 from . import montecarlo
 from .analytic import AnalyticEngine
-from .errors import (
-    ConfigError,
-    DegenerateEvent,
-    HexnetError,
-    MaxDepthExceeded,
-    NumericalInconsistency,
-)
+from .errors import ConfigError, HexnetError
 from .params import NetworkConfig, load_config, with_updates
 
 EXIT_VALIDATION = 1
@@ -283,7 +277,7 @@ def _gather_points(cfg, sweep, preset):
     if preset is not None:
         return _preset_points(preset, cfg)
     if sweep is not None:
-        return [(label, v, c) for label, v, c in parse_sweep(sweep).points(cfg)]
+        return parse_sweep(sweep).points(cfg)
     return [("none", 0.0, cfg)]
 
 
@@ -297,8 +291,6 @@ def _guarded(fn):
         fn()
     except (ConfigError, FileNotFoundError, OSError) as exc:
         _fail(EXIT_CONFIG, str(exc))
-    except (MaxDepthExceeded, NumericalInconsistency, DegenerateEvent) as exc:
-        _fail(EXIT_NUMERICAL, str(exc))
     except HexnetError as exc:
         _fail(EXIT_NUMERICAL, str(exc))
 

@@ -76,34 +76,25 @@ class ExclusionRegions:
 
     ``bias_ratio`` is B_T P_T gamma_T G_mean / (P_R gamma_R); every balance
     reduces to expressions in it, the absorption coefficient and the path-loss
-    exponents.  Thresholds are the reciprocal boundaries evaluated at z_l,
-    which makes each piecewise function continuous at its break by
-    construction.
+    exponents, so it must be positive (``AnalyticEngine`` rejects B_T <= 0).
+    Thresholds are the reciprocal boundaries evaluated at z_l, which makes
+    each piecewise function continuous at its break by construction.
     """
 
-    def __init__(self, z_l: float, z_p: float, radio: RadioParams,
-                 mean_gain: float):
+    def __init__(self, z_l: float, radio: RadioParams, mean_gain: float):
         self.z_l = z_l
-        self.z_p = z_p
         self.k_a = radio.k_a
         self.a_l = radio.alpha_L
         self.a_n = radio.alpha_N
         self.a_r = radio.alpha_R
         self.bias_ratio = (radio.B_T * radio.P_T * radio.gamma_T * mean_gain
                            / (radio.P_R * radio.gamma_R))
-        if self.bias_ratio > 0.0:
-            self.h_lr = float(self._bal_rl(z_l))
-            self.h_ln = float(self._bal_nl(z_l))
-            self.h_nr = float(self._bal_rn(z_l))
-            self.h_nl = float(self._bal_ln(z_l))
-            self.h_rl = float(self._bal_lr(z_l))
-            self.h_rn = float(self._bal_nr(z_l))
-        else:
-            # B_T = 0: THz biased power vanishes, so RF always wins.  THz
-            # events carry no probability (boundary pushed to z_p) and RF
-            # association excludes nothing.
-            self.h_lr = self.h_ln = self.h_nr = self.h_nl = math.inf
-            self.h_rl = self.h_rn = math.inf
+        self.h_lr = float(self._bal_rl(z_l))
+        self.h_ln = float(self._bal_nl(z_l))
+        self.h_nr = float(self._bal_rn(z_l))
+        self.h_nl = float(self._bal_ln(z_l))
+        self.h_rl = float(self._bal_lr(z_l))
+        self.h_rn = float(self._bal_nr(z_l))
 
     # -- smooth balance branches (no clamping) --------------------------------
 
@@ -155,34 +146,31 @@ class ExclusionRegions:
 
     # -- public piecewise boundaries ------------------------------------------
 
-    def _piecewise(self, r, h, bal, degenerate):
+    def _piecewise(self, r, h, bal):
         r_arr = np.asarray(r, dtype=float)
-        if self.bias_ratio == 0.0:
-            out = np.full_like(r_arr, degenerate)
-        else:
-            out = np.where(r_arr < h, self.z_l, bal(r_arr))
+        out = np.where(r_arr < h, self.z_l, bal(r_arr))
         return float(out) if np.ndim(r) == 0 else out
 
     def e_lr(self, r):
         """Nearest-RF boundary given a LOS THz server at r."""
-        return self._piecewise(r, self.h_lr, self._bal_lr, self.z_p)
+        return self._piecewise(r, self.h_lr, self._bal_lr)
 
     def e_ln(self, r):
         """Nearest-NLOS boundary given a LOS THz server at r."""
-        return self._piecewise(r, self.h_ln, self._bal_ln, self.z_p)
+        return self._piecewise(r, self.h_ln, self._bal_ln)
 
     def e_nr(self, r):
         """Nearest-RF boundary given a NLOS THz server at r."""
-        return self._piecewise(r, self.h_nr, self._bal_nr, self.z_p)
+        return self._piecewise(r, self.h_nr, self._bal_nr)
 
     def e_nl(self, r):
         """Nearest-LOS boundary given a NLOS THz server at r."""
-        return self._piecewise(r, self.h_nl, self._bal_nl, self.z_p)
+        return self._piecewise(r, self.h_nl, self._bal_nl)
 
     def e_rl(self, r):
         """Nearest-LOS boundary given an RF server at r."""
-        return self._piecewise(r, self.h_rl, self._bal_rl, self.z_l)
+        return self._piecewise(r, self.h_rl, self._bal_rl)
 
     def e_rn(self, r):
         """Nearest-NLOS boundary given an RF server at r."""
-        return self._piecewise(r, self.h_rn, self._bal_rn, self.z_l)
+        return self._piecewise(r, self.h_rn, self._bal_rn)

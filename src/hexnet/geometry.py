@@ -89,9 +89,11 @@ def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
     Returns ``(x, y, dist, is_thz, is_los)``, each of shape
     ``(n_trials, N_A)``.  ``is_los`` is meaningful only where ``is_thz``.
 
-    Draw order is fixed (radii, angles, THz subset, LOS marks) so that a seeded
-    stream fully determines the result.  The THz subset is chosen by a partial
-    Fisher-Yates shuffle of the AP indices.
+    Draw order is fixed (radii, angles, THz subset keys, LOS marks) so that a
+    seeded stream fully determines the result.  The THz subset of each trial
+    is the ``n_thz`` APs with the smallest of ``N_A`` uniform keys, found by
+    one ``argpartition``: a uniformly random subset of the AP indices.  The
+    keys are drawn only when the subset is not all or none of the APs.
     """
     g = cfg.geometry
     n_a, n_thz = g.N_A, g.n_thz
@@ -102,16 +104,11 @@ def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
     x = radii * np.cos(angles)
     y = radii * np.sin(angles)
 
-    idx = np.broadcast_to(np.arange(n_a), (n_trials, n_a)).copy()
-    rows = np.arange(n_trials)
-    for j in range(n_thz):
-        k = j + (rng.random(n_trials) * (n_a - j)).astype(np.int64)
-        tmp = idx[rows, j].copy()
-        idx[rows, j] = idx[rows, k]
-        idx[rows, k] = tmp
-    is_thz = np.zeros((n_trials, n_a), dtype=bool)
-    if n_thz:
-        is_thz[rows[:, None], idx[:, :n_thz]] = True
+    is_thz = np.full((n_trials, n_a), n_thz == n_a)
+    if 0 < n_thz < n_a:
+        keys = rng.random((n_trials, n_a))
+        smallest = np.argpartition(keys, n_thz - 1, axis=1)[:, :n_thz]
+        np.put_along_axis(is_thz, smallest, True, axis=1)
 
     dist = np.sqrt((x - g.v_0) ** 2 + y**2 + der.delta_h**2)
     is_los = rng.random((n_trials, n_a)) < kappa_los(dist, der.beta, der.delta_h)

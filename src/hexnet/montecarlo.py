@@ -2,9 +2,15 @@
 
 Each trial redraws the whole network (AP positions, the THz subset, LOS/NLOS
 marks, antenna gains, fading), associates by maximum average biased received
-power, and evaluates the instantaneous SINR of the serving link.  Trials are
-partitioned into independent sub-streams so results are reproducible and
-independent of the degree of parallelism.
+power, and evaluates the instantaneous SINR of the serving link.
+
+Every AP carries a class code, the association event it would serve: 0 THz
+LOS, 1 THz NLOS, 2 RF.  One table of per-class constants (amplitude,
+absorption, path-loss exponent, bias, noise, bandwidth) indexed by that code
+gives every AP's average received power from one expression, and each AP
+draws fading only from its own class and an antenna gain only if it is THz.
+Trials are partitioned into independent sub-streams so results are
+reproducible and independent of the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -16,18 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import TierMetrics
-from .antenna import (
-    desired_gain_pmf,
-    interferer_gain_pmf,
-    mean_desired_gain,
-    sample_gain,
-)
+from .antenna import desired_gain_pmf, interferer_gain_pmf, sample_gain
 from .geometry import sample_deployment_arrays
-from .params import NetworkConfig, derived_constants
+from .params import NetworkConfig
 from .propagation import LinkClass, sample_fading
 
 MIN_TRIALS = 1000
 DEFAULT_SUBSTREAMS = 16
+
+#: link class of each class code
+_LINKS = (LinkClass.THZ_LOS, LinkClass.THZ_NLOS, LinkClass.RF)
+
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -48,77 +53,65 @@ class SimulationSummary:
 
 
 def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
-    """Vectorized trials; returns (event codes 0/1/2, sinr, rate, x_serv)."""
-    g, r = cfg.geometry, cfg.radio
-    der = derived_constants(cfg)
-    mean_gain = mean_desired_gain(cfg.antenna)
-    pmf0 = desired_gain_pmf(cfg.antenna)
-    pmf_i = interferer_gain_pmf(cfg.antenna)
+    """Vectorized trials; returns (event codes 0/1/2, sinr, rate, x_serv).
 
-    x, y, dist, is_thz, is_los = sample_deployment_arrays(cfg, rng, n)
-    alpha_thz = np.where(is_los, r.alpha_L, r.alpha_N)
+    Each AP's class code (0 THz LOS, 1 THz NLOS, 2 RF) indexes the class
+    table, so ``amp e^{-k_a d} d^-alpha`` is written once for all APs.  The
+    winner maximises that power times its class bias, and its code is the
+    trial's event.  Interference sums power x gain x fading over the serving
+    tier's other APs; the desired power is the winner's, times the desired
+    gain and its fading.  After the deployment the draws come in a fixed
+    order: desired gains for THz-served trials, interferer gains for THz
+    APs, then one fading call per class sized by that class's AP count.
+    """
+    r = cfg.radio
+    pmf_des = desired_gain_pmf(cfg.antenna)
+    thz_bias = r.B_T * pmf_des.mean
+    amp = np.array([r.P_T * r.gamma_T, r.P_T * r.gamma_T, r.P_R * r.gamma_R])
+    k_a = np.array([r.k_a, r.k_a, 0.0])
+    alpha = np.array([r.alpha_L, r.alpha_N, r.alpha_R])
+    bias = np.array([thz_bias, thz_bias, 1.0])
+    noise = np.array([r.sigma2_T, r.sigma2_T, r.sigma2_R])
+    bw = np.array([r.W_T, r.W_T, r.W_R])
 
-    # average biased received powers drive the association
-    thz_avg = (r.B_T * r.P_T * r.gamma_T * mean_gain
-               * np.exp(-r.k_a * dist) * dist**-alpha_thz)
-    rf_avg = r.P_R * r.gamma_R * dist**-r.alpha_R
-    biased = np.where(is_thz, thz_avg, rf_avg)
-    winner = np.argmax(biased, axis=1)
+    _, _, dist, is_thz, is_los = sample_deployment_arrays(cfg, rng, n)
+    cls = np.where(is_thz, np.where(is_los, 0, 1), 2)
+    power = amp[cls] * np.exp(-k_a[cls] * dist) * dist ** -alpha[cls]
     rows = np.arange(n)
-    win_thz = is_thz[rows, winner]
-    win_los = is_los[rows, winner]
-    event = np.where(win_thz & win_los, 0, np.where(win_thz, 1, 2)).astype(np.int8)
+    winner = np.argmax(power * bias[cls], axis=1)
+    event = cls[rows, winner]
+    serv_thz = event < 2
 
-    # fixed draw order and count, independent of trial outcomes
-    gain_des = sample_gain(pmf0, rng, n)
-    gain_int = sample_gain(pmf_i, rng, (n, g.N_A))
-    fad_rf = sample_fading(LinkClass.RF, rng, r, (n, g.N_A))
-    fad_los = sample_fading(LinkClass.THZ_LOS, rng, r, (n, g.N_A))
-    fad_nlos = sample_fading(LinkClass.THZ_NLOS, rng, r, (n, g.N_A))
-    fad_thz = np.where(is_los, fad_los, fad_nlos)
+    gain_des = np.ones(n)
+    gain_des[serv_thz] = sample_gain(pmf_des, rng, int(serv_thz.sum()))
+    gain = np.ones_like(dist)
+    gain[is_thz] = sample_gain(interferer_gain_pmf(cfg.antenna), rng,
+                               int(is_thz.sum()))
+    fad = np.empty_like(dist)
+    for code, link in enumerate(_LINKS):
+        sel = cls == code
+        fad[sel] = sample_fading(link, rng, r, int(sel.sum()))
 
-    # per-AP interference terms; the serving AP's own term is subtracted
-    thz_term = (r.P_T * r.gamma_T * gain_int
-                * np.exp(-r.k_a * dist) * dist**-alpha_thz * fad_thz)
-    rf_term = r.P_R * r.gamma_R * dist**-r.alpha_R * fad_rf
-    i_thz = np.where(is_thz, thz_term, 0.0).sum(axis=1)
-    i_rf = np.where(is_thz, 0.0, rf_term).sum(axis=1)
-    interference = np.where(
-        event < 2,
-        i_thz - thz_term[rows, winner],
-        i_rf - rf_term[rows, winner],
-    )
-
-    x_serv = dist[rows, winner]
-    serv_fad = np.where(event == 2, fad_rf[rows, winner], fad_thz[rows, winner])
-    alpha_serv = np.where(event == 0, r.alpha_L,
-                          np.where(event == 1, r.alpha_N, r.alpha_R))
-    desired_thz = (r.P_T * r.gamma_T * gain_des
-                   * np.exp(-r.k_a * x_serv) * x_serv**-alpha_serv)
-    desired_rf = r.P_R * r.gamma_R * x_serv**-r.alpha_R
-    desired = np.where(event == 2, desired_rf, desired_thz) * serv_fad
-
-    noise = np.where(event == 2, r.sigma2_R, r.sigma2_T)
-    sinr = desired / (interference + noise)
-    bw = np.where(event == 2, r.W_R, r.W_T)
-    rate = bw * np.log2(1.0 + sinr)
-    return event, sinr, rate, x_serv
+    term = power * gain * fad
+    term[rows, winner] = 0.0
+    interference = np.where(is_thz == serv_thz[:, None], term, 0.0).sum(axis=1)
+    desired = power[rows, winner] * gain_des * fad[rows, winner]
+    sinr = desired / (interference + noise[event])
+    rate = bw[event] * np.log2(1.0 + sinr)
+    return event, sinr, rate, dist[rows, winner]
 
 
-def _stream_sums(cfg: NetworkConfig, seed_seq, n: int):
-    """Sufficient statistics of one sub-stream (order-insensitive to merge)."""
+def _stream_sums(cfg: NetworkConfig, seed_seq, n: int) -> np.ndarray:
+    """Sufficient statistics of one sub-stream, a (5, 3) array.
+
+    Rows: trial count, coverage, coverage^2, rate, rate^2, each summed per
+    event (columns L, N, R).
+    """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     event, sinr, rate, _ = _simulate_batch(cfg, rng, n)
     cov = (sinr >= cfg.radio.theta).astype(float)
-    out = {}
-    for code in range(3):
-        sel = event == code
-        out[code] = (
-            int(sel.sum()),
-            float(cov[sel].sum()), float((cov[sel] ** 2).sum()),
-            float(rate[sel].sum()), float((rate[sel] ** 2).sum()),
-        )
-    return out
+    return np.array([np.bincount(event, w, minlength=3)
+                     for w in (None, cov, cov**2, rate, rate**2)])
 
 
 def _mc_estimate(count: int, s1: float, s2: float) -> McEstimate:
@@ -158,32 +151,23 @@ def estimate(cfg: NetworkConfig, n_trials: int, seed,
 
     # merge in sub-stream order; float sums are reproducible because each
     # stream contributes one fixed partial per statistic
-    agg = {code: np.zeros(5) for code in range(3)}
-    for res in results:
-        for code in range(3):
-            cnt, c1, c2, r1, r2 = res[code]
-            agg[code] += np.array([cnt, c1, c2, r1, r2])
-
-    counts = tuple(int(agg[c][0]) for c in range(3))
-    per_event = {c: _mc_estimate(int(agg[c][0]), agg[c][1], agg[c][2])
-                 for c in range(3)}
-    per_event_rate = {c: _mc_estimate(int(agg[c][0]), agg[c][3], agg[c][4])
-                      for c in range(3)}
-    tot_c1 = sum(agg[c][1] for c in range(3))
-    tot_c2 = sum(agg[c][2] for c in range(3))
-    tot_r1 = sum(agg[c][3] for c in range(3))
-    tot_r2 = sum(agg[c][4] for c in range(3))
+    sums = sum(results)
+    count, cov1, cov2, rate1, rate2 = sums
+    total = sums.sum(axis=1)
+    counts = tuple(int(c) for c in count)
+    per_event = [_mc_estimate(counts[c], cov1[c], cov2[c]) for c in range(3)]
+    per_event_rate = [_mc_estimate(counts[c], rate1[c], rate2[c])
+                      for c in range(3)]
 
     f_l = counts[0] / n_trials
     f_n = counts[1] / n_trials
     f_r = 1.0 - f_l - f_n  # float sum of the three is exactly 1
     return SimulationSummary(
         assoc=TierMetrics(f_l, f_n, f_r),
-        coverage=_mc_estimate(n_trials, tot_c1, tot_c2),
-        rate=_mc_estimate(n_trials, tot_r1, tot_r2),
-        cond_coverage=TierMetrics(per_event[0], per_event[1], per_event[2]),
-        cond_rate=TierMetrics(per_event_rate[0], per_event_rate[1],
-                              per_event_rate[2]),
+        coverage=_mc_estimate(n_trials, total[1], total[2]),
+        rate=_mc_estimate(n_trials, total[3], total[4]),
+        cond_coverage=TierMetrics(*per_event),
+        cond_rate=TierMetrics(*per_event_rate),
         counts=counts,
         n_trials=n_trials,
     )

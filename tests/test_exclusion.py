@@ -13,7 +13,7 @@ from hexnet.geometry import support
 @pytest.fixture(scope="module")
 def regions(table3):
     sup = support(table3)
-    return sup, ExclusionRegions(sup.z_l, sup.z_p, table3.radio,
+    return sup, ExclusionRegions(sup.z_l, table3.radio,
                                  mean_desired_gain(table3.antenna))
 
 
@@ -120,7 +120,7 @@ def test_reciprocity(table3, regions):
 def test_identity_boundary_for_identical_tiers(table3):
     cfg = with_updates(table3, k_a=0.0, alpha_N=table3.radio.alpha_L, m_N=table3.radio.m_L)
     sup = support(cfg)
-    ex = ExclusionRegions(sup.z_l, sup.z_p, cfg.radio, mean_desired_gain(cfg.antenna))
+    ex = ExclusionRegions(sup.z_l, cfg.radio, mean_desired_gain(cfg.antenna))
     r = np.linspace(sup.z_l, sup.z_p, 100)
     assert ex.e_ln(r) == pytest.approx(r, rel=1e-12)
 
@@ -128,19 +128,9 @@ def test_identity_boundary_for_identical_tiers(table3):
 def test_zero_absorption_limits(table3):
     cfg = with_updates(table3, k_a=0.0)
     sup = support(cfg)
-    ex = ExclusionRegions(sup.z_l, sup.z_p, cfg.radio, mean_desired_gain(cfg.antenna))
+    ex = ExclusionRegions(sup.z_l, cfg.radio, mean_desired_gain(cfg.antenna))
     p_los, p_nlos, p_rf = _powers(cfg.radio, mean_desired_gain(cfg.antenna))
     r = np.linspace(max(ex.h_ln, sup.z_l) + 0.1, sup.z_p, 50)
     e = ex.e_ln(r)
     assert np.abs(p_los(r) - p_nlos(e)).max() / p_nlos(e).min() <= 1e-9
 
-
-def test_zero_bias_conventions(table3):
-    cfg = with_updates(table3, B_T=0.0)
-    sup = support(cfg)
-    ex = ExclusionRegions(sup.z_l, sup.z_p, cfg.radio, mean_desired_gain(cfg.antenna))
-    r = np.linspace(sup.z_l, sup.z_p, 20)
-    assert np.all(ex.e_lr(r) == sup.z_p)
-    assert np.all(ex.e_nr(r) == sup.z_p)
-    assert np.all(ex.e_rl(r) == sup.z_l)
-    assert np.all(ex.e_rn(r) == sup.z_l)

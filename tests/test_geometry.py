@@ -125,14 +125,19 @@ def test_distance_to_ue(table3):
 
 
 def test_sample_counts_and_marking(table3):
-    _, _, _, is_thz, _ = sample_deployment_arrays(table3, np.random.default_rng(1), 50)
-    assert is_thz.shape == (50, 20)
-    assert np.all(is_thz.sum(axis=1) == 16)
-    # the THz subset varies from trial to trial
-    assert len({tuple(row) for row in is_thz}) > 1
-    rf_only = with_updates(table3, delta_T=0.0)
-    _, _, _, is_thz, _ = sample_deployment_arrays(rf_only, np.random.default_rng(2), 50)
-    assert not is_thz.any()
+    # every row holds exactly n_thz THz APs, and each AP index is THz with
+    # probability n_thz / N_A (4-sigma binomial bound per index)
+    n = 20_000
+    for delta in (0.0, 0.5, 1.0):
+        cfg = with_updates(table3, delta_T=delta)
+        n_a, n_thz = cfg.geometry.N_A, cfg.geometry.n_thz
+        _, _, _, is_thz, _ = sample_deployment_arrays(
+            cfg, np.random.default_rng(8), n)
+        assert is_thz.shape == (n, n_a)
+        assert np.all(is_thz.sum(axis=1) == n_thz)
+        p = n_thz / n_a
+        freq = is_thz.mean(axis=0)
+        assert np.all(np.abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / n))
     # without blockers every AP is marked LOS
     clear = with_updates(table3, lambda_B=0.0)
     _, _, _, _, is_los = sample_deployment_arrays(clear, np.random.default_rng(3), 50)

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import path_gain
 from hexnet import montecarlo, with_updates
+from hexnet.antenna import desired_gain_pmf, interferer_gain_pmf, sample_gain
 from hexnet.geometry import sample_deployment_arrays, support
 from hexnet.montecarlo import MIN_TRIALS, _simulate_batch, estimate
-from hexnet.propagation import LinkClass
+from hexnet.propagation import LinkClass, sample_fading
 
 
 def test_min_trials_guard(table3):
@@ -137,6 +138,70 @@ def test_interferer_uses_own_link_class(table3, pinned_fading):
         if checked_mixed >= 3:
             break
     assert checked_mixed >= 3
+
+
+def test_each_ap_draws_its_own_class_only(table3, monkeypatch):
+    # one fading call per class, sized by that class's AP count, and one
+    # interferer gain per THz AP: nothing is drawn that no AP uses
+    cfg = with_updates(table3, N_A=30, delta_T=0.8)
+    fading, gains = [], []
+
+    def fading_recorder(link, rng, radio, size):
+        out = sample_fading(link, rng, radio, size)
+        fading.append((link, np.shape(out)))
+        return out
+
+    def gain_recorder(pmf, rng, size):
+        out = sample_gain(pmf, rng, size)
+        gains.append((pmf, np.shape(out)))
+        return out
+
+    monkeypatch.setattr(montecarlo, "sample_fading", fading_recorder)
+    monkeypatch.setattr(montecarlo, "sample_gain", gain_recorder)
+    n = 200
+    _, _, _, is_thz, is_los = sample_deployment_arrays(
+        cfg, np.random.default_rng(13), n)
+    event, _, _, _ = _simulate_batch(cfg, np.random.default_rng(13), n)
+
+    los = int((is_thz & is_los).sum())
+    nlos = int((is_thz & ~is_los).sum())
+    rf = int((~is_thz).sum())
+    assert 0 < los and 0 < nlos and 0 < rf
+    assert fading == [(LinkClass.THZ_LOS, (los,)),
+                      (LinkClass.THZ_NLOS, (nlos,)),
+                      (LinkClass.RF, (rf,))]
+    assert los + nlos + rf == n * cfg.geometry.N_A
+    assert gains == [(desired_gain_pmf(cfg.antenna), (int((event < 2).sum()),)),
+                     (interferer_gain_pmf(cfg.antenna), (int(is_thz.sum()),))]
+
+
+def test_fading_follows_the_serving_class(table3, monkeypatch):
+    # constant fading per class (LOS 2, NLOS 3, RF 5): with one AP the SINR
+    # is that constant times the SNR of the hand formula, so a class mix-up
+    # in the fading draws shows
+    constant = {LinkClass.THZ_LOS: 2.0, LinkClass.THZ_NLOS: 3.0,
+                LinkClass.RF: 5.0}
+    monkeypatch.setattr(montecarlo, "sample_fading",
+                        lambda link, rng, radio, size: np.full(size, constant[link]))
+    r = table3.radio
+    g1 = table3.antenna.g_T_max * table3.antenna.g_U_max
+
+    thz = with_updates(table3, N_A=1, delta_T=1.0, lambda_B=0.5)
+    seen = set()
+    for seed in range(40):
+        (dist, is_thz, is_los), (event, sinr) = _trial(thz, seed)
+        assert is_thz[0] and event == (0 if is_los[0] else 1)
+        link = LinkClass.THZ_LOS if is_los[0] else LinkClass.THZ_NLOS
+        snr = _thz_power(r, g1, dist[0], is_los[0]) / r.sigma2_T
+        assert sinr == pytest.approx(constant[link] * snr, rel=1e-12)
+        seen.add(link)
+    assert seen == {LinkClass.THZ_LOS, LinkClass.THZ_NLOS}
+
+    rf = with_updates(table3, N_A=1, delta_T=0.0)
+    (dist, is_thz, _), (event, sinr) = _trial(rf, 3)
+    assert not is_thz[0] and event == 2
+    snr = r.P_R * path_gain(LinkClass.RF, dist[0], r) / r.sigma2_R
+    assert sinr == pytest.approx(constant[LinkClass.RF] * snr, rel=1e-12)
 
 
 def test_half_width_shrinks_like_sqrt_n(table3):
