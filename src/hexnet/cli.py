@@ -64,17 +64,17 @@ class BelowMinTrials(ConfigError):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One swept parameter with its value grid and a display label."""
+    """One swept parameter with its value grid."""
 
     parameter: str
     values: tuple[float, ...]
-    label: str
 
     def points(self, base: NetworkConfig):
-        """(label, value, config) per grid point; validates every config."""
+        """(parameter, value, config) per grid point; validates every config."""
         out = []
         for v in self.values:
-            out.append((self.label, v, apply_sweep_value(base, self.parameter, v)))
+            out.append((self.parameter, v,
+                        apply_sweep_value(base, self.parameter, v)))
         return out
 
 
@@ -132,7 +132,7 @@ def parse_sweep(text: str) -> SweepSpec:
         except ValueError as exc:
             raise ConfigError(f"non-numeric sweep value in {text!r}") from exc
     values = [conv(v) if conv else float(v) for v in values]
-    return SweepSpec(name, tuple(values), name)
+    return SweepSpec(name, tuple(values))
 
 
 # -- presets reproducing the reference figure axes -----------------------------

@@ -56,6 +56,10 @@ class MaxDepthExceeded(HexnetError, RuntimeError):
         self.error = err
 
 
+class ToleranceBelowFloor(HexnetError, ValueError):
+    """A requested relative tolerance below the quadrature's error floor."""
+
+
 class DegenerateEvent(HexnetError, ValueError):
     """Conditional quantity requested for an association event of ~zero probability."""
 

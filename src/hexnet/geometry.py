@@ -86,14 +86,19 @@ def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
                              n_trials: int):
     """Vectorized deployment sampler for ``n_trials`` independent networks.
 
-    Returns ``(x, y, dist, is_thz, is_los)``, each of shape
-    ``(n_trials, N_A)``.  ``is_los`` is meaningful only where ``is_thz``.
+    Returns ``(dist, is_thz, is_los)``, each of shape ``(n_trials, N_A)``:
+    the 3-D AP-UE distances, the THz marks, and the LOS marks, meaningful
+    only where ``is_thz``.
 
     Draw order is fixed (radii, angles, THz subset keys, LOS marks) so that a
-    seeded stream fully determines the result.  The THz subset of each trial
-    is the ``n_thz`` APs with the smallest of ``N_A`` uniform keys, found by
-    one ``argpartition``: a uniformly random subset of the AP indices.  The
-    keys are drawn only when the subset is not all or none of the APs.
+    seeded stream fully determines the result.  An AP at radius r and angle a
+    is at squared horizontal distance r^2 + v_0^2 - 2 r v_0 cos a from the
+    UE, written (r - v_0)^2 + 2 r v_0 (1 - cos a) so that no rounding takes
+    it below zero; a centred UE needs no angle, though the angles are still
+    drawn.  The THz subset of each trial is the ``n_thz`` APs with the
+    smallest of ``N_A`` uniform keys, found by one ``argpartition``: a
+    uniformly random subset of the AP indices.  The keys are drawn only when
+    the subset is not all or none of the APs.
     """
     g = cfg.geometry
     n_a, n_thz = g.N_A, g.n_thz
@@ -101,8 +106,10 @@ def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
 
     radii = g.r_d * np.sqrt(rng.random((n_trials, n_a)))
     angles = 2.0 * math.pi * rng.random((n_trials, n_a))
-    x = radii * np.cos(angles)
-    y = radii * np.sin(angles)
+    sq = (radii - g.v_0) ** 2 + der.delta_h**2
+    if g.v_0 != 0.0:
+        sq += (2.0 * g.v_0) * radii * (1.0 - np.cos(angles))
+    dist = np.sqrt(sq)
 
     is_thz = np.full((n_trials, n_a), n_thz == n_a)
     if 0 < n_thz < n_a:
@@ -110,6 +117,5 @@ def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
         smallest = np.argpartition(keys, n_thz - 1, axis=1)[:, :n_thz]
         np.put_along_axis(is_thz, smallest, True, axis=1)
 
-    dist = np.sqrt((x - g.v_0) ** 2 + y**2 + der.delta_h**2)
     is_los = rng.random((n_trials, n_a)) < kappa_los(dist, der.beta, der.delta_h)
-    return x, y, dist, is_thz, is_los
+    return dist, is_thz, is_los

@@ -53,7 +53,7 @@ class SimulationSummary:
 
 
 def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
-    """Vectorized trials; returns (event codes 0/1/2, sinr, rate, x_serv).
+    """Vectorized trials; returns (event codes 0/1/2, sinr, rate).
 
     Each AP's class code (0 THz LOS, 1 THz NLOS, 2 RF) indexes the class
     table, so ``amp e^{-k_a d} d^-alpha`` is written once for all APs.  The
@@ -74,7 +74,7 @@ def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
     noise = np.array([r.sigma2_T, r.sigma2_T, r.sigma2_R])
     bw = np.array([r.W_T, r.W_T, r.W_R])
 
-    _, _, dist, is_thz, is_los = sample_deployment_arrays(cfg, rng, n)
+    dist, is_thz, is_los = sample_deployment_arrays(cfg, rng, n)
     cls = np.where(is_thz, np.where(is_los, 0, 1), 2)
     power = amp[cls] * np.exp(-k_a[cls] * dist) * dist ** -alpha[cls]
     rows = np.arange(n)
@@ -98,7 +98,7 @@ def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
     desired = power[rows, winner] * gain_des * fad[rows, winner]
     sinr = desired / (interference + noise[event])
     rate = bw[event] * np.log2(1.0 + sinr)
-    return event, sinr, rate, dist[rows, winner]
+    return event, sinr, rate
 
 
 def _stream_sums(cfg: NetworkConfig, seed_seq, n: int) -> np.ndarray:
@@ -108,7 +108,7 @@ def _stream_sums(cfg: NetworkConfig, seed_seq, n: int) -> np.ndarray:
     event (columns L, N, R).
     """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
-    event, sinr, rate, _ = _simulate_batch(cfg, rng, n)
+    event, sinr, rate = _simulate_batch(cfg, rng, n)
     cov = (sinr >= cfg.radio.theta).astype(float)
     return np.array([np.bincount(event, w, minlength=3)
                      for w in (None, cov, cov**2, rate, rate**2)])

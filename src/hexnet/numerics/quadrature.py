@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import MaxDepthExceeded
+from ..errors import MaxDepthExceeded, ToleranceBelowFloor
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (abscissae/weights on
 # [-1, 1]; the Gauss nodes are the odd-indexed Kronrod ones).
@@ -57,12 +57,25 @@ _ERR_FLOOR = 50.0 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class Quadrature:
-    """Tolerances and panel policy of one integration."""
+    """Tolerances and panel policy of one integration.
+
+    Every panel's error estimate is at least ``_ERR_FLOOR`` times its
+    integral of |f|, so wherever ``abs_tol`` does not dominate, a ``rel_tol``
+    below that floor is out of reach and refinement would double the panels
+    on every sweep until memory runs out.  Such a tolerance raises
+    ``ToleranceBelowFloor`` here, before any integrand is evaluated.
+    """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_depth: int = 50
     breakpoints: tuple = ()
+
+    def __post_init__(self):
+        if not self.rel_tol >= _ERR_FLOOR:
+            raise ToleranceBelowFloor(
+                f"rel_tol {self.rel_tol!r} is below the quadrature error "
+                f"floor {_ERR_FLOOR!r}")
 
 
 class QuadResult(NamedTuple):

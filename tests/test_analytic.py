@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_config
+from conftest import path_gain, random_config
 import hexnet.analytic as analytic
 from hexnet import with_updates
 from hexnet.analytic import (
@@ -15,12 +15,14 @@ from hexnet.analytic import (
     TierMetrics,
 )
 from hexnet.errors import DegenerateEvent, NumericalInconsistency
-from hexnet.numerics import Quadrature, integrate
+from hexnet.geometry import distance_pdf
+from hexnet.numerics import Quadrature, integrate, integrate_semiinfinite
+from hexnet.propagation import LinkClass, kappa_nlos
 
 
 def test_assoc_simplex_table3(engine):
     a = engine.assoc_probabilities()
-    assert a.total == pytest.approx(1.0, abs=1e-6)
+    assert a.los + a.nlos + a.rf == pytest.approx(1.0, abs=1e-6)
     assert min(a.los, a.nlos, a.rf) >= 0.0
 
 
@@ -29,7 +31,7 @@ def test_assoc_simplex_random_configs(table3):
     for _ in range(15):
         cfg = random_config(table3, rng)
         a = AnalyticEngine(cfg).assoc_probabilities()
-        assert a.total == pytest.approx(1.0, abs=1e-6), cfg
+        assert a.los + a.nlos + a.rf == pytest.approx(1.0, abs=1e-6), cfg
 
 
 def test_assoc_degenerate_fractions(table3):
@@ -107,11 +109,17 @@ def test_serving_pdf_degenerate_event(table3):
         eng.serving_distance_pdf("L", 10.0)
 
 
+def _laplace(eng, event, s, x):
+    """L_I(s) at serving distance x: the order-0 Laplace coefficient."""
+    return float(eng._laplace_coeffs(event, np.array([float(x)]),
+                                     np.array([[float(s)]]), 0)[0, 0, 0])
+
+
 def test_laplace_at_zero_is_one(engine):
     rng = np.random.default_rng(8)
     for event in EVENTS:
         for x in rng.uniform(engine.sup.z_l, engine.sup.z_p, size=4):
-            assert engine.laplace_interference(event, 0.0, float(x)) == \
+            assert _laplace(engine, event, 0.0, float(x)) == \
                 pytest.approx(1.0, abs=1e-9)
 
 
@@ -119,7 +127,7 @@ def test_laplace_monotone_decreasing(engine):
     x = 10.0
     for event in EVENTS:
         s_grid = np.geomspace(1e8, 1e16, 20)
-        vals = [engine.laplace_interference(event, float(s), x) for s in s_grid]
+        vals = [_laplace(engine, event, float(s), x) for s in s_grid]
         assert all(0.0 < v <= 1.0 + 1e-12 for v in vals)
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -129,7 +137,7 @@ def test_laplace_no_interferers(table3):
     eng = AnalyticEngine(with_updates(table3, delta_T=0.05))   # 1 of 20
     assert eng.n_thz == 1
     for s in (0.0, 1e10, 1e14):
-        assert eng.laplace_interference("L", s, 10.0) == 1.0
+        assert _laplace(eng, "L", s, 10.0) == 1.0
 
 
 def test_laplace_jet_argument(engine):
@@ -137,11 +145,11 @@ def test_laplace_jet_argument(engine):
     # monotone transform, and central differences of the scalar transform
     s0, x = 1e12, 8.0
     jet = engine._laplace_coeffs("L", np.array([x]), np.array([[s0]]), 2)[:, 0, 0]
-    scalar = engine.laplace_interference("L", s0, x)
+    scalar = _laplace(engine, "L", s0, x)
     assert jet[0] == pytest.approx(scalar, rel=1e-12)
     assert jet[1] < 0 < jet[2]
     h = 0.05 * s0
-    lap = [engine.laplace_interference("L", s0 + k * h, x) for k in (-1, 0, 1)]
+    lap = [_laplace(engine, "L", s0 + k * h, x) for k in (-1, 0, 1)]
     assert jet[1] == pytest.approx((lap[2] - lap[0]) / (2 * h), rel=1e-3)
     # second derivative: coeffs[2] is L''/2
     assert 2 * jet[2] == pytest.approx((lap[2] - 2 * lap[1] + lap[0]) / h**2,
@@ -154,12 +162,12 @@ def test_laplace_without_interferer_mass_raises(engine):
     zp = engine.sup.z_p
     for event in ("N", "R"):
         with pytest.raises(DegenerateEvent, match="interferer mass"):
-            engine.laplace_interference(event, 1e12, zp)
+            _laplace(engine, event, 1e12, zp)
     assert engine.excl.e_ln(zp) < zp
-    val = engine.laplace_interference("L", 1e12, zp)
+    val = _laplace(engine, "L", 1e12, zp)
     assert 0.0 < val < 1.0
     assert val == pytest.approx(
-        engine.laplace_interference("L", 1e12, np.nextafter(zp, 0.0)), rel=1e-9)
+        _laplace(engine, "L", 1e12, np.nextafter(zp, 0.0)), rel=1e-9)
 
 
 def test_laplace_vector_matches_per_x(table3):
@@ -269,7 +277,7 @@ def test_laplace_r_against_conditional_mc(table3):
     assert samples.size > 3000
     mc = samples.mean()
     ci = 1.96 * samples.std() / math.sqrt(samples.size)
-    analytic = eng.laplace_interference("R", s, x_pick)
+    analytic = _laplace(eng, "R", s, x_pick)
     assert abs(analytic - mc) <= ci + 0.01
 
 
@@ -297,7 +305,7 @@ def test_m1_reduction_oracle(table3):
             if p_k == 0.0:
                 continue
             acc += p_k * math.exp(-s * sig2 / g_k) * \
-                eng.laplace_interference("L", s / g_k, x)
+                _laplace(eng, "L", s / g_k, x)
         return acc
 
     q = Quadrature(rel_tol=1e-7, abs_tol=1e-11,
@@ -342,12 +350,91 @@ def test_rate_linear_in_bandwidth(table3):
 
 
 def test_rate_rejects_negative_mean_log(table3, monkeypatch):
-    # a negative threshold integral raises instead of clamping to rate 0
+    # a negative Hamdi integrand raises instead of clamping to rate 0
     eng = AnalyticEngine(table3, rel_tol=1e-4)
-    monkeypatch.setattr(eng, "_coverage_kernel", lambda event, xs, ts:
-                        -np.exp(-np.outer(np.ones(np.size(xs)), ts)))
+    monkeypatch.setattr(eng, "_laplace_coeffs", lambda event, xs, nu0, order:
+                        -np.ones((order + 1,) + np.shape(nu0)))
     with pytest.raises(NumericalInconsistency, match="event L"):
         eng.conditional_rate("L")
+
+
+def _threshold_mean_log(eng, event, x, q):
+    """Oracle: E[ln(1 + SINR) | x] by the threshold integral
+    int_0^inf P[SINR > t | x] / (1 + t) dt, with the gamma tail at every t
+    assembled from the Laplace derivatives up to order m - 1, cut at the
+    decades from 1e-12 to 100 times the mean SNR."""
+    ev = eng._ev[event]
+    m, gains, probs = ev["m"], ev["gains"], ev["probs"]
+    s1 = eng._s_factor(event, np.array([x]))[0]
+
+    def ccdf(ts):
+        nu = (s1 * ts)[:, None] / gains                    # (T, gains)
+        lam = nu * ev["sigma2"]
+        lc = eng._laplace_coeffs(event, np.full(ts.size, x), nu, m - 1)
+        pois = [np.exp(-lam)]
+        for j in range(1, m):
+            pois.append(pois[-1] * lam / j)
+        cum = np.cumsum(pois, axis=0)
+        return sum((-nu) ** u * lc[u] * cum[m - 1 - u] for u in range(m)) @ probs
+
+    snr = m / s1 * (probs @ gains) / ev["sigma2"]
+    top = math.ceil(math.log10(snr)) + 2
+    q = Quadrature(q.rel_tol, q.abs_tol,
+                   breakpoints=tuple(10.0 ** np.arange(-12, top)))
+    return integrate_semiinfinite(ccdf, q).value
+
+
+def test_rate_kernel_matches_threshold_integral(table3):
+    # Hamdi's lemma against the threshold integral it replaced, per serving
+    # distance, within ten times the rate level's own tolerance
+    sig = math.radians(10.0)
+    cases = {
+        "table3": table3,
+        "sigma_eps=10": with_updates(table3, sigma_eps_T=sig, sigma_eps_U=sig),
+        "v_0=40": with_updates(table3, v_0=40.0),
+        "m=10": with_updates(table3, m_L=10, m_N=10),
+        "N_A=2": with_updates(table3, N_A=2, delta_T=0.5),
+    }
+    for name, cfg in cases.items():
+        eng = AnalyticEngine(cfg, rel_tol=1e-9)
+        q = eng.q_rate_t
+        assoc = eng.assoc_probabilities()
+        xs = np.linspace(eng.sup.z_l, eng.sup.z_p, 9)[1:-1]
+        for event in EVENTS:
+            if assoc.get(event) <= DEGENERATE_EVENT_TOL:
+                continue
+            got = eng._rate_kernel(event, xs)
+            want = np.array([_threshold_mean_log(eng, event, x, q) for x in xs])
+            tol = 10.0 * max(q.abs_tol, q.rel_tol * want.max())
+            assert np.abs(got - want).max() <= tol, (name, event)
+
+
+def test_rate_single_ap_closed_form(table3):
+    # one THz AP, no interferers: the NLOS link has Rayleigh fading (m = 1),
+    # so E ln(1 + snr h) = e^{1/snr} E_1(1/snr) = U(1, 1, 1/snr) per serving
+    # distance, down to the far x whose mean log sits near 1e-5
+    from scipy.special import hyperu
+
+    cfg = with_updates(table3, N_A=1, delta_T=1.0)
+    r, a, g = cfg.radio, cfg.antenna, cfg.geometry
+    eng = AnalyticEngine(cfg)
+    assert eng.n_thz == 1 and r.m_N == 1 and a.sigma_eps_T == a.sigma_eps_U == 0.0
+    sup = eng.sup
+    g1 = a.g_T_max * a.g_U_max
+
+    def density(xs):
+        return (distance_pdf(xs, sup, g.v_0, g.r_d)
+                * kappa_nlos(xs, eng.der.beta, eng.der.delta_h))
+
+    def mean_log(xs):
+        snr = r.P_T * g1 * path_gain(LinkClass.THZ_NLOS, xs, r) / r.sigma2_T
+        return hyperu(1.0, 1.0, 1.0 / snr)
+
+    q = Quadrature(rel_tol=1e-11, abs_tol=1e-15, breakpoints=(sup.z_m,))
+    num = integrate(lambda xs: density(xs) * mean_log(xs), sup.z_l, sup.z_p, q)
+    den = integrate(density, sup.z_l, sup.z_p, q)
+    want = r.W_T / math.log(2.0) * num.value / den.value
+    assert eng.conditional_rate("N") == pytest.approx(want, rel=1e-6)
 
 
 def test_rate_nonnegative_and_total(engine):
@@ -370,4 +457,3 @@ def test_rf_only_coverage_is_total(table3):
 def test_tier_metrics_accessors():
     t = TierMetrics(0.2, 0.3, 0.5)
     assert t.get("L") == 0.2 and t.get("N") == 0.3 and t.get("R") == 0.5
-    assert t.total == pytest.approx(1.0)

@@ -11,7 +11,7 @@ from hexnet.geometry import (
     sample_deployment_arrays,
     support,
 )
-from hexnet.numerics import Quadrature, integrate
+from hexnet.numerics import Quadrature, TailIntegral, integrate
 
 
 def _sup(r_d, v_0, dh):
@@ -113,17 +113,6 @@ def test_pdf_domain_error_on_bad_arccos():
         distance_pdf(20.0, sup, 5.0, 8.0)
 
 
-def test_distance_to_ue(table3):
-    # the sampler's 3-D distances to the UE at (v_0, 0, h_U)
-    cfg = with_updates(table3, v_0=40.0)
-    x, y, dist, _, _ = sample_deployment_arrays(cfg, np.random.default_rng(5), 50)
-    expected = np.sqrt((x - 40.0) ** 2 + y**2 + 3.1**2)
-    assert dist == pytest.approx(expected, rel=1e-12)
-    flat = with_updates(table3, h_A=1.4000001, v_0=0.0)  # nearly coplanar
-    x, y, dist, _, _ = sample_deployment_arrays(flat, np.random.default_rng(6), 50)
-    assert dist == pytest.approx(np.hypot(x, y), abs=1e-5)
-
-
 def test_sample_counts_and_marking(table3):
     # every row holds exactly n_thz THz APs, and each AP index is THz with
     # probability n_thz / N_A (4-sigma binomial bound per index)
@@ -131,8 +120,7 @@ def test_sample_counts_and_marking(table3):
     for delta in (0.0, 0.5, 1.0):
         cfg = with_updates(table3, delta_T=delta)
         n_a, n_thz = cfg.geometry.N_A, cfg.geometry.n_thz
-        _, _, _, is_thz, _ = sample_deployment_arrays(
-            cfg, np.random.default_rng(8), n)
+        _, is_thz, _ = sample_deployment_arrays(cfg, np.random.default_rng(8), n)
         assert is_thz.shape == (n, n_a)
         assert np.all(is_thz.sum(axis=1) == n_thz)
         p = n_thz / n_a
@@ -140,7 +128,7 @@ def test_sample_counts_and_marking(table3):
         assert np.all(np.abs(freq - p) <= 4 * math.sqrt(p * (1 - p) / n))
     # without blockers every AP is marked LOS
     clear = with_updates(table3, lambda_B=0.0)
-    _, _, _, _, is_los = sample_deployment_arrays(clear, np.random.default_rng(3), 50)
+    _, _, is_los = sample_deployment_arrays(clear, np.random.default_rng(3), 50)
     assert is_los.all()
 
 
@@ -151,22 +139,29 @@ def test_sampling_deterministic(table3):
         assert np.array_equal(u, v)
 
 
-def test_radius_distribution_ks(table3):
-    rng = np.random.default_rng(3)
-    x, y, _, _, _ = sample_deployment_arrays(table3, rng, 5000)
-    radii = np.sort(np.hypot(x, y).ravel())
-    n = radii.size
-    assert n == 100_000
-    cdf = (radii / table3.geometry.r_d) ** 2
-    emp_hi = np.arange(1, n + 1) / n
-    emp_lo = np.arange(0, n) / n
-    ks = max(np.abs(emp_hi - cdf).max(), np.abs(cdf - emp_lo).max())
-    assert ks < 0.01
+def test_distance_distribution_ks(table3):
+    # the sampled AP-UE distances follow distance_pdf: Kolmogorov-Smirnov
+    # against its CDF, 1 - (tail integral), centred and off centre
+    from scipy.stats import kstest
+
+    for v_0 in (0.0, 40.0):
+        cfg = with_updates(table3, v_0=v_0)
+        dist, _, _ = sample_deployment_arrays(cfg, np.random.default_rng(3), 5000)
+        assert dist.size == 100_000
+        sup = support(cfg)
+        tail = TailIntegral(lambda z: distance_pdf(z, sup, v_0, cfg.geometry.r_d),
+                            sup.z_l, sup.z_p,
+                            Quadrature(rel_tol=1e-10, abs_tol=1e-13,
+                                       breakpoints=(sup.z_m,)))
+        assert kstest(dist.ravel(), lambda z: 1.0 - tail(z)).pvalue > 1e-3, v_0
 
 
 def test_all_points_inside_disk(table3):
-    x, y, dist, _, _ = sample_deployment_arrays(table3, np.random.default_rng(4), 200)
-    assert np.all(np.hypot(x, y) <= table3.geometry.r_d + 1e-12)
-    sup = support(table3)
-    assert np.all(dist >= sup.z_l - 1e-12)
-    assert np.all(dist <= sup.z_p + 1e-12)
+    # every sampled distance lies in the support [z_l, z_p] of the distance
+    # law, also with the APs nearly coplanar with the UE
+    for updates in ({"v_0": 0.0}, {"v_0": 40.0}, {"v_0": 40.0, "h_A": 1.4000001}):
+        cfg = with_updates(table3, **updates)
+        dist, _, _ = sample_deployment_arrays(cfg, np.random.default_rng(4), 200)
+        sup = support(cfg)
+        assert np.all(dist >= sup.z_l - 1e-12)
+        assert np.all(dist <= sup.z_p + 1e-12)

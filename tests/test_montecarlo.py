@@ -6,7 +6,7 @@ import pytest
 from conftest import path_gain
 from hexnet import montecarlo, with_updates
 from hexnet.antenna import desired_gain_pmf, interferer_gain_pmf, sample_gain
-from hexnet.geometry import sample_deployment_arrays, support
+from hexnet.geometry import sample_deployment_arrays
 from hexnet.montecarlo import MIN_TRIALS, _simulate_batch, estimate
 from hexnet.propagation import LinkClass, sample_fading
 
@@ -51,13 +51,11 @@ def test_near_certain_coverage_at_low_threshold(table3):
 
 
 def test_trial_outcome_invariants(table3):
-    event, sinr, rate, x_serv = _simulate_batch(table3, np.random.default_rng(17), 40)
+    event, sinr, rate = _simulate_batch(table3, np.random.default_rng(17), 40)
     assert set(event.tolist()) <= {0, 1, 2}
     r = table3.radio
     bw = np.where(event == 2, r.W_R, r.W_T)
     assert rate == pytest.approx(bw * np.log2(1 + sinr), rel=1e-12)
-    sup = support(table3)
-    assert np.all((x_serv >= sup.z_l) & (x_serv <= sup.z_p))
 
 
 def test_run_trial_deterministic(table3):
@@ -76,9 +74,9 @@ def pinned_fading(monkeypatch):
 
 def _trial(cfg, seed):
     """(deployment, (event, sinr)) of one trial with the same stream."""
-    _, _, dist, is_thz, is_los = sample_deployment_arrays(
+    dist, is_thz, is_los = sample_deployment_arrays(
         cfg, np.random.default_rng(seed), 1)
-    event, sinr, _, _ = _simulate_batch(cfg, np.random.default_rng(seed), 1)
+    event, sinr, _ = _simulate_batch(cfg, np.random.default_rng(seed), 1)
     return (dist[0], is_thz[0], is_los[0]), (int(event[0]), float(sinr[0]))
 
 
@@ -159,9 +157,9 @@ def test_each_ap_draws_its_own_class_only(table3, monkeypatch):
     monkeypatch.setattr(montecarlo, "sample_fading", fading_recorder)
     monkeypatch.setattr(montecarlo, "sample_gain", gain_recorder)
     n = 200
-    _, _, _, is_thz, is_los = sample_deployment_arrays(
+    _, is_thz, is_los = sample_deployment_arrays(
         cfg, np.random.default_rng(13), n)
-    event, _, _, _ = _simulate_batch(cfg, np.random.default_rng(13), n)
+    event, _, _ = _simulate_batch(cfg, np.random.default_rng(13), n)
 
     los = int((is_thz & is_los).sum())
     nlos = int((is_thz & ~is_los).sum())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hexnet.errors import MaxDepthExceeded
+from hexnet.errors import MaxDepthExceeded, ToleranceBelowFloor
 from hexnet.numerics import Quadrature, TailIntegral, integrate, integrate_semiinfinite
 
 
@@ -40,7 +40,7 @@ def test_declared_breakpoint_jump_converges():
 def test_undeclared_jump_raises_max_depth():
     cut = 1.0 / math.pi
     f = lambda x: np.where(x < cut, 1.0, 0.0)
-    q = Quadrature(rel_tol=1e-15, abs_tol=1e-16, max_depth=10)
+    q = Quadrature(rel_tol=1e-13, abs_tol=1e-16, max_depth=10)
     with pytest.raises(MaxDepthExceeded) as info:
         integrate(f, 0.0, 1.0, q)
     lo, hi = info.value.panel
@@ -114,3 +114,14 @@ def test_tail_integral_raises_when_tolerance_out_of_reach():
     lo, hi = info.value.panel
     assert lo <= cut <= hi
     assert hi - lo <= 64.0 * np.finfo(float).eps * (a + 1.0)
+
+
+def test_tolerance_below_error_floor_rejected():
+    # the error estimates never fall below 50 eps of |f|'s integral, so a
+    # tighter rel_tol is refused when the Quadrature is built, before any
+    # refinement could double the panels without end
+    floor = 50.0 * np.finfo(float).eps
+    Quadrature(rel_tol=floor)
+    for rel_tol in (0.5 * floor, 1e-15, 0.0, math.nan):
+        with pytest.raises(ToleranceBelowFloor, match="error floor"):
+            Quadrature(rel_tol=rel_tol, abs_tol=0.0)
