@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .antenna import desired_gain_pmf, interferer_gain_pmf, mean_desired_gain
+from .antenna import desired_gain_pmf, interferer_gain_pmf
 from .errors import DegenerateEvent, NumericalInconsistency
 from .exclusion import ExclusionRegions
 from .geometry import distance_pdf, support
@@ -30,7 +30,7 @@ from .numerics.quadrature import (
     integrate_semiinfinite,
 )
 from .params import NetworkConfig, derived_constants
-from .propagation import kappa_los, kappa_nlos
+from .propagation import kappa_los, kappa_nlos, link_table
 
 EVENTS = ("L", "N", "R")
 
@@ -71,18 +71,20 @@ class CoverageReport:
 class AnalyticEngine:
     """Per-config caches and the quadrature pipeline.
 
-    Each association event (LOS THz, NLOS THz, RF) is one table entry in
-    ``_ev``: the serving tier's AP count and blockage law (``kappa``, None
-    for RF), the serving link's ``m``, ``alpha``, ``amp``, ``k_a``,
-    ``sigma2`` and ``bw``, the desired and interferer gain atoms, and two
-    competing tiers, RF first, then THz.  A tier is ``(count, terms)``, one
-    term per link class: ``(boundary key, tail mass, segment parameters)``,
-    with key None for the identity or "xy" for ``ExclusionRegions.e_xy``.
-    The event's density is the serving density times each tier's summed
-    tail mass beyond its boundaries to the power ``count`` (``_weight``);
-    the keys give the panel breakpoints (``_event_breakpoints``); and the
-    serving tier, ``tiers[own]``, gives the interferer segments of the
-    Laplace transform (``_laplace_coeffs``).
+    Each association event (LOS THz, NLOS THz, RF) is one entry of
+    ``_ev``, keyed by the letter of its link class: that class's row of
+    ``propagation.link_table`` (``amp``, ``k_a``, ``alpha``, ``m``, ``bias``,
+    ``noise``, ``bw``), its blockage law ``kappa`` (None for RF) and tail
+    mass ``tail``, the serving tier's AP count, the desired and interferer
+    gain atoms, and two competing tiers, RF first, then THz.  A tier is
+    ``(count, classes)``; class c's APs lie beyond ``_boundary``, the
+    serving distance itself for the serving class, else the exclusion
+    boundary ``e_xy``, x the event and y c.  The event's density is the
+    serving density times each tier's summed tail mass beyond its
+    boundaries to the power ``count`` (``_weight``); the boundaries give the
+    panel breakpoints (``_event_breakpoints``); and the serving tier,
+    ``tiers[own]``, gives the interferer segments of the Laplace transform
+    (``_laplace_coeffs``), each with its class's ``_ev`` entry.
 
     The outer expectations over the serving distance x run at ``rel_tol``.
     The inner interference integrals run 10x tighter (``q_inner``), batched:
@@ -111,15 +113,15 @@ class AnalyticEngine:
                 "semantics are only defined for the Monte-Carlo engine"
             )
         self.cfg = cfg
-        g, r = cfg.geometry, cfg.radio
+        g = cfg.geometry
         self.sup = support(cfg)
         self.der = derived_constants(cfg)
         self.n_thz = g.n_thz
         self.n_rf = g.n_rf
-        self.mean_gain = mean_desired_gain(cfg.antenna)
         self.pmf_desired = desired_gain_pmf(cfg.antenna)
         self.pmf_interf = interferer_gain_pmf(cfg.antenna)
-        self.excl = ExclusionRegions(self.sup.z_l, r, self.mean_gain)
+        links = link_table(cfg)
+        self.excl = ExclusionRegions(self.sup.z_l, links)
 
         self.q_outer = Quadrature(rel_tol=rel_tol, abs_tol=1e-11)
         self.q_inner = Quadrature(rel_tol=rel_tol * 0.1, abs_tol=1e-13)
@@ -142,8 +144,6 @@ class AnalyticEngine:
         self.SN = TailIntegral(lambda z: self._fz(z) * self._kn(z),
                                self.sup.z_l, self.sup.z_p, q_tail)
 
-        amp_thz = r.P_T * r.gamma_T
-        amp_rf = r.P_R * r.gamma_R
         # gain atoms of probability zero contribute nothing to the outer sums
         des_g = np.asarray(self.pmf_desired.gains)
         des_p = np.asarray(self.pmf_desired.probs)
@@ -152,59 +152,46 @@ class AnalyticEngine:
         int_p = np.asarray(self.pmf_interf.probs)
         int_g, int_p = int_g[int_p > 0], int_p[int_p > 0]
         one = np.asarray([1.0])
-        # per link class: its tail mass and its interferer segment parameters
-        # (kappa fn, amplitude, absorption, alpha, m)
-        tail = {"L": self.SL, "N": self.SN, "R": self.S1}
-        seg = {"L": (self._kl, amp_thz, r.k_a, r.alpha_L, r.m_L),
-               "N": (self._kn, amp_thz, r.k_a, r.alpha_N, r.m_N),
-               "R": (None, amp_rf, 0.0, r.alpha_R, 1)}
-
-        def tier(event, count, classes):
-            # (count, terms); a term's boundary key is None for the identity,
-            # else "xy" for ExclusionRegions.e_xy, x the serving class
-            return count, tuple(
-                (None if c == event else (event + c).lower(), tail[c], seg[c])
-                for c in classes)
-
-        thz = dict(amp=amp_thz, k_a=r.k_a, sigma2=r.sigma2_T, bw=r.W_T,
-                   gains=des_g, probs=des_p, int_gains=int_g, int_probs=int_p)
-        self._ev = {
-            "L": dict(thz, count=self.n_thz, kappa=self._kl, m=r.m_L,
-                      alpha=r.alpha_L, own=1,
-                      tiers=(tier("L", self.n_rf, "R"),
-                             tier("L", self.n_thz - 1, "LN"))),
-            "N": dict(thz, count=self.n_thz, kappa=self._kn, m=r.m_N,
-                      alpha=r.alpha_N, own=1,
-                      tiers=(tier("N", self.n_rf, "R"),
-                             tier("N", self.n_thz - 1, "NL"))),
-            "R": dict(count=self.n_rf, kappa=None, m=1, alpha=r.alpha_R,
-                      amp=amp_rf, k_a=0.0, sigma2=r.sigma2_R, bw=r.W_R,
-                      gains=one, probs=one, int_gains=one, int_probs=one,
-                      own=0, tiers=(tier("R", self.n_rf - 1, "R"),
-                                    tier("R", self.n_thz, "LN"))),
-        }
+        self._ev = {}
+        for i, (event, kappa, tail) in enumerate(zip(
+                EVENTS, (self._kl, self._kn, None), (self.SL, self.SN, self.S1))):
+            thz = event != "R"
+            self._ev[event] = dict(
+                {f: col[i].item() for f, col in links._asdict().items()},
+                kappa=kappa, tail=tail,
+                count=self.n_thz if thz else self.n_rf,
+                gains=des_g if thz else one, probs=des_p if thz else one,
+                int_gains=int_g if thz else one, int_probs=int_p if thz else one,
+                # competing tiers (count, classes), RF first; the server's
+                # own tier is one AP short and lists its class first
+                own=int(thz),
+                tiers=((self.n_rf - (not thz), "R"),
+                       (self.n_thz - thz, "NL" if event == "N" else "LN")))
         self._assoc: Optional[TierMetrics] = None
         self._breaks: dict[str, tuple] = {}
 
     # -- serving-distance machinery --------------------------------------------
 
-    def _boundary(self, key, x):
-        """A term's lower limit at serving distance x: x itself for the
-        identity key None, else the exclusion boundary ``e_<key>(x)``."""
-        return x if key is None else getattr(self.excl, "e_" + key)(x)
+    def _boundary(self, event: str, c: str, x):
+        """Lower limit of class-c APs at serving distance x: x itself for the
+        serving class, else the exclusion boundary ``e_<event><c>(x)``."""
+        if c == event:
+            return x
+        return getattr(self.excl, "e_" + (event + c).lower())(x)
 
     def _event_breakpoints(self, event: str) -> tuple:
         """Panel breakpoints: density kink, piecewise thresholds, and the radii
-        where an exclusion boundary crosses z_m or z_p.  A boundary key "xy"
+        where an exclusion boundary crosses z_m or z_p.  A boundary e_xy
         contributes h_xy and the reverse boundary e_yx at z_m and z_p."""
         if event in self._breaks:
             return self._breaks[event]
         ex, sup = self.excl, self.sup
         zm, zp = sup.z_m, sup.z_p
         cands = [zm]
-        for _, terms in self._ev[event]["tiers"]:
-            for key, _, _ in terms:
-                if key is not None:
+        for _, classes in self._ev[event]["tiers"]:
+            for c in classes:
+                if c != event:
+                    key = (event + c).lower()
                     back = getattr(ex, "e_" + key[::-1])
                     cands += [getattr(ex, "h_" + key), back(zm), back(zp)]
         out = tuple(sorted({float(c) for c in cands
@@ -230,10 +217,10 @@ class AnalyticEngine:
         out = ev["count"] * self._fz(x)
         if ev["kappa"] is not None:
             out = out * ev["kappa"](x)
-        for count, terms in ev["tiers"]:
+        for count, classes in ev["tiers"]:
             if count > 0:
-                out = out * sum(tail(self._boundary(key, x))
-                                for key, tail, _ in terms) ** count
+                out = out * sum(self._ev[c]["tail"](self._boundary(event, c, x))
+                                for c in classes) ** count
         out = np.where((x_raw < zl) | (x_raw > zp), 0.0, out)
         return float(out) if out.ndim == 0 else out
 
@@ -249,8 +236,7 @@ class AnalyticEngine:
             if event == "R" and self.n_rf == 0:
                 vals["R"] = 0.0
                 continue
-            q = Quadrature(rel_tol=self.q_outer.rel_tol, abs_tol=self.q_outer.abs_tol,
-                           breakpoints=self._event_breakpoints(event))
+            q = replace(self.q_outer, breakpoints=self._event_breakpoints(event))
             vals[event] = integrate(lambda x, e=event: self._weight(e, x),
                                     sup.z_l, sup.z_p, q).value
         self._assoc = TierMetrics(vals["L"], vals["N"], vals["R"])
@@ -265,12 +251,14 @@ class AnalyticEngine:
         ``DegenerateEvent`` when the association probability is
         ``<= DEGENERATE_EVENT_TOL``.
         """
+        return self._weight(event, x) / self._event_probability(event)
+
+    def _event_probability(self, event: str) -> float:
         a = self.assoc_probabilities().get(event)
         if a <= DEGENERATE_EVENT_TOL:
             raise DegenerateEvent(
-                f"association probability for event {event} is {a!r}"
-            )
-        return self._weight(event, x) / a
+                f"association probability for event {event} is {a!r}")
+        return a
 
     # -- interference Laplace transforms ----------------------------------------
 
@@ -278,8 +266,8 @@ class AnalyticEngine:
         """Taylor coefficients (order+1, X, M) of L_I at serving distances
         ``xs`` (X,) and expansion points ``nu0`` (X, M), one row per x.
 
-        The segments are the serving tier's terms.  Per segment, column x
-        integrates over [lo(x), z_p], lo the term's boundary at x clipped to
+        The segments are the serving tier's classes.  Per segment, column x
+        integrates over [lo(x), z_p], lo the class's boundary at x clipped to
         z_l, cut into pieces at the inner breakpoints inside it.
         Every piece [a, b] is mapped onto u in [0, 1], and column x's
         integrand at u is the sum over its pieces times the map's Jacobian,
@@ -307,7 +295,7 @@ class AnalyticEngine:
         nu0 = np.asarray(nu0, dtype=float)
         n_x, m_pts = nu0.shape
         k1 = order + 1
-        n_exp, terms = ev["tiers"][ev["own"]]
+        n_exp, classes = ev["tiers"][ev["own"]]
         if n_exp == 0:
             out = np.zeros((k1, n_x, m_pts))
             out[0] = 1.0
@@ -322,11 +310,12 @@ class AnalyticEngine:
         num = np.zeros((n_x, m_pts, n_g, k1))
         den = np.zeros(n_x)
         mass_total = np.zeros(n_x)
-        for key, tail, seg in terms:
-            lo = np.asarray(self._boundary(key, xs), dtype=float)
+        for c in classes:
+            seg = self._ev[c]
+            lo = np.asarray(self._boundary(event, c, xs), dtype=float)
             idx = np.flatnonzero(np.isfinite(lo) & (lo < zp))
             lo = np.maximum(lo[idx], zl)
-            mass = tail(lo)
+            mass = seg["tail"](lo)
             keep = mass > 0.0
             idx, lo, mass = idx[keep], lo[keep], mass[keep]
             mass_total[idx] += mass
@@ -359,8 +348,10 @@ class AnalyticEngine:
     def _segment_integral(self, seg, lo, mass, nu0, gains, order: int):
         """One segment's mass-normalized kernel integrals over [lo, z_p] for
         each lower limit in ``lo``: the flat (X*M*J*(order+1) + X,) result of
-        one ``integrate`` in u, numerators first, then the denominators."""
-        kap, amp, k_abs, alpha, m_seg = seg
+        one ``integrate`` in u, numerators first, then the denominators.
+        ``seg`` is the interferer class's ``_ev`` entry."""
+        kap, amp, k_abs, alpha, m_seg = (
+            seg[k] for k in ("kappa", "amp", "k_a", "alpha", "m"))
         zp = self.sup.z_p
         breaks = self._inner_breaks
         # pieces per x: [lo, breakpoints above lo..., z_p], left-aligned and
@@ -418,7 +409,7 @@ class AnalyticEngine:
         gains = ev["gains"]
         probs = ev["probs"]
         nu = s_vals[..., None] / gains               # (X, Kk)
-        lam = s_vals[..., None] * (ev["sigma2"] / gains)
+        lam = s_vals[..., None] * (ev["noise"] / gains)
 
         pois = np.empty((m,) + nu.shape)
         pois[0] = np.exp(-lam)
@@ -448,7 +439,7 @@ class AnalyticEngine:
         m, gains, probs = ev["m"], ev["gains"], ev["probs"]
         mean_g = float(probs @ gains)
         power = m / self._s_factor(event, xs) * mean_g      # c(x) E[g]
-        snr = power / ev["sigma2"]
+        snr = power / ev["noise"]
         t0 = 0.1 * self.q_rate_t.abs_tol
         n_breaks = 1 + max(0, math.ceil(math.log(float(snr.max()) / t0) / 6.0))
         q = replace(self.q_rate_t,
@@ -470,13 +461,8 @@ class AnalyticEngine:
         ``point_fn`` takes the vector of one outer sweep's serving distances
         with w(x) > 0 and returns one value per distance.
         """
-        a = self.assoc_probabilities().get(event)
-        if a <= DEGENERATE_EVENT_TOL:
-            raise DegenerateEvent(
-                f"association probability for event {event} is {a!r}"
-            )
-        q = Quadrature(rel_tol=self.q_outer.rel_tol, abs_tol=self.q_outer.abs_tol,
-                       breakpoints=self._event_breakpoints(event))
+        a = self._event_probability(event)
+        q = replace(self.q_outer, breakpoints=self._event_breakpoints(event))
 
         def outer(xs):
             w = self._weight(event, xs)
@@ -554,12 +540,6 @@ class AnalyticEngine:
         nan3 = TierMetrics(math.nan, math.nan, math.nan)
         return CoverageReport(self.assoc_probabilities(), cond, total,
                               nan3, math.nan)
-
-    def rate(self) -> CoverageReport:
-        cond, total = self._per_event(self.conditional_rate)
-        nan3 = TierMetrics(math.nan, math.nan, math.nan)
-        return CoverageReport(self.assoc_probabilities(), nan3, math.nan,
-                              cond, total)
 
     def report(self) -> CoverageReport:
         cond_cov, total_cov = self._per_event(self.conditional_coverage)

@@ -56,6 +56,15 @@ class MaxDepthExceeded(HexnetError, RuntimeError):
         self.error = err
 
 
+class NonFiniteEstimate(MaxDepthExceeded):
+    """A quadrature panel's error estimate is NaN or infinite, so no number
+    of halvings converges; carries that panel."""
+
+
+class NotConverged(HexnetError, ArithmeticError):
+    """An iterative solver stopped with its residual above tolerance."""
+
+
 class ToleranceBelowFloor(HexnetError, ValueError):
     """A requested relative tolerance below the quadrature's error floor."""
 

@@ -5,12 +5,12 @@ marks, antenna gains, fading), associates by maximum average biased received
 power, and evaluates the instantaneous SINR of the serving link.
 
 Every AP carries a class code, the association event it would serve: 0 THz
-LOS, 1 THz NLOS, 2 RF.  One table of per-class constants (amplitude,
-absorption, path-loss exponent, bias, noise, bandwidth) indexed by that code
-gives every AP's average received power from one expression, and each AP
+LOS, 1 THz NLOS, 2 RF.  The scenario's ``propagation.link_table``, indexed
+by that code, gives every AP's average received power from one expression,
+its association bias, and the serving link's noise and bandwidth; each AP
 draws fading only from its own class and an antenna gain only if it is THz.
-Trials are partitioned into independent sub-streams so results are
-reproducible and independent of the degree of parallelism.
+Trials are partitioned into ``SUBSTREAMS`` independent sub-streams so
+results are reproducible and independent of the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -25,13 +25,12 @@ from .analytic import TierMetrics
 from .antenna import desired_gain_pmf, interferer_gain_pmf, sample_gain
 from .geometry import sample_deployment_arrays
 from .params import NetworkConfig
-from .propagation import LinkClass, sample_fading
+from .propagation import LINKS, link_table, sample_fading
 
 MIN_TRIALS = 1000
-DEFAULT_SUBSTREAMS = 16
 
-#: link class of each class code
-_LINKS = (LinkClass.THZ_LOS, LinkClass.THZ_NLOS, LinkClass.RF)
+#: sub-streams every estimate's trials are split across
+SUBSTREAMS = 16
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class SimulationSummary:
 def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
     """Vectorized trials; returns (event codes 0/1/2, sinr, rate).
 
-    Each AP's class code (0 THz LOS, 1 THz NLOS, 2 RF) indexes the class
+    Each AP's class code (0 THz LOS, 1 THz NLOS, 2 RF) indexes the link
     table, so ``amp e^{-k_a d} d^-alpha`` is written once for all APs.  The
     winner maximises that power times its class bias, and its code is the
     trial's event.  Interference sums power x gain x fading over the serving
@@ -64,21 +63,13 @@ def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
     order: desired gains for THz-served trials, interferer gains for THz
     APs, then one fading call per class sized by that class's AP count.
     """
-    r = cfg.radio
+    t = link_table(cfg)
     pmf_des = desired_gain_pmf(cfg.antenna)
-    thz_bias = r.B_T * pmf_des.mean
-    amp = np.array([r.P_T * r.gamma_T, r.P_T * r.gamma_T, r.P_R * r.gamma_R])
-    k_a = np.array([r.k_a, r.k_a, 0.0])
-    alpha = np.array([r.alpha_L, r.alpha_N, r.alpha_R])
-    bias = np.array([thz_bias, thz_bias, 1.0])
-    noise = np.array([r.sigma2_T, r.sigma2_T, r.sigma2_R])
-    bw = np.array([r.W_T, r.W_T, r.W_R])
-
     dist, is_thz, is_los = sample_deployment_arrays(cfg, rng, n)
     cls = np.where(is_thz, np.where(is_los, 0, 1), 2)
-    power = amp[cls] * np.exp(-k_a[cls] * dist) * dist ** -alpha[cls]
+    power = t.amp[cls] * np.exp(-t.k_a[cls] * dist) * dist ** -t.alpha[cls]
     rows = np.arange(n)
-    winner = np.argmax(power * bias[cls], axis=1)
+    winner = np.argmax(power * t.bias[cls], axis=1)
     event = cls[rows, winner]
     serv_thz = event < 2
 
@@ -88,16 +79,16 @@ def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
     gain[is_thz] = sample_gain(interferer_gain_pmf(cfg.antenna), rng,
                                int(is_thz.sum()))
     fad = np.empty_like(dist)
-    for code, link in enumerate(_LINKS):
+    for code, link in enumerate(LINKS):
         sel = cls == code
-        fad[sel] = sample_fading(link, rng, r, int(sel.sum()))
+        fad[sel] = sample_fading(link, rng, cfg.radio, int(sel.sum()))
 
     term = power * gain * fad
     term[rows, winner] = 0.0
     interference = np.where(is_thz == serv_thz[:, None], term, 0.0).sum(axis=1)
     desired = power[rows, winner] * gain_des * fad[rows, winner]
-    sinr = desired / (interference + noise[event])
-    rate = bw[event] * np.log2(1.0 + sinr)
+    sinr = desired / (interference + t.noise[event])
+    rate = t.bw[event] * np.log2(1.0 + sinr)
     return event, sinr, rate
 
 
@@ -125,23 +116,20 @@ def _mc_estimate(count: int, s1: float, s2: float) -> McEstimate:
 
 
 def estimate(cfg: NetworkConfig, n_trials: int, seed,
-             n_streams: int = DEFAULT_SUBSTREAMS,
              workers: int = 1) -> SimulationSummary:
     """Monte-Carlo estimates with 95% confidence half-widths.
 
-    Trials are split across ``n_streams`` deterministic sub-streams derived
+    Trials are split across ``SUBSTREAMS`` deterministic sub-streams derived
     from the seed; the aggregate depends only on (cfg, n_trials, seed),
     not on ``workers``.
     """
     if n_trials < MIN_TRIALS:
         raise ValueError(f"n_trials must be >= {MIN_TRIALS}, got {n_trials}")
-    if n_streams < 1:
-        raise ValueError("n_streams must be >= 1")
 
-    children = np.random.SeedSequence(seed).spawn(n_streams)
-    base, extra = divmod(n_trials, n_streams)
-    sizes = [base + (1 if i < extra else 0) for i in range(n_streams)]
-    jobs = [(cfg, children[i], sizes[i]) for i in range(n_streams) if sizes[i] > 0]
+    children = np.random.SeedSequence(seed).spawn(SUBSTREAMS)
+    base, extra = divmod(n_trials, SUBSTREAMS)
+    jobs = [(cfg, children[i], base + (1 if i < extra else 0))
+            for i in range(SUBSTREAMS)]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

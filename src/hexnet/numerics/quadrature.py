@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import MaxDepthExceeded, ToleranceBelowFloor
+from ..errors import MaxDepthExceeded, NonFiniteEstimate, ToleranceBelowFloor
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (abscissae/weights on
 # [-1, 1]; the Gauss nodes are the odd-indexed Kronrod ones).
@@ -91,7 +91,8 @@ def _maxabs(values, tail_ndim):
 
 
 def _eval_panels(f, a, b):
-    """Kronrod/Gauss evaluation of panels [a_i, b_i]; returns (values, errors)."""
+    """Kronrod/Gauss evaluation of panels [a_i, b_i]; returns (values, errors).
+    Raises NonFiniteEstimate on the first panel whose error is not finite."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * NODES
@@ -105,12 +106,35 @@ def _eval_panels(f, a, b):
     values = kron * half_r
     err = _maxabs((kron - gauss) * half_r, len(tail))
     err = np.maximum(err, _ERR_FLOOR * _maxabs(resabs * half_r, len(tail)))
+    bad = ~np.isfinite(err)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise NonFiniteEstimate(float(a[i]), float(b[i]), float(err[i]))
     return values, err
 
 
-def _initial_edges(a, b, breakpoints):
+def _initial_panels(f, a, b, breakpoints):
+    """Panels between the breakpoints inside (a, b), evaluated, at depth 0:
+    (starts, ends, values, errors, depths)."""
     pts = sorted({float(p) for p in breakpoints if a < p < b})
-    return np.array([a, *pts, b], dtype=float)
+    edges = np.array([a, *pts, b], dtype=float)
+    pa, pb = edges[:-1], edges[1:]
+    return (pa, pb, *_eval_panels(f, pa, pb), np.zeros(pa.size, dtype=int))
+
+
+def _bisect(f, split, pa, pb, vals, errs, depths):
+    """Halve the panels marked in ``split``: the kept panels, then the new
+    halves, with their values, errors and depths."""
+    sa, sb = pa[split], pb[split]
+    smid = 0.5 * (sa + sb)
+    ca = np.concatenate([sa, smid])
+    cb = np.concatenate([smid, sb])
+    cvals, cerrs = _eval_panels(f, ca, cb)
+    keep = ~split
+    return (np.concatenate([pa[keep], ca]), np.concatenate([pb[keep], cb]),
+            np.concatenate([vals[keep], cvals], axis=0),
+            np.concatenate([errs[keep], cerrs]),
+            np.concatenate([depths[keep], depths[split] + 1, depths[split] + 1]))
 
 
 def integrate(f, a: float, b: float, q: Quadrature | None = None) -> QuadResult:
@@ -120,7 +144,8 @@ def integrate(f, a: float, b: float, q: Quadrature | None = None) -> QuadResult:
     the tolerance until the summed error estimate meets
     ``max(abs_tol, rel_tol * |value|)``.  Raises MaxDepthExceeded (reporting
     the worst panel) if a panel would have to be split beyond ``max_depth``
-    halvings.
+    halvings, and NonFiniteEstimate if a panel's error estimate is not
+    finite.
     """
     if q is None:
         q = Quadrature()
@@ -129,10 +154,7 @@ def integrate(f, a: float, b: float, q: Quadrature | None = None) -> QuadResult:
     if a == b:
         return QuadResult(0.0, 0.0)
 
-    edges = _initial_edges(a, b, q.breakpoints)
-    pa, pb = edges[:-1], edges[1:]
-    vals, errs = _eval_panels(f, pa, pb)
-    depths = np.zeros(pa.size, dtype=int)
+    pa, pb, vals, errs, depths = _initial_panels(f, a, b, q.breakpoints)
     tail_ndim = vals.ndim - 1
     span = b - a
 
@@ -154,19 +176,8 @@ def integrate(f, a: float, b: float, q: Quadrature | None = None) -> QuadResult:
             raise MaxDepthExceeded(float(pa[worst]), float(pb[worst]),
                                    float(errs[worst]))
 
-        sa, sb = pa[split], pb[split]
-        smid = 0.5 * (sa + sb)
-        ca = np.concatenate([sa, smid])
-        cb = np.concatenate([smid, sb])
-        cvals, cerrs = _eval_panels(f, ca, cb)
-        cdepths = np.concatenate([depths[split], depths[split]]) + 1
-
-        keep = ~split
-        pa = np.concatenate([pa[keep], ca])
-        pb = np.concatenate([pb[keep], cb])
-        vals = np.concatenate([vals[keep], cvals], axis=0)
-        errs = np.concatenate([errs[keep], cerrs])
-        depths = np.concatenate([depths[keep], cdepths])
+        pa, pb, vals, errs, depths = _bisect(f, split, pa, pb, vals, errs,
+                                             depths)
 
 
 def integrate_semiinfinite(f, q: Quadrature | None = None) -> QuadResult:
@@ -209,10 +220,7 @@ class TailIntegral:
         self.b = float(b)
         if not b > a:
             raise ValueError("TailIntegral requires b > a")
-        edges = _initial_edges(a, b, q.breakpoints)
-        pa, pb = edges[:-1], edges[1:]
-        vals, errs = _eval_panels(f, pa, pb)
-        depths = np.zeros(pa.size, dtype=int)
+        pa, pb, vals, errs, depths = _initial_panels(f, a, b, q.breakpoints)
         span = b - a
         min_width = 64.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
         while True:
@@ -228,18 +236,8 @@ class TailIntegral:
                 worst = int(np.argmax(np.where(pool, errs, -np.inf)))
                 raise MaxDepthExceeded(float(pa[worst]), float(pb[worst]),
                                        float(errs[worst]))
-            sa, sb = pa[split], pb[split]
-            smid = 0.5 * (sa + sb)
-            ca = np.concatenate([sa, smid])
-            cb = np.concatenate([smid, sb])
-            cvals, cerrs = _eval_panels(f, ca, cb)
-            cdepths = np.concatenate([depths[split], depths[split]]) + 1
-            keep = ~split
-            pa = np.concatenate([pa[keep], ca])
-            pb = np.concatenate([pb[keep], cb])
-            vals = np.concatenate([vals[keep], cvals])
-            errs = np.concatenate([errs[keep], cerrs])
-            depths = np.concatenate([depths[keep], cdepths])
+            pa, pb, vals, errs, depths = _bisect(f, split, pa, pb, vals, errs,
+                                                 depths)
 
         order = np.argsort(pa)
         self._edges = np.append(pa[order], b)

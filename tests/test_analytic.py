@@ -14,6 +14,7 @@ from hexnet.analytic import (
     EVENTS,
     TierMetrics,
 )
+from hexnet.antenna import mean_desired_gain
 from hexnet.errors import DegenerateEvent, NumericalInconsistency
 from hexnet.geometry import distance_pdf
 from hexnet.numerics import Quadrature, integrate, integrate_semiinfinite
@@ -260,7 +261,7 @@ def test_laplace_r_against_conditional_mc(table3):
     # first n_rf columns are the RF APs (positions are exchangeable)
     d_rf = d[:, :g.n_rf]
     d_thz = d[:, g.n_rf:]
-    mean_gain = eng.mean_gain
+    mean_gain = mean_desired_gain(table3.antenna)
     los = rng.random(d_thz.shape) < np.exp(
         -eng.der.beta * np.sqrt(np.maximum(d_thz**2 - eng.der.delta_h**2, 0.0)))
     alpha_t = np.where(los, r.alpha_L, r.alpha_N)
@@ -369,7 +370,7 @@ def _threshold_mean_log(eng, event, x, q):
 
     def ccdf(ts):
         nu = (s1 * ts)[:, None] / gains                    # (T, gains)
-        lam = nu * ev["sigma2"]
+        lam = nu * ev["noise"]
         lc = eng._laplace_coeffs(event, np.full(ts.size, x), nu, m - 1)
         pois = [np.exp(-lam)]
         for j in range(1, m):
@@ -377,7 +378,7 @@ def _threshold_mean_log(eng, event, x, q):
         cum = np.cumsum(pois, axis=0)
         return sum((-nu) ** u * lc[u] * cum[m - 1 - u] for u in range(m)) @ probs
 
-    snr = m / s1 * (probs @ gains) / ev["sigma2"]
+    snr = m / s1 * (probs @ gains) / ev["noise"]
     top = math.ceil(math.log10(snr)) + 2
     q = Quadrature(q.rel_tol, q.abs_tol,
                    breakpoints=tuple(10.0 ** np.arange(-12, top)))
@@ -438,7 +439,7 @@ def test_rate_single_ap_closed_form(table3):
 
 
 def test_rate_nonnegative_and_total(engine):
-    rep = engine.rate()
+    rep = engine.report()
     for e in EVENTS:
         if rep.assoc.get(e) > DEGENERATE_EVENT_TOL:
             assert rep.cond_rate.get(e) >= 0.0
@@ -457,3 +458,20 @@ def test_rf_only_coverage_is_total(table3):
 def test_tier_metrics_accessors():
     t = TierMetrics(0.2, 0.3, 0.5)
     assert t.get("L") == 0.2 and t.get("N") == 0.3 and t.get("R") == 0.5
+
+
+@pytest.mark.parametrize("k_a", [18.0, 25.0])
+def test_large_absorption_is_finite(table3, k_a):
+    # e^{k_a r / alpha} overflows in some balances at z_p: those boundaries
+    # are +inf, not NaN, and no warning is raised
+    eng = AnalyticEngine(with_updates(table3, k_a=k_a), rel_tol=1e-4)
+    at_zp = [getattr(eng.excl, "e_" + key)(eng.sup.z_p)
+             for key in ("lr", "ln", "nr", "nl", "rl", "rn")]
+    assert math.inf in at_zp and not any(math.isnan(v) for v in at_zp)
+    for rep in (eng.coverage(), eng.report()):
+        assert math.isfinite(rep.total_coverage)
+        for e in EVENTS:
+            assert math.isfinite(rep.assoc.get(e))
+            if rep.assoc.get(e) > DEGENERATE_EVENT_TOL:
+                assert math.isfinite(rep.cond_coverage.get(e))
+    assert math.isfinite(rep.total_rate) and rep.total_rate > 0.0

@@ -6,6 +6,9 @@ import importlib.util
 from pathlib import Path
 
 import hexnet
+from hexnet import with_updates
+from hexnet.analytic import AnalyticEngine
+from hexnet.montecarlo import estimate
 from hexnet.numerics.jets import Jet
 
 TRACING = Path(__file__).resolve().parents[1] / "hexbench" / "tracing.py"
@@ -34,3 +37,34 @@ def test_traced_names_stay_bound():
     assert (Jet, "__pow__") in names
     for owner, attr in names:
         assert attr in owner.__dict__, (owner, attr)
+
+
+def test_tracer_installs_and_uninstalls(table3):
+    # every traced name is replaced by a wrapper of the original while the
+    # tracer is installed, each layer's counters see work, and uninstalling
+    # restores every original
+    tracing = _tracing()
+    before = {(owner, attr): owner.__dict__[attr]
+              for owner, attr in tracing.patched_names()}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (owner, attr), original in before.items():
+            assert owner.__dict__[attr].__wrapped__ is original, (owner, attr)
+        cfg = with_updates(table3, N_A=10, delta_T=0.5)
+        eng = AnalyticEngine(cfg, rel_tol=1e-4)
+        tracer.bind_engine(eng)
+        eng.coverage()
+        estimate(cfg, 1000, seed=1)
+    finally:
+        tracer.uninstall()
+    for (owner, attr), original in before.items():
+        assert owner.__dict__[attr] is original, (owner, attr)
+    for name in ("numerics.quadrature.outer.calls",
+                 "numerics.quadrature.inner.calls",
+                 "numerics.quadrature.tail.lookups",
+                 "numerics.jets.affine_power.calls", "exclusion.calls",
+                 "propagation.kappa.calls", "geometry.distance_pdf.calls",
+                 "propagation.fading.draws"):
+        assert tracer.counts[name] > 0, name
+    assert tracer.counts["geometry.sample.trials"] == 1000

@@ -1,20 +1,43 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from hexnet import with_updates
+import hexnet.exclusion as exclusion
+from conftest import random_config
+from hexnet import default_config, with_updates
 from hexnet.antenna import mean_desired_gain
-from hexnet.errors import DomainError
+from hexnet.errors import DomainError, NotConverged
 from hexnet.exclusion import ExclusionRegions, lambert_w0
 from hexnet.geometry import support
+from hexnet.propagation import link_table
+
+
+def _regions(cfg):
+    sup = support(cfg)
+    return sup, ExclusionRegions(sup.z_l, link_table(cfg))
 
 
 @pytest.fixture(scope="module")
 def regions(table3):
-    sup = support(table3)
-    return sup, ExclusionRegions(sup.z_l, table3.radio,
-                                 mean_desired_gain(table3.antenna))
+    return _regions(table3)
+
+
+def _balance_configs():
+    """Table 3, its edge cases and a few random scenarios, by name."""
+    base = default_config()
+    cfgs = {
+        "table3": base,
+        "k_a=0": with_updates(base, k_a=0.0),
+        "B_T=1e-6": with_updates(base, B_T=1e-6),
+        "B_T=1e6": with_updates(base, B_T=1e6),
+        "v_0=79": with_updates(base, v_0=79.0),
+    }
+    rng = np.random.default_rng(2024)
+    for i in range(4):
+        cfgs[f"random{i}"] = random_config(base, rng)
+    return cfgs
 
 
 def test_lambert_known_values():
@@ -44,6 +67,35 @@ def test_lambert_against_scipy():
 def test_lambert_domain_error():
     with pytest.raises(DomainError):
         lambert_w0(-1.0 / math.e - 1e-6)
+    with pytest.raises(DomainError):
+        lambert_w0(math.nan)
+    with pytest.raises(DomainError):
+        lambert_w0(np.array([1.0, math.nan]))
+
+
+def test_lambert_infinity_is_a_fixed_point():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lambert_w0(math.inf) == math.inf
+        w = lambert_w0(np.array([1.0, math.inf, 1e300]))
+    assert w[1] == math.inf
+    assert w[[0, 2]] == pytest.approx(lambert_w0(np.array([1.0, 1e300])), rel=0)
+
+
+def test_lambert_unconverged_raises(monkeypatch):
+    # one Halley step from the asymptotic guess is not enough at 1e6, and the
+    # residual check after the last step says so
+    monkeypatch.setattr(exclusion, "HALLEY_STEPS", 1)
+    with pytest.raises(NotConverged):
+        lambert_w0(1e6)
+
+
+def test_lambert_residual_at_branch_point():
+    # where W is ill-conditioned the Halley step stalls above 1e-16 relative
+    # for all 12 steps; the residual check accepts these at rounding level
+    x = -math.exp(-1.0) + np.geomspace(1e-300, 1e-3, 2000)
+    w = lambert_w0(x)
+    assert np.all(np.abs(w * np.exp(w) - x) <= 4 * np.finfo(float).eps)
 
 
 def _powers(radio, mean_gain):
@@ -62,11 +114,10 @@ def _powers(radio, mean_gain):
     return p_los, p_nlos, p_rf
 
 
-def test_all_six_balances(table3, regions):
-    sup, ex = regions
-    p_los, p_nlos, p_rf = _powers(table3.radio, mean_desired_gain(table3.antenna))
-    rng = np.random.default_rng(21)
-    cases = [
+def _cases(cfg, ex):
+    """(boundary, threshold, serving power, competitor power) of all six."""
+    p_los, p_nlos, p_rf = _powers(cfg.radio, mean_desired_gain(cfg.antenna))
+    return [
         (ex.e_lr, ex.h_lr, p_los, p_rf),
         (ex.e_ln, ex.h_ln, p_los, p_nlos),
         (ex.e_nr, ex.h_nr, p_nlos, p_rf),
@@ -74,12 +125,18 @@ def test_all_six_balances(table3, regions):
         (ex.e_rl, ex.h_rl, p_rf, p_los),
         (ex.e_rn, ex.h_rn, p_rf, p_nlos),
     ]
-    for boundary, h, p_serv, p_other in cases:
-        lo = max(h, sup.z_l) * (1 + 1e-9)
-        r = rng.uniform(lo, 3 * sup.z_p, size=1000)
-        e = boundary(r)
-        resid = np.abs(p_serv(r) - p_other(e)) / p_other(e)
-        assert resid.max() <= 1e-9
+
+
+def test_all_six_balances():
+    rng = np.random.default_rng(21)
+    for name, cfg in _balance_configs().items():
+        sup, ex = _regions(cfg)
+        for boundary, h, p_serv, p_other in _cases(cfg, ex):
+            lo = max(h, sup.z_l) * (1 + 1e-9)
+            r = rng.uniform(lo, max(3 * sup.z_p, 3 * lo), size=1000)
+            e = boundary(r)
+            resid = np.abs(p_serv(r) - p_other(e)) / p_other(e)
+            assert resid.max() <= 1e-9, name
 
 
 def test_boundaries_clamp_below_threshold(table3, regions):
@@ -90,12 +147,16 @@ def test_boundaries_clamp_below_threshold(table3, regions):
             assert np.all(boundary(r) == sup.z_l)
 
 
-def test_continuity_at_thresholds(table3, regions):
-    sup, ex = regions
-    for boundary, h in [(ex.e_lr, ex.h_lr), (ex.e_ln, ex.h_ln), (ex.e_nr, ex.h_nr),
-                        (ex.e_nl, ex.h_nl), (ex.e_rl, ex.h_rl), (ex.e_rn, ex.h_rn)]:
-        if h > sup.z_l:
-            assert boundary(h * (1 + 1e-12)) == pytest.approx(sup.z_l, abs=1e-6)
+def test_continuity_at_thresholds():
+    # the threshold h balances the competitor at z_l, and the boundary
+    # leaves z_l continuously there
+    for name, cfg in _balance_configs().items():
+        sup, ex = _regions(cfg)
+        for boundary, h, p_serv, p_other in _cases(cfg, ex):
+            assert p_serv(h) == pytest.approx(p_other(sup.z_l), rel=1e-9), name
+            if h > sup.z_l:
+                assert boundary(h * (1 + 1e-12)) == pytest.approx(
+                    sup.z_l, abs=1e-6), name
 
 
 def test_boundaries_nondecreasing_and_floored(table3, regions):
@@ -119,16 +180,14 @@ def test_reciprocity(table3, regions):
 
 def test_identity_boundary_for_identical_tiers(table3):
     cfg = with_updates(table3, k_a=0.0, alpha_N=table3.radio.alpha_L, m_N=table3.radio.m_L)
-    sup = support(cfg)
-    ex = ExclusionRegions(sup.z_l, cfg.radio, mean_desired_gain(cfg.antenna))
+    sup, ex = _regions(cfg)
     r = np.linspace(sup.z_l, sup.z_p, 100)
     assert ex.e_ln(r) == pytest.approx(r, rel=1e-12)
 
 
 def test_zero_absorption_limits(table3):
     cfg = with_updates(table3, k_a=0.0)
-    sup = support(cfg)
-    ex = ExclusionRegions(sup.z_l, cfg.radio, mean_desired_gain(cfg.antenna))
+    sup, ex = _regions(cfg)
     p_los, p_nlos, p_rf = _powers(cfg.radio, mean_desired_gain(cfg.antenna))
     r = np.linspace(max(ex.h_ln, sup.z_l) + 0.1, sup.z_p, 50)
     e = ex.e_ln(r)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hexnet.errors import MaxDepthExceeded, ToleranceBelowFloor
+from hexnet.errors import MaxDepthExceeded, NonFiniteEstimate, ToleranceBelowFloor
 from hexnet.numerics import Quadrature, TailIntegral, integrate, integrate_semiinfinite
 
 
@@ -125,3 +125,19 @@ def test_tolerance_below_error_floor_rejected():
     for rel_tol in (0.5 * floor, 1e-15, 0.0, math.nan):
         with pytest.raises(ToleranceBelowFloor, match="error floor"):
             Quadrature(rel_tol=rel_tol, abs_tol=0.0)
+
+
+def test_nan_integrand_raises_typed_error_naming_the_panel():
+    # NaN above 0.6: the first sweep's panel [0.5, 1] carries it
+    def f(x):
+        return np.where(x > 0.6, np.nan, x)
+
+    q = Quadrature(breakpoints=(0.5,))
+    with pytest.raises(NonFiniteEstimate) as info:
+        integrate(f, 0.0, 1.0, q)
+    assert info.value.panel == (0.5, 1.0)
+    assert math.isnan(info.value.error)
+    with pytest.raises(NonFiniteEstimate):
+        integrate_semiinfinite(lambda t: np.full(t.shape, np.nan))
+    with pytest.raises(NonFiniteEstimate):
+        TailIntegral(f, 0.0, 1.0)
