@@ -8,6 +8,12 @@ remaining APs to truncated i.i.d. distance laws, which turns every metric
 into nested 1-D integrals.  Coverage carries derivatives of the interference
 Laplace transforms through the quadrature as jets; the rate needs only the
 transforms themselves.
+
+Every integral over a distance runs in the smoothing variable v of
+``geometry.SmoothingMap``, not in z: the LOS probability and, off centre,
+the arccos factor of ``f_Z`` have square-root endpoints at z_l, z_m and
+z_p, which adaptive Gauss-Kronrod in z can only bisect toward, sweep after
+sweep, while in v the integrands are smooth on each side of v_m.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import numpy as np
 from .antenna import desired_gain_pmf, interferer_gain_pmf
 from .errors import DegenerateEvent, NumericalInconsistency
 from .exclusion import ExclusionRegions
-from .geometry import distance_pdf, support
+from .geometry import SmoothingMap, distance_pdf, support
 from .numerics.jets import Jet, affine_power
 from .numerics.quadrature import (
     Quadrature,
@@ -75,27 +81,35 @@ class AnalyticEngine:
     ``_ev``, keyed by the letter of its link class: that class's row of
     ``propagation.link_table`` (``amp``, ``k_a``, ``alpha``, ``m``, ``bias``,
     ``noise``, ``bw``), its blockage law ``kappa`` (None for RF) and tail
-    mass ``tail``, the serving tier's AP count, the desired and interferer
-    gain atoms, and two competing tiers, RF first, then THz.  A tier is
-    ``(count, classes)``; class c's APs lie beyond ``_boundary``, the
-    serving distance itself for the serving class, else the exclusion
-    boundary ``e_xy``, x the event and y c.  The event's density is the
+    mass ``tail`` (of a lower limit in v), the serving tier's AP count, the
+    desired and interferer gain atoms, and two competing tiers, RF first,
+    then THz.  A tier is ``(count, classes)``; class c's APs lie beyond
+    ``_boundary``, the serving distance itself for the serving class, else
+    the exclusion boundary ``e_xy``, x the event and y c.  The event's density is the
     serving density times each tier's summed tail mass beyond its
     boundaries to the power ``count`` (``_weight``); the boundaries give the
     panel breakpoints (``_event_breakpoints``); and the serving tier,
     ``tiers[own]``, gives the interferer segments of the Laplace transform
     (``_laplace_coeffs``), each with its class's ``_ev`` entry.
 
-    The outer expectations over the serving distance x run at ``rel_tol``.
-    The inner interference integrals run 10x tighter (``q_inner``), batched:
-    one ``integrate`` per outer sweep and interferer segment serves the
-    sweep's whole vector of x.  Each x's range [lo(x), z_p] is cut at
-    ``_inner_breaks``, its pieces are mapped onto shared panels in u in
-    [0, 1] (affinely; by a cubic on the off-centre arccos branch of the
-    distance law), and its column is divided by the segment's interferer
-    mass over the range (a tail lookup), so the max-norm tolerance applies
-    per x.  The x are sliced so that the kernel's widest temporary stays
-    within ``_INNER_ELEMENTS`` elements in the first sweep.
+    Every quadrature over a distance runs in the smoothing variable v of
+    ``vmap`` (``geometry.SmoothingMap``) with the Jacobian dz/dv, which
+    cancels the square-root endpoints of the distance law and the LOS
+    probability; in z each would cost the adaptive rule a bisection sweep
+    per halving toward it, at every level.  The outer expectations over the
+    serving distance x run at ``rel_tol`` on [0, v_max], cut at the event
+    breakpoints mapped into v (``_integrate_over_serving``).  The tail caches
+    ``S1``, ``SL`` and ``SN`` (mass of f_Z, f_Z kappa_L and f_Z kappa_N
+    beyond a distance) are built in v, so a lookup takes its lower limit in
+    v.  The inner interference integrals run 10x tighter (``q_inner``),
+    batched: one ``integrate`` per outer sweep and interferer segment serves
+    the sweep's whole vector of x.  Each x's range [lo(x), z_p] is taken into
+    v, cut at ``_inner_breaks`` (z_m and four seeds near z_l, mapped into
+    v), its pieces are mapped affinely onto shared panels in u in [0, 1], and
+    its column is divided by the segment's interferer mass over the range (a
+    tail lookup), so the max-norm tolerance applies per x.  The x are sliced
+    so that the kernel's widest temporary stays within ``_INNER_ELEMENTS``
+    elements in the first sweep.
 
     Coverage needs the Laplace transforms' derivatives up to order m - 1 at
     the threshold, carried as jets.  The rate needs them at order 0 only:
@@ -122,27 +136,30 @@ class AnalyticEngine:
         self.pmf_interf = interferer_gain_pmf(cfg.antenna)
         links = link_table(cfg)
         self.excl = ExclusionRegions(self.sup.z_l, links)
+        self.vmap = SmoothingMap(self.sup)
 
         self.q_outer = Quadrature(rel_tol=rel_tol, abs_tol=1e-11)
         self.q_inner = Quadrature(rel_tol=rel_tol * 0.1, abs_tol=1e-13)
-        # pre-split every inner range: the MGF kernels turn over close to the
-        # lower limit, and seeding pieces there saves refinement sweeps
+        # pre-split every inner range, in v: the MGF kernels turn over close
+        # to the lower limit, and seeding pieces there saves refinement sweeps
         zl, zp = self.sup.z_l, self.sup.z_p
         seeds = (zl + (zp - zl) * f for f in (0.03, 0.12, 0.3, 0.6))
-        self._inner_breaks = np.array(
-            sorted({p for p in (self.sup.z_m, *seeds) if zl < p < zp}))
+        self._inner_breaks = self.vmap.v(np.array(
+            sorted({p for p in (self.sup.z_m, *seeds) if zl < p < zp})))
         self.q_rate_t = Quadrature(rel_tol=rel_tol, abs_tol=1e-9)
+        v_max = self.vmap.v_max
         q_tail = Quadrature(rel_tol=1e-11, abs_tol=1e-15,
-                            breakpoints=(self.sup.z_m,))
+                            breakpoints=(self.vmap.v_m,))
 
         self._fz = lambda z: distance_pdf(z, self.sup, g.v_0, g.r_d)
         self._kl = lambda z: kappa_los(z, self.der.beta, self.der.delta_h)
         self._kn = lambda z: kappa_nlos(z, self.der.beta, self.der.delta_h)
-        self.S1 = TailIntegral(self._fz, self.sup.z_l, self.sup.z_p, q_tail)
-        self.SL = TailIntegral(lambda z: self._fz(z) * self._kl(z),
-                               self.sup.z_l, self.sup.z_p, q_tail)
-        self.SN = TailIntegral(lambda z: self._fz(z) * self._kn(z),
-                               self.sup.z_l, self.sup.z_p, q_tail)
+        # tail masses beyond a lower limit given in v
+        self.S1 = TailIntegral(self._in_v(self._fz), 0.0, v_max, q_tail)
+        self.SL = TailIntegral(self._in_v(lambda z: self._fz(z) * self._kl(z)),
+                               0.0, v_max, q_tail)
+        self.SN = TailIntegral(self._in_v(lambda z: self._fz(z) * self._kn(z)),
+                               0.0, v_max, q_tail)
 
         # gain atoms of probability zero contribute nothing to the outer sums
         des_g = np.asarray(self.pmf_desired.gains)
@@ -171,6 +188,20 @@ class AnalyticEngine:
         self._breaks: dict[str, tuple] = {}
 
     # -- serving-distance machinery --------------------------------------------
+
+    def _in_v(self, f):
+        """The integrand f(z) dz/dv in the smoothing variable v."""
+        def integrand(v):
+            z, jac = self.vmap.z(v)
+            return f(z) * jac
+        return integrand
+
+    def _integrate_over_serving(self, event: str, f) -> float:
+        """int f(x) dx over [z_l, z_p], run in the smoothing variable on
+        panels cut at the event's breakpoints mapped into v."""
+        cuts = self.vmap.v(np.array(self._event_breakpoints(event)))
+        q = replace(self.q_outer, breakpoints=tuple(cuts))
+        return integrate(self._in_v(f), 0.0, self.vmap.v_max, q).value
 
     def _boundary(self, event: str, c: str, x):
         """Lower limit of class-c APs at serving distance x: x itself for the
@@ -219,15 +250,17 @@ class AnalyticEngine:
             out = out * ev["kappa"](x)
         for count, classes in ev["tiers"]:
             if count > 0:
-                out = out * sum(self._ev[c]["tail"](self._boundary(event, c, x))
-                                for c in classes) ** count
+                # np.power, not **: a float's ** is libm's pow, which can
+                # differ in the last bit from numpy's on arrays
+                out = out * np.power(sum(
+                    self._ev[c]["tail"](self.vmap.v(self._boundary(event, c, x)))
+                    for c in classes), count)
         out = np.where((x_raw < zl) | (x_raw > zp), 0.0, out)
         return float(out) if out.ndim == 0 else out
 
     def assoc_probabilities(self) -> TierMetrics:
         if self._assoc is not None:
             return self._assoc
-        sup = self.sup
         if self.n_thz == 0:
             self._assoc = TierMetrics(0.0, 0.0, 1.0)
             return self._assoc
@@ -236,9 +269,8 @@ class AnalyticEngine:
             if event == "R" and self.n_rf == 0:
                 vals["R"] = 0.0
                 continue
-            q = replace(self.q_outer, breakpoints=self._event_breakpoints(event))
-            vals[event] = integrate(lambda x, e=event: self._weight(e, x),
-                                    sup.z_l, sup.z_p, q).value
+            vals[event] = self._integrate_over_serving(
+                event, lambda x, e=event: self._weight(e, x))
         self._assoc = TierMetrics(vals["L"], vals["N"], vals["R"])
         return self._assoc
 
@@ -268,16 +300,12 @@ class AnalyticEngine:
 
         The segments are the serving tier's classes.  Per segment, column x
         integrates over [lo(x), z_p], lo the class's boundary at x clipped to
-        z_l, cut into pieces at the inner breakpoints inside it.
-        Every piece [a, b] is mapped onto u in [0, 1], and column x's
-        integrand at u is the sum over its pieces times the map's Jacobian,
-        so one integral in u serves all x on shared panels.  The map is
-        affine, so the first sweep evaluates a per-x call's initial nodes,
-        except on the arccos branch of the off-centre distance law (pieces
-        at or above z_m < z_p).  There it is the cubic
-        y = a + (b - a)(3u^2 - 2u^3), whose Jacobian 6u(1 - u)(b - a)
-        vanishes at both ends and so smooths the density's square-root
-        endpoints at z_m and z_p; on shared panels they would make every
+        z_l, in the smoothing variable: over [v(lo), v_max], cut into pieces
+        at the inner breakpoints inside it.  Every piece [a, b] is mapped affinely
+        onto u in [0, 1], and column x's integrand at u is the sum over its
+        pieces of the integrand in v times (b - a), so one integral in u
+        serves all x on shared panels.  In v the density's square-root
+        endpoints are smooth; on shared panels in z they would make every
         column refine with the worst one.  Each column is divided by the
         segment's interferer mass over [lo(x), z_p] (a tail lookup) and
         multiplied back afterwards: all columns are O(1), so the shared
@@ -304,7 +332,7 @@ class AnalyticEngine:
         gains = ev["int_gains"]
         probs = ev["int_probs"]
         n_g = gains.size
-        zl, zp = self.sup.z_l, self.sup.z_p
+        zp = self.sup.z_p
         breaks = self._inner_breaks
         per_piece = m_pts * n_g * k1          # kernel elements per node and piece
         num = np.zeros((n_x, m_pts, n_g, k1))
@@ -314,7 +342,7 @@ class AnalyticEngine:
             seg = self._ev[c]
             lo = np.asarray(self._boundary(event, c, xs), dtype=float)
             idx = np.flatnonzero(np.isfinite(lo) & (lo < zp))
-            lo = np.maximum(lo[idx], zl)
+            lo = self.vmap.v(lo[idx])                  # below z_l maps to 0
             mass = seg["tail"](lo)
             keep = mass > 0.0
             idx, lo, mass = idx[keep], lo[keep], mass[keep]
@@ -346,34 +374,30 @@ class AnalyticEngine:
         return (bracket_jet ** float(n_exp)).coeffs
 
     def _segment_integral(self, seg, lo, mass, nu0, gains, order: int):
-        """One segment's mass-normalized kernel integrals over [lo, z_p] for
-        each lower limit in ``lo``: the flat (X*M*J*(order+1) + X,) result of
-        one ``integrate`` in u, numerators first, then the denominators.
-        ``seg`` is the interferer class's ``_ev`` entry."""
+        """One segment's mass-normalized kernel integrals over [lo, v_max]
+        in v for each lower limit in ``lo`` (in v): the flat
+        (X*M*J*(order+1) + X,) result of one ``integrate`` in u, numerators
+        first, then the denominators.  ``seg`` is the interferer class's
+        ``_ev`` entry."""
         kap, amp, k_abs, alpha, m_seg = (
             seg[k] for k in ("kappa", "amp", "k_a", "alpha", "m"))
-        zp = self.sup.z_p
+        v_max = self.vmap.v_max
         breaks = self._inner_breaks
-        # pieces per x: [lo, breakpoints above lo..., z_p], left-aligned and
-        # padded with zero-width pieces at z_p
+        # pieces per x: [lo, breakpoints above lo..., v_max], left-aligned
+        # and padded with zero-width pieces at v_max
         first = np.searchsorted(breaks, lo, side="right")
         n_pieces = 1 + breaks.size - int(first.min())
-        ends = np.append(breaks, zp)
+        ends = np.append(breaks, v_max)
         inner = ends[np.minimum(first[:, None] + np.arange(n_pieces - 1),
                                 breaks.size)]
-        edges = np.column_stack([lo, inner, np.full(lo.size, zp)])
+        edges = np.column_stack([lo, inner, np.full(lo.size, v_max)])
         start = edges[:, :-1]                                  # (X, P)
         width = np.diff(edges, axis=1)
         scale = width / mass[:, None]
         nu = nu0[None, :, None, :, None]                       # (1, X, 1, M, 1)
-        # pieces on the arccos branch of the distance law (off-centre only)
-        cubic = start >= self.sup.z_m
 
         def integrand(u):
-            uu = u[:, None, None]
-            t = np.where(cubic, uu * uu * (3.0 - 2.0 * uu), uu)
-            jac = np.where(cubic, 6.0 * uu * (1.0 - uu), 1.0)
-            y = start + width * t                              # (n, X, P)
+            y, jac = self.vmap.z(start + width * u[:, None, None])  # (n, X, P)
             w = self._fz(y)
             if kap is not None:
                 w = w * kap(y)
@@ -393,9 +417,11 @@ class AnalyticEngine:
     # -- coverage and rate -------------------------------------------------------
 
     def _s_factor(self, event: str, xs):
-        """s(x) at unit threshold, m / c(x); multiply by theta to finish."""
+        """s(x) at unit threshold, m / c(x); multiply by theta to finish.
+        +inf, without a warning, where the serving power c(x) underflows."""
         ev = self._ev[event]
-        return ev["m"] * np.exp(ev["k_a"] * xs) * xs ** ev["alpha"] / ev["amp"]
+        with np.errstate(over="ignore"):
+            return ev["m"] * np.exp(ev["k_a"] * xs) * xs ** ev["alpha"] / ev["amp"]
 
     def _assemble_ccdf(self, event: str, s_vals, l_coeffs):
         """Combine Laplace derivatives into the conditional SINR tail.
@@ -427,18 +453,31 @@ class AnalyticEngine:
         distances ``xs`` (X,)."""
         ev = self._ev[event]
         s_vals = self._s_factor(event, xs) * self.cfg.radio.theta
-        nu0 = s_vals[:, None] / ev["gains"]
-        lc = self._laplace_coeffs(event, xs, nu0, ev["m"] - 1)
-        return self._assemble_ccdf(event, s_vals, lc)
+        # where e^{-lambda} is 0 in double at the largest desired gain (at
+        # the latest where the serving power underflows), so is every term
+        live = np.exp(-s_vals * (ev["noise"] / ev["gains"].max())) > 0.0
+        out = np.zeros(xs.shape)
+        if live.any():
+            s_live = s_vals[live]
+            nu0 = s_live[:, None] / ev["gains"]
+            lc = self._laplace_coeffs(event, xs[live], nu0, ev["m"] - 1)
+            out[live] = self._assemble_ccdf(event, s_live, lc)
+        return out
 
     def _rate_kernel(self, event: str, xs) -> np.ndarray:
         """E[ln(1 + SINR) | serving event, serving distance x] at serving
         distances ``xs`` (X,): one ``integrate_semiinfinite`` of Hamdi's
-        lemma with one column per x (see ``conditional_rate``)."""
+        lemma with one column per x (see ``conditional_rate``); 0 where the
+        serving power underflows, so the SNR is 0."""
         ev = self._ev[event]
         m, gains, probs = ev["m"], ev["gains"], ev["probs"]
         mean_g = float(probs @ gains)
         power = m / self._s_factor(event, xs) * mean_g      # c(x) E[g]
+        out = np.zeros(xs.shape)
+        live = power > 0.0
+        if not live.any():
+            return out
+        xs, power = xs[live], power[live]
         snr = power / ev["noise"]
         t0 = 0.1 * self.q_rate_t.abs_tol
         n_breaks = 1 + max(0, math.ceil(math.log(float(snr.max()) / t0) / 6.0))
@@ -453,7 +492,8 @@ class AnalyticEngine:
             noise = np.exp(-ts / snr[:, None])
             return ((1.0 + ts) / ts * one_minus_ms)[:, None] * (lap * noise).T
 
-        return integrate_semiinfinite(integrand, q).value
+        out[live] = integrate_semiinfinite(integrand, q).value
+        return out
 
     def _expect_over_serving(self, event: str, point_fn) -> float:
         """(1/A) * int w(x) point_fn(x) dx over the serving support.
@@ -462,7 +502,6 @@ class AnalyticEngine:
         with w(x) > 0 and returns one value per distance.
         """
         a = self._event_probability(event)
-        q = replace(self.q_outer, breakpoints=self._event_breakpoints(event))
 
         def outer(xs):
             w = self._weight(event, xs)
@@ -472,7 +511,7 @@ class AnalyticEngine:
                 out[pos] = w[pos] * point_fn(xs[pos])
             return out
 
-        return integrate(outer, self.sup.z_l, self.sup.z_p, q).value / a
+        return self._integrate_over_serving(event, outer) / a
 
     def conditional_coverage(self, event: str) -> float:
         val = self._expect_over_serving(

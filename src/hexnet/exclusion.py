@@ -42,11 +42,12 @@ def lambert_w0(x):
     """Principal branch of the Lambert W function (w e^w = x, w >= -1).
 
     Initial guess by region (branch-point series, log1p, asymptotic log-log),
-    then Halley refinement until every step is below 1e-16 relative.  Steps
-    can stall at rounding noise (near the branch point, where W is
-    ill-conditioned, or in an entry done before the rest of its array), so
-    if that test is unmet after ``HALLEY_STEPS`` steps, the residual must be
-    within ``HALLEY_RESID_TOL``, else ``NotConverged``.
+    then Halley refinement of each entry until its step is below 1e-16
+    relative; an entry's value does not depend on the rest of its array.
+    Steps can stall at rounding noise near the branch point, where W is
+    ill-conditioned, so an entry whose test is unmet after ``HALLEY_STEPS``
+    steps must have its residual within ``HALLEY_RESID_TOL``, else
+    ``NotConverged``.
     Accepts scalars or arrays; defined for x >= -1/e, with W(inf) = inf.
     Raises ``DomainError`` for NaN or x below -1/e.
     """
@@ -70,21 +71,25 @@ def lambert_w0(x):
         l2 = np.log(l1)
         w[far] = l1 - l2 + l2 / l1
 
-    # W(inf) = inf is a fixed point: its Halley step is NaN and zeroed
+    # W(inf) = inf is a fixed point: its Halley step is NaN and zeroed.  An
+    # entry stops at its first step within the test, so its value does not
+    # depend on how long the rest of its array keeps iterating.
+    active = np.ones(xc.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(HALLEY_STEPS):
             ew = np.exp(w)
             f = w * ew - xc
             wp1 = w + 1.0
             denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-            step = np.where(f == 0.0, 0.0, f / denom)
+            step = np.where(active & (f != 0.0), f / denom, 0.0)
             step = np.where(np.isfinite(step), step, 0.0)
             w -= step
-            if np.all(np.abs(step) <= 1e-16 * (1.0 + np.abs(w))):
+            active &= ~(np.abs(step) <= 1e-16 * (1.0 + np.abs(w)))
+            if not active.any():
                 break
         else:
             resid = np.abs(w * np.exp(w) - xc)
-            bad = np.isfinite(xc) & ~(
+            bad = active & np.isfinite(xc) & ~(
                 resid <= HALLEY_RESID_TOL * np.abs(xc) * (1.0 + np.abs(w)))
             if bad.any():
                 raise NotConverged(f"lambert_w0 residual {resid[bad].max()!r} "

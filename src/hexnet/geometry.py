@@ -82,6 +82,62 @@ def distance_pdf(z, sup: DistanceSupport, v_0: float, r_d: float):
     return float(out[0]) if scalar else out
 
 
+class SmoothingMap:
+    """Monotone map v -> z from the smoothing variable v in [0, v_max] onto
+    the distance support [z_l, z_p], whose Jacobian dz/dv cancels the
+    square-root endpoints of the distance law.
+
+    Integrands over the distance law are not smooth in z at three points:
+    the LOS probability exp(-beta sqrt(z^2 - z_l^2)) behaves like
+    sqrt(z - z_l) at z_l, and off centre the arccos factor of ``distance_pdf``
+    behaves like sqrt(z - z_m) and sqrt(z_p - z) at the ends of its branch.
+    Gauss-Kronrod reads each as a singularity and bisects toward it sweep
+    after sweep.  In v they are smooth:
+
+    - on [z_l, z_m], v in [0, 1]: z = z_l + (z_m - z_l) v^2;
+    - on the arccos branch [z_m, z_p], t = v - v_m in [0, 1]: the smoothstep
+      cubic z = z_m + (z_p - z_m)(3 t^2 - 2 t^3), whose Jacobian
+      6 t (1 - t)(z_p - z_m) vanishes at both ends.
+
+    A piece of zero width takes no room in v: a centred UE (z_m = z_p) has
+    v_max = 1, and a UE at the disk edge (v_0 = r_d, so z_m = z_l) has
+    v_m = 0 and the cubic alone, whose Jacobian also covers z_l.  ``v``
+    inverts ``z``; NaN stays NaN, and z outside the support clamps to the
+    nearer end of [0, v_max].
+    """
+
+    def __init__(self, sup: DistanceSupport):
+        self.sup = sup
+        self.v_m = 1.0 if sup.z_m > sup.z_l else 0.0
+        self.v_max = self.v_m + (1.0 if sup.z_p > sup.z_m else 0.0)
+
+    def z(self, v):
+        """(z, dz/dv) at v in [0, v_max]; arrays of v's shape."""
+        v = np.asarray(v, dtype=float)
+        zl, zm, zp = self.sup.z_l, self.sup.z_m, self.sup.z_p
+        t = v - self.v_m
+        first = t < 0.0
+        z = np.where(first, zl + (zm - zl) * v * v,
+                     zm + (zp - zm) * t * t * (3.0 - 2.0 * t))
+        jac = np.where(first, 2.0 * (zm - zl) * v,
+                       6.0 * (zp - zm) * t * (1.0 - t))
+        return z, jac
+
+    def v(self, z):
+        """The v in [0, v_max] with z(v) = z."""
+        z = np.asarray(z, dtype=float)
+        zl, zm, zp = self.sup.z_l, self.sup.z_m, self.sup.z_p
+        v = np.where(np.isnan(z), np.nan, 0.0)
+        if zm > zl:
+            v = np.sqrt(np.clip((z - zl) / (zm - zl), 0.0, 1.0))
+        if zp > zm:
+            s = np.clip((z - zm) / (zp - zm), 0.0, 1.0)
+            # the root in [0, 1] of 3 t^2 - 2 t^3 = s
+            t = 0.5 - np.sin(np.arcsin(1.0 - 2.0 * s) / 3.0)
+            v = np.where(z > zm, self.v_m + t, v)
+        return v
+
+
 def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
                              n_trials: int):
     """Vectorized deployment sampler for ``n_trials`` independent networks.

@@ -16,7 +16,12 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import MaxDepthExceeded, NonFiniteEstimate, ToleranceBelowFloor
+from ..errors import (
+    DomainError,
+    MaxDepthExceeded,
+    NonFiniteEstimate,
+    ToleranceBelowFloor,
+)
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (abscissae/weights on
 # [-1, 1]; the Gauss nodes are the odd-indexed Kronrod ones).
@@ -207,9 +212,12 @@ class TailIntegral:
     Builds one adaptive panelization of [a, b] up front (each panel refined to
     its length-proportional error share), then answers arbitrary lower limits
     with a suffix sum plus a single fresh Kronrod rule on the partial panel.
-    Vectorized over x.  Raises MaxDepthExceeded (reporting the worst panel)
-    if the tolerance cannot be met: a panel over its error share would have
-    to be split below a width of 64 ulp or beyond ``max_depth`` halvings.
+    Vectorized over x; each lower limit's rule is summed on its own, so a
+    value does not depend on the other entries of its array.  Raises
+    MaxDepthExceeded (reporting the worst panel) if the tolerance cannot be
+    met: a panel over its error share would have to be split below a width
+    of 64 ulp or beyond ``max_depth`` halvings.  A NaN lower limit raises
+    DomainError.
     """
 
     def __init__(self, f, a: float, b: float, q: Quadrature | None = None):
@@ -252,6 +260,8 @@ class TailIntegral:
         x_arr = np.asarray(x, dtype=float)
         scalar = x_arr.ndim == 0
         x_arr = np.atleast_1d(x_arr)
+        if np.isnan(x_arr).any():
+            raise DomainError("TailIntegral lower limit is NaN")
         out = np.empty_like(x_arr)
         out[x_arr <= self.a] = self.total
         out[x_arr >= self.b] = 0.0
@@ -265,6 +275,8 @@ class TailIntegral:
             nodes = m[:, None] + h[:, None] * NODES
             fx = np.asarray(self._f(nodes.reshape(-1)), dtype=float)
             fx = fx.reshape(xm.size, 15)
-            partial = fx @ KRONROD_WEIGHTS * h
+            # not a matrix product: BLAS may sum a row in an order that
+            # depends on the row count
+            partial = (fx * KRONROD_WEIGHTS).sum(axis=1) * h
             out[mid] = partial + self._suffix[idx + 1]
         return float(out[0]) if scalar else out

@@ -186,7 +186,7 @@ def test_laplace_vector_matches_per_x(table3):
         for name, cfg in cases.items():
             eng = AnalyticEngine(cfg)
             sup = eng.sup
-            assert (name == "v_0=10") == (sup.z_m in eng._inner_breaks)
+            assert (name == "v_0=10") == (eng.vmap.v_m in eng._inner_breaks)
             xs = np.linspace(sup.z_l, sup.z_p, 121)
             # the N segment of LOS interferers is empty for the largest x
             assert np.any(eng.excl.e_nl(xs[:-1]) >= sup.z_p)
@@ -463,15 +463,78 @@ def test_tier_metrics_accessors():
 @pytest.mark.parametrize("k_a", [18.0, 25.0])
 def test_large_absorption_is_finite(table3, k_a):
     # e^{k_a r / alpha} overflows in some balances at z_p: those boundaries
-    # are +inf, not NaN, and no warning is raised
-    eng = AnalyticEngine(with_updates(table3, k_a=k_a), rel_tol=1e-4)
-    at_zp = [getattr(eng.excl, "e_" + key)(eng.sup.z_p)
-             for key in ("lr", "ln", "nr", "nl", "rl", "rn")]
-    assert math.inf in at_zp and not any(math.isnan(v) for v in at_zp)
-    for rep in (eng.coverage(), eng.report()):
-        assert math.isfinite(rep.total_coverage)
-        for e in EVENTS:
-            assert math.isfinite(rep.assoc.get(e))
-            if rep.assoc.get(e) > DEGENERATE_EVENT_TOL:
-                assert math.isfinite(rep.cond_coverage.get(e))
-    assert math.isfinite(rep.total_rate) and rep.total_rate > 0.0
+    # are +inf, not NaN.  All-THz (delta_T = 1), the serving power underflows
+    # at far serving distances, where the coverage and rate terms are 0.  No
+    # warning is raised.
+    for delta_t in (0.5, 1.0):
+        eng = AnalyticEngine(with_updates(table3, k_a=k_a, delta_T=delta_t),
+                             rel_tol=1e-4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            at_zp = [getattr(eng.excl, "e_" + key)(eng.sup.z_p)
+                     for key in ("lr", "ln", "nr", "nl", "rl", "rn")]
+            reps = (eng.coverage(), eng.report())
+        assert math.inf in at_zp and not any(math.isnan(v) for v in at_zp)
+        for rep in reps:
+            assert math.isfinite(rep.total_coverage)
+            for e in EVENTS:
+                assert math.isfinite(rep.assoc.get(e))
+                if rep.assoc.get(e) > DEGENERATE_EVENT_TOL:
+                    assert math.isfinite(rep.cond_coverage.get(e))
+        assert math.isfinite(rep.total_rate)
+        assert rep.total_rate > 0.0 if delta_t < 1.0 else rep.total_rate >= 0.0
+
+
+def test_pointwise_values_independent_of_batch(engine):
+    # on 2,000 serving distances, a tail mass, an exclusion boundary and each
+    # event's weight computed in one array equal their values alone, bit for
+    # bit: no value depends on the batch it is computed in
+    xs = np.random.default_rng(5).uniform(engine.sup.z_l, engine.sup.z_p, 2000)
+    cases = {
+        "S1": (engine.S1, engine.vmap.v(xs)),
+        "e_rl": (engine.excl.e_rl, xs),
+        **{"weight_" + e: (lambda x, e=e: engine._weight(e, x), xs)
+           for e in EVENTS},
+    }
+    for name, (fn, args) in cases.items():
+        got = fn(args)
+        alone = np.array([fn(float(a)) for a in args])
+        assert np.array_equal(got, alone), name
+
+
+@pytest.mark.parametrize("v_0", [0.0, 10.0, 40.0, 79.0])
+def test_assoc_against_independent_quadrature(table3, v_0):
+    # at rel_tol 1e-10 the association probabilities meet it against
+    # QUADPACK's adaptive rule on the same weight, run in z
+    from scipy.integrate import quad
+
+    eng = AnalyticEngine(with_updates(table3, v_0=v_0), rel_tol=1e-10)
+    assoc = eng.assoc_probabilities()
+    for event in EVENTS:
+        want, _ = quad(lambda x: eng._weight(event, x), eng.sup.z_l, eng.sup.z_p,
+                       points=eng._event_breakpoints(event), epsabs=0.0,
+                       epsrel=1e-13, limit=200)
+        assert assoc.get(event) == pytest.approx(want, rel=1e-10, abs=0.0), \
+            event
+
+
+def _cells(rep):
+    return np.array([*(rep.assoc.get(e) for e in EVENTS),
+                     *(rep.cond_coverage.get(e) for e in EVENTS),
+                     rep.total_coverage,
+                     *(rep.cond_rate.get(e) for e in EVENTS), rep.total_rate])
+
+
+@pytest.mark.parametrize("v_0", [79.9, 80.0])
+def test_disk_edge_matches_tight_tolerance(table3, v_0):
+    # at and next to the disk edge (z_m = z_l at v_0 = r_d), coverage() and
+    # report() at rel_tol 1e-4 agree with rel_tol 1e-7, and nothing raises
+    cfg = with_updates(table3, v_0=v_0)
+    assert (cfg.geometry.v_0 == cfg.geometry.r_d) == (v_0 == 80.0)
+    loose = AnalyticEngine(cfg, rel_tol=1e-4)
+    tight = AnalyticEngine(cfg, rel_tol=1e-7)
+    cov = _cells(loose.coverage())[:7]
+    rep = _cells(loose.report())
+    want = _cells(tight.report())
+    assert np.allclose(cov, want[:7], rtol=1e-3, atol=0.0)
+    assert np.allclose(rep, want, rtol=1e-3, atol=0.0)

@@ -90,6 +90,16 @@ def test_lambert_unconverged_raises(monkeypatch):
         lambert_w0(1e6)
 
 
+def test_lambert_values_independent_of_batch():
+    # an entry stops at its own converged step, whatever the rest of its
+    # array does: a value in an array equals the value computed alone
+    rng = np.random.default_rng(11)
+    x = np.concatenate([-exclusion.INV_E + np.geomspace(1e-12, 0.1, 200),
+                        np.exp(rng.uniform(-1.0, 700.0, 1800))])
+    w = lambert_w0(x)
+    assert all(w[i] == lambert_w0(float(a)) for i, a in enumerate(x))
+
+
 def test_lambert_residual_at_branch_point():
     # where W is ill-conditioned the Halley step stalls above 1e-16 relative
     # for all 12 steps; the residual check accepts these at rounding level

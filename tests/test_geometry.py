@@ -7,11 +7,13 @@ from hexnet import with_updates
 from hexnet.errors import DomainError
 from hexnet.geometry import (
     DistanceSupport,
+    SmoothingMap,
     distance_pdf,
     sample_deployment_arrays,
     support,
 )
 from hexnet.numerics import Quadrature, TailIntegral, integrate
+from hexnet.propagation import kappa_los
 
 
 def _sup(r_d, v_0, dh):
@@ -105,6 +107,57 @@ def test_pdf_edge_ue_position():
     val = integrate(lambda z: distance_pdf(z, sup, 80.0, 80.0),
                     sup.z_l, sup.z_p, q).value
     assert val == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("v_0", [0.0, 10.0, 79.9, 80.0])
+def test_smoothing_map_is_monotone_and_inverted(v_0):
+    # z(v) runs from z_l to z_p, dz/dv is its derivative away from the kink
+    # at v_m, and v inverts z to a few ulp of the support in z
+    sup = _sup(80.0, v_0, 3.1)
+    vmap = SmoothingMap(sup)
+    assert vmap.v_max == 1.0 + (0.0 < v_0 < 80.0)
+    v = np.linspace(0.0, vmap.v_max, 2001)
+    z, jac = vmap.z(v)
+    span = sup.z_p - sup.z_l
+    assert z[0] == sup.z_l and z[-1] == pytest.approx(sup.z_p, rel=1e-15)
+    assert np.all(np.diff(z) > 0.0) and np.all(jac >= 0.0)
+    h = 1e-6
+    smooth = np.abs(v - vmap.v_m) > 2 * h
+    smooth[[0, -1]] = False
+    diff = (vmap.z(v + h)[0] - vmap.z(v - h)[0]) / (2 * h)
+    assert np.allclose(jac[smooth], diff[smooth], rtol=0.0, atol=1e-6 * span)
+    assert np.abs(vmap.z(vmap.v(z))[0] - z).max() <= 4 * np.finfo(float).eps * span
+    assert vmap.v(sup.z_l - 1.0) == 0.0 and vmap.v(math.inf) == vmap.v_max
+    assert math.isnan(vmap.v(math.nan))
+
+
+@pytest.mark.parametrize("v_0", [0.0, 10.0, 40.0, 80.0])
+def test_smoothing_map_removes_square_root_endpoints(v_0):
+    # the LOS-weighted distance law has square-root endpoints at z_l, and off
+    # centre at z_m and z_p: in z they take many bisection sweeps, in v few
+    sup = _sup(80.0, v_0, 3.1)
+    vmap = SmoothingMap(sup)
+
+    def f(z):
+        return distance_pdf(z, sup, v_0, 80.0) * kappa_los(z, 0.3, 3.1)
+
+    sweeps = {"z": 0, "v": 0}
+
+    def in_z(z):
+        sweeps["z"] += 1
+        return f(z)
+
+    def in_v(v):
+        sweeps["v"] += 1
+        z, jac = vmap.z(v)
+        return f(z) * jac
+
+    by_z = integrate(in_z, sup.z_l, sup.z_p,
+                     Quadrature(1e-10, 1e-14, breakpoints=(sup.z_m,))).value
+    by_v = integrate(in_v, 0.0, vmap.v_max,
+                     Quadrature(1e-10, 1e-14, breakpoints=(vmap.v_m,))).value
+    assert by_v == pytest.approx(by_z, rel=1e-10, abs=0.0)
+    assert sweeps["v"] <= 5 and sweeps["z"] >= 3 * sweeps["v"]
 
 
 def test_pdf_domain_error_on_bad_arccos():

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from hexnet.errors import MaxDepthExceeded, NonFiniteEstimate, ToleranceBelowFloor
+from hexnet.errors import (
+    DomainError,
+    MaxDepthExceeded,
+    NonFiniteEstimate,
+    ToleranceBelowFloor,
+)
 from hexnet.numerics import Quadrature, TailIntegral, integrate, integrate_semiinfinite
 
 
@@ -141,3 +146,20 @@ def test_nan_integrand_raises_typed_error_naming_the_panel():
         integrate_semiinfinite(lambda t: np.full(t.shape, np.nan))
     with pytest.raises(NonFiniteEstimate):
         TailIntegral(f, 0.0, 1.0)
+
+
+def test_tail_integral_nan_lower_limit_raises():
+    tail = TailIntegral(lambda x: np.exp(-x), 0.0, 5.0)
+    with pytest.raises(DomainError, match="NaN"):
+        tail(math.nan)
+    with pytest.raises(DomainError, match="NaN"):
+        tail(np.array([math.nan, 5.0]))
+
+
+def test_tail_integral_values_independent_of_batch():
+    # each lower limit's partial panel is summed on its own: a value in an
+    # array equals the value looked up alone, bit for bit
+    tail = TailIntegral(lambda x: np.exp(-x) * np.sqrt(x), 0.0, 5.0)
+    xs = np.random.default_rng(3).uniform(-0.5, 5.5, 2000)
+    got = tail(xs)
+    assert all(got[i] == tail(float(x)) for i, x in enumerate(xs))
