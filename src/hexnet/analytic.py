@@ -468,18 +468,18 @@ class AnalyticEngine:
         """E[ln(1 + SINR) | serving event, serving distance x] at serving
         distances ``xs`` (X,): one ``integrate_semiinfinite`` of Hamdi's
         lemma with one column per x (see ``conditional_rate``); 0 where the
-        serving power underflows, so the SNR is 0."""
+        mean SNR is below t_0, which bounds the value by t_0."""
         ev = self._ev[event]
         m, gains, probs = ev["m"], ev["gains"], ev["probs"]
         mean_g = float(probs @ gains)
         power = m / self._s_factor(event, xs) * mean_g      # c(x) E[g]
-        out = np.zeros(xs.shape)
-        live = power > 0.0
-        if not live.any():
-            return out
-        xs, power = xs[live], power[live]
         snr = power / ev["noise"]
         t0 = 0.1 * self.q_rate_t.abs_tol
+        out = np.zeros(xs.shape)
+        live = snr >= t0
+        if not live.any():
+            return out
+        xs, power, snr = xs[live], power[live], snr[live]
         n_breaks = 1 + max(0, math.ceil(math.log(float(snr.max()) / t0) / 6.0))
         q = replace(self.q_rate_t,
                     breakpoints=tuple(t0 * np.exp(6.0 * np.arange(n_breaks))))
@@ -549,7 +549,12 @@ class AnalyticEngine:
         and every column decays exponentially on the last, unbounded panel.
         The panel below t_0 contributes at most t_0 to any column:
         1 - M_S(t) <= t E[g h] / E[g] = t, and L_I and the noise factor are
-        at most 1, so the integrand f(t) / (1 + t) is at most 1.
+        at most 1, so the integrand f(t) / (1 + t) is at most 1.  A serving
+        distance with snr(x) < t_0 is given 0 without integrating, an error
+        below the same t_0: by Jensen's inequality
+        E[ln(1 + SINR)] <= ln(1 + snr(x)) <= snr(x).  It also keeps
+        t / (c E[g]) finite, as c E[g] >= t_0 sigma^2, where a serving power
+        that is positive but near the smallest double would overflow it.
 
         The mean log is then averaged over the serving distance.  Raises
         ``NumericalInconsistency`` if it comes out negative.

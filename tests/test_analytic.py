@@ -465,8 +465,8 @@ def test_large_absorption_is_finite(table3, k_a):
     # e^{k_a r / alpha} overflows in some balances at z_p: those boundaries
     # are +inf, not NaN.  All-THz (delta_T = 1), the serving power underflows
     # at far serving distances, where the coverage and rate terms are 0.  No
-    # warning is raised.
-    for delta_t in (0.5, 1.0):
+    # warning is raised, on Table 3 as given and all-THz.
+    for delta_t in (table3.geometry.delta_T, 1.0):
         eng = AnalyticEngine(with_updates(table3, k_a=k_a, delta_T=delta_t),
                              rel_tol=1e-4)
         with warnings.catch_warnings():
@@ -483,6 +483,26 @@ def test_large_absorption_is_finite(table3, k_a):
                     assert math.isfinite(rep.cond_coverage.get(e))
         assert math.isfinite(rep.total_rate)
         assert rep.total_rate > 0.0 if delta_t < 1.0 else rep.total_rate >= 0.0
+
+
+@pytest.mark.parametrize("s_unit", [1e300, 1e307, 1e308])
+def test_rate_kernel_at_vanishing_serving_power(table3, s_unit):
+    # unit gains and k_a = 25: at the serving distance where s(x) = s_unit the
+    # serving power is positive (1e307, 1e308: near the smallest double) and
+    # the mean SNR is far below t_0, so the kernel is 0, without a warning
+    from scipy.optimize import brentq
+
+    eng = AnalyticEngine(with_updates(table3, k_a=25.0, delta_T=1.0,
+                                      g_T_max=1.0, g_U_max=1.0), rel_tol=1e-4)
+    for event in ("L", "N"):
+        ev = eng._ev[event]
+        log_s = lambda x: (math.log(ev["m"] / ev["amp"]) + ev["k_a"] * x
+                           + ev["alpha"] * math.log(x) - math.log(s_unit))
+        x = brentq(log_s, eng.sup.z_l, eng.sup.z_p)
+        assert 0.0 < ev["m"] / eng._s_factor(event, np.array([x]))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eng._rate_kernel(event, np.array([x]))[0] == 0.0
 
 
 def test_pointwise_values_independent_of_batch(engine):
