@@ -80,7 +80,9 @@ def mean_desired_gain(ant: AntennaParams) -> float:
 
 
 def sample_gain(pmf: GainPmf, rng: np.random.Generator, size):
-    """Categorical draws from a gain PMF via inverse-CDF, one uniform each."""
+    """Categorical draws from a gain PMF via inverse-CDF, one uniform each:
+    u takes atom #{j < 3 : u >= cum_j} of the cumulative probabilities."""
     cum = np.cumsum(pmf.probs)
-    idx = np.searchsorted(cum, rng.random(size), side="right")
-    return np.asarray(pmf.gains)[np.minimum(idx, len(pmf.gains) - 1)]
+    u = rng.random(size)
+    idx = (u >= cum[0]).astype(np.intp) + (u >= cum[1]) + (u >= cum[2])
+    return np.asarray(pmf.gains).take(idx, out=u, mode="clip")

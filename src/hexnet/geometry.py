@@ -142,36 +142,31 @@ def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
                              n_trials: int):
     """Vectorized deployment sampler for ``n_trials`` independent networks.
 
-    Returns ``(dist, is_thz, is_los)``, each of shape ``(n_trials, N_A)``:
-    the 3-D AP-UE distances, the THz marks, and the LOS marks, meaningful
-    only where ``is_thz``.
-
-    Draw order is fixed (radii, angles, THz subset keys, LOS marks) so that a
-    seeded stream fully determines the result.  An AP at radius r and angle a
-    is at squared horizontal distance r^2 + v_0^2 - 2 r v_0 cos a from the
-    UE, written (r - v_0)^2 + 2 r v_0 (1 - cos a) so that no rounding takes
-    it below zero; a centred UE needs no angle, though the angles are still
-    drawn.  The THz subset of each trial is the ``n_thz`` APs with the
-    smallest of ``N_A`` uniform keys, found by one ``argpartition``: a
-    uniformly random subset of the AP indices.  The keys are drawn only when
-    the subset is not all or none of the APs.
+    Returns ``(dist, is_los)``: the 3-D AP-UE distances, ``(n_trials, N_A)``,
+    and the LOS marks of the THz APs, ``(n_trials, n_thz)``.  The THz APs
+    are the first ``n_thz`` columns: the positions are i.i.d. and
+    independent of which APs are THz, so any fixed ``n_thz`` columns have
+    the joint law of a uniformly random THz subset.  Draw order: radii,
+    angles (off centre only), LOS marks of the THz block; a seed gives a
+    different stream from versions that drew THz subset keys, angles for a
+    centred UE and LOS marks for RF APs.  The squared horizontal distance
+    r^2 + v_0^2 - 2 r v_0 cos a is written (r - v_0)^2 + 2 r v_0 (1 - cos a)
+    so that no rounding takes it below zero.
     """
     g = cfg.geometry
-    n_a, n_thz = g.N_A, g.n_thz
     der = derived_constants(cfg)
 
-    radii = g.r_d * np.sqrt(rng.random((n_trials, n_a)))
-    angles = 2.0 * math.pi * rng.random((n_trials, n_a))
+    radii = g.r_d * np.sqrt(rng.random((n_trials, g.N_A)))
     sq = (radii - g.v_0) ** 2 + der.delta_h**2
     if g.v_0 != 0.0:
-        sq += (2.0 * g.v_0) * radii * (1.0 - np.cos(angles))
-    dist = np.sqrt(sq)
+        # 2 r v_0 (1 - cos a) = (cos a - 1) r (-2 v_0), in one buffer
+        term = np.cos(2.0 * math.pi * rng.random(sq.shape))
+        term -= 1.0
+        term *= radii
+        term *= -2.0 * g.v_0
+        sq += term
+    dist = np.sqrt(sq, out=sq)
 
-    is_thz = np.full((n_trials, n_a), n_thz == n_a)
-    if 0 < n_thz < n_a:
-        keys = rng.random((n_trials, n_a))
-        smallest = np.argpartition(keys, n_thz - 1, axis=1)[:, :n_thz]
-        np.put_along_axis(is_thz, smallest, True, axis=1)
-
-    is_los = rng.random((n_trials, n_a)) < kappa_los(dist, der.beta, der.delta_h)
-    return dist, is_thz, is_los
+    thz = dist[:, :g.n_thz]
+    is_los = rng.random(thz.shape) < kappa_los(thz, der.beta, der.delta_h)
+    return dist, is_los

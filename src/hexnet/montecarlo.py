@@ -1,16 +1,19 @@
 """Monte-Carlo simulation engine: the system model implemented literally.
 
-Each trial redraws the whole network (AP positions, the THz subset, LOS/NLOS
-marks, antenna gains, fading), associates by maximum average biased received
-power, and evaluates the instantaneous SINR of the serving link.
+Each trial redraws the whole network (AP positions, LOS/NLOS marks, antenna
+gains, fading), associates by maximum average biased received power, and
+evaluates the instantaneous SINR of the serving link.
 
-Every AP carries a class code, the association event it would serve: 0 THz
-LOS, 1 THz NLOS, 2 RF.  The scenario's ``propagation.link_table``, indexed
-by that code, gives every AP's average received power from one expression,
-its association bias, and the serving link's noise and bandwidth; each AP
-draws fading only from its own class and an antenna gain only if it is THz.
-Trials are partitioned into ``SUBSTREAMS`` independent sub-streams so
-results are reproducible and independent of the degree of parallelism.
+The N_A AP positions are i.i.d. and independent of which APs are THz, so
+taking the first ``n_thz`` columns of a trial as its THz APs has the law of
+a uniformly random THz subset, and each tier is one contiguous block.  A
+batch draws radii, angles (off centre only) and the THz block's LOS marks
+(``geometry.sample_deployment_arrays``), then the desired gains of
+THz-served trials, the THz block's interferer gains, the fading of its LOS
+then its NLOS APs, and the RF block's fading.  A seed's stream differs from
+that of versions that drew a random THz subset per trial.  Trials are split
+into ``SUBSTREAMS`` independent sub-streams, so results are reproducible
+and independent of the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -51,42 +54,62 @@ class SimulationSummary:
     n_trials: int
 
 
+def _at(block, col):
+    """``block[i, col[i]]`` of every row i; zeros for a tier without APs,
+    which serves no trial."""
+    if block.shape[1] == 0:
+        return np.zeros(len(block), block.dtype)
+    return block[np.arange(len(block)), col]
+
+
+def _others(term, col):
+    """Row sums of ``term`` without column ``col[i]``, zeroed in place."""
+    if term.shape[1]:
+        term[np.arange(len(term)), col] = 0.0
+    return term.sum(axis=1)
+
+
 def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
     """Vectorized trials; returns (event codes 0/1/2, sinr, rate).
 
-    Each AP's class code (0 THz LOS, 1 THz NLOS, 2 RF) indexes the link
-    table, so ``amp e^{-k_a d} d^-alpha`` is written once for all APs.  The
-    winner maximises that power times its class bias, and its code is the
-    trial's event.  Interference sums power x gain x fading over the serving
-    tier's other APs; the desired power is the winner's, times the desired
-    gain and its fading.  After the deployment the draws come in a fixed
-    order: desired gains for THz-served trials, interferer gains for THz
-    APs, then one fading call per class sized by that class's AP count.
+    Link-table codes 0 (THz LOS) and 1 (THz NLOS) differ only in the
+    path-loss exponent and the fading shape, so the THz powers are one
+    ``amp e^{-k_a d - alpha log d}``.  A tier's bias is one constant, so its
+    winner is its strongest AP (for RF the nearest), and THz serves where
+    its biased maximum is at least RF's.  Interference sums power x gain x
+    fading over the serving tier's other APs; the desired power is the
+    winner's times the desired gain and its fading.
     """
     t = link_table(cfg)
-    pmf_des = desired_gain_pmf(cfg.antenna)
-    dist, is_thz, is_los = sample_deployment_arrays(cfg, rng, n)
-    cls = np.where(is_thz, np.where(is_los, 0, 1), 2)
-    power = t.amp[cls] * np.exp(-t.k_a[cls] * dist) * dist ** -t.alpha[cls]
-    rows = np.arange(n)
-    winner = np.argmax(power * t.bias[cls], axis=1)
-    event = cls[rows, winner]
-    serv_thz = event < 2
+    n_thz = cfg.geometry.n_thz
+    dist, is_los = sample_deployment_arrays(cfg, rng, n)
+    d_thz, d_rf = dist[:, :n_thz], dist[:, n_thz:]
+    nlos = ~is_los
+    alpha = (-t.alpha).take(nlos.view(np.uint8))     # code 0 LOS, 1 NLOS
+    p_thz = t.amp[0] * np.exp(alpha * np.log(d_thz) - t.k_a[0] * d_thz)
+    p_rf = t.amp[2] * np.power(d_rf, -t.alpha[2])
+    w_thz = p_thz.argmax(axis=1) if p_thz.size else 0
+    w_rf = p_rf.argmax(axis=1) if p_rf.size else 0
+    serv_thz = t.bias[0] * _at(p_thz, w_thz) >= _at(p_rf, w_rf)
+    event = np.where(serv_thz, np.where(_at(is_los, w_thz), 0, 1), 2)
 
     gain_des = np.ones(n)
-    gain_des[serv_thz] = sample_gain(pmf_des, rng, int(serv_thz.sum()))
-    gain = np.ones_like(dist)
-    gain[is_thz] = sample_gain(interferer_gain_pmf(cfg.antenna), rng,
-                               int(is_thz.sum()))
-    fad = np.empty_like(dist)
-    for code, link in enumerate(LINKS):
-        sel = cls == code
-        fad[sel] = sample_fading(link, rng, cfg.radio, int(sel.sum()))
+    gain_des[serv_thz] = sample_gain(desired_gain_pmf(cfg.antenna), rng,
+                                     np.count_nonzero(serv_thz))
+    gain = sample_gain(interferer_gain_pmf(cfg.antenna), rng, is_los.shape)
+    sig_thz = np.empty_like(p_thz)
+    for link, sel in zip(LINKS, (is_los, nlos)):
+        sig_thz[sel] = sample_fading(link, rng, cfg.radio, np.count_nonzero(sel))
+    sig_thz *= p_thz
+    sig_rf = sample_fading(LINKS[2], rng, cfg.radio, p_rf.shape)
+    sig_rf *= p_rf
 
-    term = power * gain * fad
-    term[rows, winner] = 0.0
-    interference = np.where(is_thz == serv_thz[:, None], term, 0.0).sum(axis=1)
-    desired = power[rows, winner] * gain_des * fad[rows, winner]
+    # the desired powers first: _others zeroes the winners' terms
+    desired = np.where(serv_thz, _at(sig_thz, w_thz) * gain_des,
+                       _at(sig_rf, w_rf))
+    sig_thz *= gain
+    interference = np.where(serv_thz, _others(sig_thz, w_thz),
+                            _others(sig_rf, w_rf))
     sinr = desired / (interference + t.noise[event])
     rate = t.bw[event] * np.log2(1.0 + sinr)
     return event, sinr, rate
@@ -126,16 +149,14 @@ def estimate(cfg: NetworkConfig, n_trials: int, seed,
     if n_trials < MIN_TRIALS:
         raise ValueError(f"n_trials must be >= {MIN_TRIALS}, got {n_trials}")
 
-    children = np.random.SeedSequence(seed).spawn(SUBSTREAMS)
     base, extra = divmod(n_trials, SUBSTREAMS)
-    jobs = [(cfg, children[i], base + (1 if i < extra else 0))
-            for i in range(SUBSTREAMS)]
-
+    args = ([cfg] * SUBSTREAMS, np.random.SeedSequence(seed).spawn(SUBSTREAMS),
+            [base + (i < extra) for i in range(SUBSTREAMS)])
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_stream_sums_star, jobs))
+            results = list(pool.map(_stream_sums, *args))
     else:
-        results = [_stream_sums(*job) for job in jobs]
+        results = list(map(_stream_sums, *args))
 
     # merge in sub-stream order; float sums are reproducible because each
     # stream contributes one fixed partial per statistic
@@ -159,7 +180,3 @@ def estimate(cfg: NetworkConfig, n_trials: int, seed,
         counts=counts,
         n_trials=n_trials,
     )
-
-
-def _stream_sums_star(job):
-    return _stream_sums(*job)

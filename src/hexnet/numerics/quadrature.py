@@ -190,11 +190,18 @@ def integrate_semiinfinite(f, q: Quadrature | None = None) -> QuadResult:
 
     Substitutes t = u / (1 - u) so the weight absorbs one power of the
     Jacobian and the problem becomes a finite integral of f(t(u)) / (1 - u)
-    over [0, 1).  Breakpoints are interpreted on the t axis.
+    over [0, 1).  Breakpoints are interpreted on the t axis.  A breakpoint
+    whose u is so close to 1 that the panel [u, 1] has a Kronrod node at
+    u = 1, where t is infinite, raises DomainError.
     """
     if q is None:
         q = Quadrature()
     mapped = tuple(t / (1.0 + t) for t in q.breakpoints if t > 0)
+    u = float(max(mapped, default=0.0))
+    # the last node of the panel [u, 1], as _eval_panels computes it
+    if 0.5 * (u + 1.0) + 0.5 * (1.0 - u) * NODES[-1] >= 1.0:
+        raise DomainError(f"t breakpoint {float(max(q.breakpoints))!r} maps "
+                          f"to u = {u!r}: the panel [u, 1] has a node at u = 1")
     qq = replace(q, breakpoints=mapped)
     return integrate(lambda u: _weighted(f, u), 0.0, 1.0, qq)
 

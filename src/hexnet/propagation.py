@@ -73,9 +73,12 @@ def kappa_los(r, beta: float, delta_h: float):
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < delta_h - DISTANCE_SPILL_TOL):
         raise DomainError(f"distance {np.min(r_arr)!r} below AP-UE height gap {delta_h!r}")
-    horiz = np.sqrt(np.maximum(r_arr**2 - delta_h**2, 0.0))
-    out = np.exp(-beta * horiz)
-    return float(out) if np.ndim(r) == 0 else out
+    out = np.atleast_1d(r_arr**2 - delta_h**2)
+    np.maximum(out, 0.0, out=out)
+    np.sqrt(out, out=out)
+    out *= -beta
+    np.exp(out, out=out)
+    return float(out[0]) if np.ndim(r) == 0 else out
 
 
 def kappa_nlos(r, beta: float, delta_h: float):

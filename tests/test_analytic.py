@@ -15,7 +15,7 @@ from hexnet.analytic import (
     TierMetrics,
 )
 from hexnet.antenna import mean_desired_gain
-from hexnet.errors import DegenerateEvent, NumericalInconsistency
+from hexnet.errors import DegenerateEvent, DomainError, NumericalInconsistency
 from hexnet.geometry import distance_pdf
 from hexnet.numerics import Quadrature, integrate, integrate_semiinfinite
 from hexnet.propagation import LinkClass, kappa_nlos
@@ -483,6 +483,17 @@ def test_large_absorption_is_finite(table3, k_a):
                     assert math.isfinite(rep.cond_coverage.get(e))
         assert math.isfinite(rep.total_rate)
         assert rep.total_rate > 0.0 if delta_t < 1.0 else rep.total_rate >= 0.0
+
+
+def test_nearly_coplanar_aps_raise_domain_error(table3):
+    # with the APs nearly coplanar with the UE the mean SNR exceeds 1e16, so
+    # a breakpoint of the rate's t axis maps to u = 1: a typed error, and no
+    # division by zero on the way
+    cfg = with_updates(table3, h_A=1.4000001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="t breakpoint"):
+            AnalyticEngine(cfg).report()
 
 
 @pytest.mark.parametrize("s_unit", [1e300, 1e307, 1e308])

@@ -109,3 +109,38 @@ def test_sample_gain_deterministic():
     a = sample_gain(pmf, np.random.default_rng(9), 1000)
     b = sample_gain(pmf, np.random.default_rng(9), 1000)
     assert np.array_equal(a, b)
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random`` returns given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        return self.u.reshape(size).copy()
+
+
+@pytest.mark.parametrize("pmf, below_one", [
+    (desired_gain_pmf(_ant()), False),             # sigma_eps = 0: (1, 0, 0, 0)
+    (interferer_gain_pmf(_ant()), False),
+    (GainPmf(gains=(4.0, 3.0, 2.0, 1.0), probs=(0.25, 0.0, 0.5, 0.25)), False),
+    (GainPmf(gains=(4.0, 3.0, 2.0, 1.0), probs=(0.7, 0.1, 0.1, 0.1 - 5e-13)),
+     True),
+])
+def test_sample_gain_matches_searchsorted(pmf, below_one):
+    # every uniform maps to the atom an inverse-CDF search finds, also at and
+    # next to the cumulative probabilities and beyond the last one
+    cum = np.cumsum(pmf.probs)
+    edges = [c for c in cum if c < 1.0]
+    u = np.concatenate([
+        [0.0, np.nextafter(1.0, 0.0)],
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+        np.random.default_rng(2).random(10_000)])
+    u = u[u < 1.0]
+    assert (cum[-1] < 1.0) == below_one
+    want = np.asarray(pmf.gains)[
+        np.minimum(np.searchsorted(cum, u, side="right"), 3)]
+    assert np.array_equal(sample_gain(pmf, _FixedUniforms(u), u.size), want)
+    shaped = sample_gain(pmf, _FixedUniforms(u[:6]), (2, 3))
+    assert np.array_equal(shaped, want[:6].reshape(2, 3))

@@ -67,4 +67,7 @@ def test_tracer_installs_and_uninstalls(table3):
                  "propagation.kappa.calls", "geometry.distance_pdf.calls",
                  "propagation.fading.draws"):
         assert tracer.counts[name] > 0, name
+    # the sampler saw every trial once, and every AP of every trial drew
+    # one fading value
     assert tracer.counts["geometry.sample.trials"] == 1000
+    assert tracer.counts["propagation.fading.draws"] == 1000 * cfg.geometry.N_A

@@ -8,7 +8,7 @@ from hexnet import montecarlo, with_updates
 from hexnet.antenna import desired_gain_pmf, interferer_gain_pmf, sample_gain
 from hexnet.geometry import sample_deployment_arrays
 from hexnet.montecarlo import MIN_TRIALS, _simulate_batch, estimate
-from hexnet.propagation import LinkClass, sample_fading
+from hexnet.propagation import LinkClass, link_table, sample_fading
 
 
 def test_min_trials_guard(table3):
@@ -73,11 +73,11 @@ def pinned_fading(monkeypatch):
 
 
 def _trial(cfg, seed):
-    """(deployment, (event, sinr)) of one trial with the same stream."""
-    dist, is_thz, is_los = sample_deployment_arrays(
-        cfg, np.random.default_rng(seed), 1)
+    """((dist, is_los), (event, sinr)) of one trial with the same stream:
+    the first n_thz distances are the THz APs, which is_los marks."""
+    dist, is_los = sample_deployment_arrays(cfg, np.random.default_rng(seed), 1)
     event, sinr, _ = _simulate_batch(cfg, np.random.default_rng(seed), 1)
-    return (dist[0], is_thz[0], is_los[0]), (int(event[0]), float(sinr[0]))
+    return (dist[0], is_los[0]), (int(event[0]), float(sinr[0]))
 
 
 def _thz_power(radio, g, d, los):
@@ -89,8 +89,8 @@ def test_single_ap_snr_matches_hand_formula(table3, pinned_fading):
     # one LOS THz AP, no blockers, no steering error, fading pinned at 1:
     # SINR must equal the deterministic SNR of the sampled position
     cfg = with_updates(table3, N_A=1, delta_T=1.0, lambda_B=0.0)
-    (dist, is_thz, is_los), (event, sinr) = _trial(cfg, 31)
-    assert is_thz[0] and is_los[0]
+    (dist, is_los), (event, sinr) = _trial(cfg, 31)
+    assert is_los.shape == (1,) and is_los[0]
     r = cfg.radio
     g1 = cfg.antenna.g_T_max * cfg.antenna.g_U_max
     expected = _thz_power(r, g1, dist[0], True) / r.sigma2_T
@@ -102,7 +102,7 @@ def test_rf_two_ap_interference_structure(table3, pinned_fading):
     # two RF APs, pinned fading: SINR is the closed-form two-node expression
     # and the serving AP is excluded from its own interference
     cfg = with_updates(table3, N_A=2, delta_T=0.0)
-    (dist, _, _), (event, sinr) = _trial(cfg, 7)
+    (dist, _), (event, sinr) = _trial(cfg, 7)
     d = sorted(dist)
     r = cfg.radio
     sig = r.P_R * path_gain(LinkClass.RF, d[0], r)
@@ -123,7 +123,7 @@ def test_interferer_uses_own_link_class(table3, pinned_fading):
     g1 = cfg.antenna.g_T_max * cfg.antenna.g_U_max
     checked_mixed = 0
     for seed in range(120):
-        (ds, _, is_los), (_, sinr) = _trial(cfg, seed)
+        (ds, is_los), (_, sinr) = _trial(cfg, seed)
         brsp = [r.B_T * _thz_power(r, g1, d, los) for d, los in zip(ds, is_los)]
         win = int(np.argmax(brsp))
         other = 1 - win
@@ -139,8 +139,9 @@ def test_interferer_uses_own_link_class(table3, pinned_fading):
 
 
 def test_each_ap_draws_its_own_class_only(table3, monkeypatch):
-    # one fading call per class, sized by that class's AP count, and one
-    # interferer gain per THz AP: nothing is drawn that no AP uses
+    # THz fading in one call per class, sized by that class's AP count, RF
+    # fading in one call over the RF block, and one interferer gain per THz
+    # AP: nothing is drawn that no AP uses
     cfg = with_updates(table3, N_A=30, delta_T=0.8)
     fading, gains = [], []
 
@@ -157,20 +158,75 @@ def test_each_ap_draws_its_own_class_only(table3, monkeypatch):
     monkeypatch.setattr(montecarlo, "sample_fading", fading_recorder)
     monkeypatch.setattr(montecarlo, "sample_gain", gain_recorder)
     n = 200
-    _, is_thz, is_los = sample_deployment_arrays(
-        cfg, np.random.default_rng(13), n)
+    _, is_los = sample_deployment_arrays(cfg, np.random.default_rng(13), n)
     event, _, _ = _simulate_batch(cfg, np.random.default_rng(13), n)
 
-    los = int((is_thz & is_los).sum())
-    nlos = int((is_thz & ~is_los).sum())
-    rf = int((~is_thz).sum())
-    assert 0 < los and 0 < nlos and 0 < rf
+    n_thz, n_rf = cfg.geometry.n_thz, cfg.geometry.n_rf
+    los = int(is_los.sum())
+    nlos = int((~is_los).sum())
+    assert 0 < los and 0 < nlos and 0 < n_rf
     assert fading == [(LinkClass.THZ_LOS, (los,)),
                       (LinkClass.THZ_NLOS, (nlos,)),
-                      (LinkClass.RF, (rf,))]
-    assert los + nlos + rf == n * cfg.geometry.N_A
+                      (LinkClass.RF, (n, n_rf))]
+    assert los + nlos + n * n_rf == n * cfg.geometry.N_A
     assert gains == [(desired_gain_pmf(cfg.antenna), (int((event < 2).sum()),)),
-                     (interferer_gain_pmf(cfg.antenna), (int(is_thz.sum()),))]
+                     (interferer_gain_pmf(cfg.antenna), (n, n_thz))]
+
+
+def _global_argmax_oracle(cfg, dist, is_los):
+    """(event, sinr) of every trial by the whole-network rule, with unit
+    gains and fading: the winner maximises biased power over all APs, the
+    interference sums the serving tier's other APs."""
+    t = link_table(cfg)
+    n, n_thz = is_los.shape
+    is_thz = np.arange(dist.shape[1]) < n_thz
+    cls = np.full(dist.shape, 2)
+    cls[:, :n_thz] = np.where(is_los, 0, 1)
+    power = t.amp[cls] * np.exp(-t.k_a[cls] * dist) * dist ** -t.alpha[cls]
+    rows = np.arange(n)
+    winner = np.argmax(power * t.bias[cls], axis=1)
+    event = cls[rows, winner]
+    same_tier = is_thz[None, :] == (event < 2)[:, None]
+    others = same_tier & (np.arange(dist.shape[1]) != winner[:, None])
+    interference = np.where(others, power, 0.0).sum(axis=1)
+    return event, power[rows, winner] / (interference + t.noise[event])
+
+
+def test_tier_winners_match_global_argmax(table3, monkeypatch):
+    # per-tier winners and one comparison of the biased maxima pick the same
+    # serving AP as the whole-network argmax, and the serving tier's sum
+    # without the winner is its interference
+    monkeypatch.setattr(montecarlo, "sample_fading",
+                        lambda link, rng, radio, size: np.ones(size))
+    monkeypatch.setattr(montecarlo, "sample_gain",
+                        lambda pmf, rng, size: np.ones(size))
+    seen = set()
+    for seed, b_t in enumerate((1e-6, 1.0, 1e6)):
+        cfg = with_updates(table3, N_A=30, delta_T=0.8, B_T=b_t)
+        dist, is_los = sample_deployment_arrays(
+            cfg, np.random.default_rng(seed), 200)
+        event, sinr, _ = _simulate_batch(cfg, np.random.default_rng(seed), 200)
+        want_event, want_sinr = _global_argmax_oracle(cfg, dist, is_los)
+        assert np.array_equal(event, want_event), b_t
+        np.testing.assert_allclose(sinr, want_sinr, rtol=1e-12, atol=0)
+        seen |= set(event.tolist())
+    assert {0, 2} <= seen
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n_a, delta", [(30, 0.0), (30, 1.0), (1, 0.0),
+                                        (1, 1.0), (2, 0.5)])
+def test_empty_tier_edges(table3, n_a, delta):
+    # a tier without APs serves no trial, and nothing turns non-finite
+    cfg = with_updates(table3, N_A=n_a, delta_T=delta)
+    sim = estimate(cfg, MIN_TRIALS, seed=4)
+    assert sum(sim.counts) == sim.n_trials == MIN_TRIALS
+    if cfg.geometry.n_thz == 0:
+        assert sim.counts[:2] == (0, 0)
+    if cfg.geometry.n_rf == 0:
+        assert sim.counts[2] == 0
+    for est in (sim.coverage, sim.rate):
+        assert math.isfinite(est.mean) and math.isfinite(est.half_width_95)
 
 
 def test_fading_follows_the_serving_class(table3, monkeypatch):
@@ -187,8 +243,8 @@ def test_fading_follows_the_serving_class(table3, monkeypatch):
     thz = with_updates(table3, N_A=1, delta_T=1.0, lambda_B=0.5)
     seen = set()
     for seed in range(40):
-        (dist, is_thz, is_los), (event, sinr) = _trial(thz, seed)
-        assert is_thz[0] and event == (0 if is_los[0] else 1)
+        (dist, is_los), (event, sinr) = _trial(thz, seed)
+        assert is_los.shape == (1,) and event == (0 if is_los[0] else 1)
         link = LinkClass.THZ_LOS if is_los[0] else LinkClass.THZ_NLOS
         snr = _thz_power(r, g1, dist[0], is_los[0]) / r.sigma2_T
         assert sinr == pytest.approx(constant[link] * snr, rel=1e-12)
@@ -196,8 +252,8 @@ def test_fading_follows_the_serving_class(table3, monkeypatch):
     assert seen == {LinkClass.THZ_LOS, LinkClass.THZ_NLOS}
 
     rf = with_updates(table3, N_A=1, delta_T=0.0)
-    (dist, is_thz, _), (event, sinr) = _trial(rf, 3)
-    assert not is_thz[0] and event == 2
+    (dist, is_los), (event, sinr) = _trial(rf, 3)
+    assert is_los.size == 0 and event == 2
     snr = r.P_R * path_gain(LinkClass.RF, dist[0], r) / r.sigma2_R
     assert sinr == pytest.approx(constant[LinkClass.RF] * snr, rel=1e-12)
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -88,6 +89,24 @@ def test_semiinfinite_step_ccdf_gives_log():
     # scaled by W/ln2 this is W log2(1 + SINR)
     w = 4e7
     assert w / math.log(2) * res.value == pytest.approx(w * math.log2(1 + snr), rel=1e-10)
+
+
+@pytest.mark.parametrize("t_break", [1e14, 1e16, 1e300])
+def test_semiinfinite_breakpoint_at_u_one_raises(t_break):
+    # t/(1+t) rounds to 1, or so close to it that the panel up to 1 has a
+    # node at u = 1: a DomainError naming the breakpoint, before f is called
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.exp(-t)
+
+    with pytest.raises(DomainError, match=re.escape(repr(t_break))):
+        integrate_semiinfinite(f, Quadrature(breakpoints=(1.0, t_break)))
+    assert not calls
+    # a breakpoint whose panel stays below u = 1 is accepted
+    assert integrate_semiinfinite(
+        f, Quadrature(breakpoints=(1e13,))).value > 0.0
 
 
 def test_tail_integral_matches_direct():
