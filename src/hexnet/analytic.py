@@ -46,11 +46,12 @@ DEGENERATE_EVENT_TOL = 1e-12
 #: tolerated numerical spill of a probability outside [0, 1]
 PROBABILITY_SPILL_TOL = 1e-6
 
-#: element budget of the inner kernel's widest temporary in its first sweep:
-#: 15 u-nodes x serving distances x pieces x expansion points x interferer
-#: gain atoms x (jet order + 1).  Longer vectors of serving distances are
-#: sliced; a refinement sweep on k panels is 2k times as wide.
-_INNER_ELEMENTS = 2**13
+#: element budget of the inner kernel's widest temporary in its first sweep,
+#: one interferer piece's kernel jet: 15 u-nodes x serving distances x
+#: expansion points x interferer gain atoms x (jet order + 1).  Longer vectors
+#: of serving distances are sliced; a refinement sweep on k panels is 2k
+#: times as wide.
+_INNER_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -107,9 +108,10 @@ class AnalyticEngine:
     v, cut at ``_inner_breaks`` (z_m and four seeds near z_l, mapped into
     v), its pieces are mapped affinely onto shared panels in u in [0, 1], and
     its column is divided by the segment's interferer mass over the range (a
-    tail lookup), so the max-norm tolerance applies per x.  The x are sliced
-    so that the kernel's widest temporary stays within ``_INNER_ELEMENTS``
-    elements in the first sweep.
+    tail lookup), so the max-norm tolerance applies per x.  The kernel is
+    accumulated one piece at a time, so its widest temporary, one piece's
+    jet, has no piece axis; the x are sliced so that it stays within
+    ``_INNER_ELEMENTS`` elements in the first sweep.
 
     Coverage needs the Laplace transforms' derivatives up to order m - 1 at
     the threshold, carried as jets.  The rate needs them at order 0 only:
@@ -309,9 +311,10 @@ class AnalyticEngine:
         column refine with the worst one.  Each column is divided by the
         segment's interferer mass over [lo(x), z_p] (a tail lookup) and
         multiplied back afterwards: all columns are O(1), so the shared
-        max-norm tolerance holds per x.  The xs are sorted by lo and sliced
-        so the widest temporary stays within ``_INNER_ELEMENTS`` in the
-        first sweep.
+        max-norm tolerance holds per x.  The xs are sorted by lo, so a slice
+        holds x with similar piece counts, and sliced so that one piece's
+        kernel jet, 15 u-nodes x slice x M x gain atoms x (order + 1),
+        stays within ``_INNER_ELEMENTS`` in the first sweep.
 
         The normalizing denominator is integrated on the same panels as the
         MGF kernels (an extra component per x), so L(0) = 1 holds to machine
@@ -333,9 +336,9 @@ class AnalyticEngine:
         probs = ev["int_probs"]
         n_g = gains.size
         zp = self.sup.z_p
-        breaks = self._inner_breaks
-        per_piece = m_pts * n_g * k1          # kernel elements per node and piece
-        num = np.zeros((n_x, m_pts, n_g, k1))
+        # x per slice: one piece's kernel jet within the element budget
+        step = max(1, _INNER_ELEMENTS // (15 * m_pts * n_g * k1))
+        num = np.zeros((k1, n_x, m_pts, n_g))
         den = np.zeros(n_x)
         mass_total = np.zeros(n_x)
         for c in classes:
@@ -347,20 +350,14 @@ class AnalyticEngine:
             keep = mass > 0.0
             idx, lo, mass = idx[keep], lo[keep], mass[keep]
             mass_total[idx] += mass
-            # sorted by lo, a slice's first column has the most pieces
             by_lo = np.argsort(lo)
-            pieces = 1 + breaks.size - np.searchsorted(breaks, lo[by_lo],
-                                                       side="right")
-            c = 0
-            while c < idx.size:
-                step = max(1, _INNER_ELEMENTS // (15 * pieces[c] * per_piece))
+            for c in range(0, idx.size, step):
                 sl = by_lo[c:c + step]
-                c += step
                 res = self._segment_integral(seg, lo[sl], mass[sl], nu0[idx[sl]],
                                              gains, order)
                 n_c = sl.size
-                num[idx[sl]] += res[:-n_c].reshape(n_c, m_pts, n_g, k1) \
-                    * mass[sl, None, None, None]
+                num[:, idx[sl]] += res[:-n_c].reshape(k1, n_c, m_pts, n_g) \
+                    * mass[sl, None, None]
                 den[idx[sl]] += res[-n_c:] * mass[sl]
 
         bad = ~(mass_total > 0.0)
@@ -369,16 +366,21 @@ class AnalyticEngine:
                 f"event {event} has interferers but no interferer mass at "
                 f"serving distance {float(xs[bad][0])!r}"
             )
-        bracket = np.tensordot(num, probs, axes=([2], [0])) / den[:, None, None]
-        bracket_jet = Jet(np.moveaxis(bracket, -1, 0))         # (K+1, X, M)
-        return (bracket_jet ** float(n_exp)).coeffs
+        bracket = num @ probs / den[:, None]                    # (K+1, X, M)
+        return (Jet(bracket) ** float(n_exp)).coeffs
 
     def _segment_integral(self, seg, lo, mass, nu0, gains, order: int):
         """One segment's mass-normalized kernel integrals over [lo, v_max]
         in v for each lower limit in ``lo`` (in v): the flat
-        (X*M*J*(order+1) + X,) result of one ``integrate`` in u, numerators
+        ((order+1)*X*M*J + X,) result of one ``integrate`` in u, numerators
         first, then the denominators.  ``seg`` is the interferer class's
-        ``_ev`` entry."""
+        ``_ev`` entry.
+
+        The integrand adds the pieces' kernel jets into one
+        (n, order+1, X, M, J) accumulator, one piece at a time, each weighted
+        by w jac width / mass: the density times dz/dv times the piece's
+        width, over the segment's mass.  The small product is divided, so a
+        tiny positive mass cannot overflow the weight."""
         kap, amp, k_abs, alpha, m_seg = (
             seg[k] for k in ("kappa", "amp", "k_a", "alpha", "m"))
         v_max = self.vmap.v_max
@@ -393,24 +395,27 @@ class AnalyticEngine:
         edges = np.column_stack([lo, inner, np.full(lo.size, v_max)])
         start = edges[:, :-1]                                  # (X, P)
         width = np.diff(edges, axis=1)
-        scale = width / mass[:, None]
-        nu = nu0[None, :, None, :, None]                       # (1, X, 1, M, 1)
+        nu = nu0[:, :, None]                                   # (X, M, 1)
 
         def integrand(u):
             y, jac = self.vmap.z(start + width * u[:, None, None])  # (n, X, P)
             w = self._fz(y)
             if kap is not None:
                 w = w * kap(y)
+            wt = w * jac * width / mass[:, None]
             c = amp * np.exp(-k_abs * y) * y ** (-alpha)
-            ctil = ((c / m_seg)[..., None] * gains)[:, :, :, None, :]
-            # the kernel is affine in the Laplace argument
-            a0 = nu * ctil
-            a0 += 1.0
-            ker = affine_power(a0, ctil, -float(m_seg), order)
-            wt = w * scale * jac
-            kc = np.einsum("knxpmj,nxp->nxmjk", ker.coeffs, wt)
+            ctil = (c / m_seg)[..., None, None] * gains        # (n, X, P, 1, J)
+            acc = np.zeros((u.size, order + 1) + nu0.shape + gains.shape)
+            for p in range(n_pieces):
+                a1 = ctil[:, :, p]
+                # the kernel is affine in the Laplace argument
+                a0 = nu * a1
+                a0 += 1.0
+                ker = affine_power(a0, a1, -float(m_seg), order).coeffs
+                ker *= wt[:, :, p, None, None]
+                acc += ker.swapaxes(0, 1)
             return np.concatenate(
-                [kc.reshape(u.size, -1), wt.sum(axis=2)], axis=1)
+                [acc.reshape(u.size, -1), wt.sum(axis=2)], axis=1)
 
         return integrate(integrand, 0.0, 1.0, self.q_inner).value
 

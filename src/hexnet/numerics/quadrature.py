@@ -190,27 +190,29 @@ def integrate_semiinfinite(f, q: Quadrature | None = None) -> QuadResult:
 
     Substitutes t = u / (1 - u) so the weight absorbs one power of the
     Jacobian and the problem becomes a finite integral of f(t(u)) / (1 - u)
-    over [0, 1).  Breakpoints are interpreted on the t axis.  A breakpoint
-    whose u is so close to 1 that the panel [u, 1] has a Kronrod node at
-    u = 1, where t is infinite, raises DomainError.
+    over [0, 1).  Breakpoints are interpreted on the t axis.  Where t is
+    infinite, at u = 1, DomainError names the largest t breakpoint: raised
+    for a breakpoint that maps to u = 1, and for a Kronrod node at u = 1,
+    before f is called there.  A panel from a breakpoint close to 1 has such
+    a node, and so may the halves of a panel refined toward 1.
     """
     if q is None:
         q = Quadrature()
     mapped = tuple(t / (1.0 + t) for t in q.breakpoints if t > 0)
-    u = float(max(mapped, default=0.0))
-    # the last node of the panel [u, 1], as _eval_panels computes it
-    if 0.5 * (u + 1.0) + 0.5 * (1.0 - u) * NODES[-1] >= 1.0:
-        raise DomainError(f"t breakpoint {float(max(q.breakpoints))!r} maps "
-                          f"to u = {u!r}: the panel [u, 1] has a node at u = 1")
-    qq = replace(q, breakpoints=mapped)
-    return integrate(lambda u: _weighted(f, u), 0.0, 1.0, qq)
+    t_max = float(max(q.breakpoints, default=0.0))
+    if max(mapped, default=0.0) >= 1.0:
+        raise DomainError(f"t breakpoint {t_max!r} maps to u = 1")
 
+    def weighted(u):
+        if u.max() >= 1.0:
+            raise DomainError(f"a node at u = 1, where t is infinite; the "
+                              f"largest t breakpoint is {t_max!r}")
+        t = u / (1.0 - u)
+        fx = np.asarray(f(t), dtype=float)
+        jac = 1.0 / (1.0 - u)
+        return fx * jac.reshape((u.size,) + (1,) * (fx.ndim - 1))
 
-def _weighted(f, u):
-    t = u / (1.0 - u)
-    fx = np.asarray(f(t), dtype=float)
-    jac = 1.0 / (1.0 - u)
-    return fx * jac.reshape((u.size,) + (1,) * (fx.ndim - 1))
+    return integrate(weighted, 0.0, 1.0, replace(q, breakpoints=mapped))
 
 
 class TailIntegral:

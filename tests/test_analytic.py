@@ -180,7 +180,9 @@ def test_laplace_vector_matches_per_x(table3):
         "sigma_eps=10": with_updates(table3, sigma_eps_T=sig, sigma_eps_U=sig),
         "n_thz=1": with_updates(table3, delta_T=0.05),  # bracket_exp = 0
     }
-    thresholds = np.array([0.01, 0.1, 1.0, 10.0, 100.0])
+    thresholds = np.geomspace(0.01, 100.0, 10)
+    # the rate's shape: order 0 at over 100 expansion points per x
+    rate_ts = np.geomspace(1e-6, 1e6, 105)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, cfg in cases.items():
@@ -195,25 +197,27 @@ def test_laplace_vector_matches_per_x(table3):
                 n_exp = ev["tiers"][ev["own"]][0]
                 # no interferer mass at z_p for N and R (tested above)
                 xe = xs if event == "L" else xs[:-1]
-                nu0 = (eng._s_factor(event, xe)[:, None, None]
-                       * thresholds[:, None] / ev["gains"]).reshape(xe.size, -1)
-                order = ev["m"] - 1
-                width = nu0.shape[1] * ev["int_gains"].size * (order + 1)
-                if n_exp > 0:
-                    # longer than one slice of the element budget, even
-                    # where an x has a single piece
-                    assert 15 * xe.size * width > _INNER_ELEMENTS
-                vec = eng._laplace_coeffs(event, xe, nu0, order)
-                per = np.stack(
-                    [eng._laplace_coeffs(event, xe[i:i + 1], nu0[i:i + 1],
-                                         order)[:, 0]
-                     for i in range(xe.size)], axis=1)
-                assert vec.shape == (order + 1, xe.size, nu0.shape[1])
-                scale = np.abs(per).max(axis=2, keepdims=True)
-                assert np.all(np.abs(vec - per) <= eng.q_inner.rel_tol * scale), \
-                    (name, event)
-                if n_exp == 0:
-                    assert np.all(vec[0] == 1.0) and np.all(vec[1:] == 0.0)
+                s_x = eng._s_factor(event, xe)
+                nu0_cov = (s_x[:, None, None] * thresholds[:, None]
+                           / ev["gains"]).reshape(xe.size, -1)
+                nu0_rate = s_x[:, None] / ev["m"] * rate_ts
+                for order, nu0 in ((ev["m"] - 1, nu0_cov), (0, nu0_rate)):
+                    width = nu0.shape[1] * ev["int_gains"].size * (order + 1)
+                    if n_exp > 0:
+                        # longer than one slice of the element budget
+                        assert 15 * xe.size * width > _INNER_ELEMENTS
+                    vec = eng._laplace_coeffs(event, xe, nu0, order)
+                    per = np.stack(
+                        [eng._laplace_coeffs(event, xe[i:i + 1], nu0[i:i + 1],
+                                             order)[:, 0]
+                         for i in range(xe.size)], axis=1)
+                    assert vec.shape == (order + 1, xe.size, nu0.shape[1])
+                    scale = np.abs(per).max(axis=2, keepdims=True)
+                    assert np.all(np.abs(vec - per)
+                                  <= eng.q_inner.rel_tol * scale), \
+                        (name, event, order)
+                    if n_exp == 0:
+                        assert np.all(vec[0] == 1.0) and np.all(vec[1:] == 0.0)
 
 
 def test_inner_calls_batched_over_serving_distances(table3, monkeypatch):
@@ -223,8 +227,7 @@ def test_inner_calls_batched_over_serving_distances(table3, monkeypatch):
     ev = eng._ev["L"]
     segments = ev["tiers"][ev["own"]][1]
     width = ev["gains"].size * ev["int_gains"].size * ev["m"]
-    min_slice = max(1, _INNER_ELEMENTS
-                    // (15 * (eng._inner_breaks.size + 1) * width))
+    min_slice = max(1, _INNER_ELEMENTS // (15 * width))
     inner_calls = [0]
     bound = [0]
     plain = analytic.integrate
@@ -242,6 +245,43 @@ def test_inner_calls_batched_over_serving_distances(table3, monkeypatch):
 
     monkeypatch.setattr(analytic, "integrate", counting)
     eng.conditional_coverage("L")
+    assert 0 < inner_calls[0] <= bound[0]
+
+
+def test_rate_inner_calls_batched_over_serving_distances(table3, monkeypatch):
+    # the rate level passes ~100 t-nodes per serving distance at order 0; its
+    # inner calls hold as many x as one piece's kernel allows, counted
+    eng = AnalyticEngine(table3, rel_tol=1e-4)
+    eng.assoc_probabilities()
+    ev = eng._ev["L"]
+    segments = ev["tiers"][ev["own"]][1]
+    n_g = ev["int_gains"].size
+    inner_calls = [0]
+    bound = [0]
+    widest = [0]
+    plain = analytic.integrate
+    plain_semi = analytic.integrate_semiinfinite
+
+    def counting(f, a, b, q=None):
+        if q is eng.q_inner:
+            inner_calls[0] += 1
+        return plain(f, a, b, q)
+
+    def semi(f, q=None):
+        def rate_t(ts):
+            out = f(ts)                                   # (T, X)
+            # segments x budget slices of X columns at T points each
+            step = max(1, _INNER_ELEMENTS // (15 * ts.size * n_g))
+            bound[0] += len(segments) * -(-out.shape[1] // step)
+            widest[0] = max(widest[0], step)
+            return out
+        return plain_semi(rate_t, q)
+
+    monkeypatch.setattr(analytic, "integrate", counting)
+    monkeypatch.setattr(analytic, "integrate_semiinfinite", semi)
+    eng.conditional_rate("L")
+    # the first t-sweeps' slices hold several x
+    assert widest[0] > 1
     assert 0 < inner_calls[0] <= bound[0]
 
 
@@ -486,14 +526,19 @@ def test_large_absorption_is_finite(table3, k_a):
 
 
 def test_nearly_coplanar_aps_raise_domain_error(table3):
-    # with the APs nearly coplanar with the UE the mean SNR exceeds 1e16, so
-    # a breakpoint of the rate's t axis maps to u = 1: a typed error, and no
+    # with the APs nearly coplanar with the UE the interferer mass beyond a
+    # boundary can be tiny but positive: coverage stays finite, without an
+    # overflow.  The mean SNR exceeds 1e16, so the rate's t axis reaches
+    # u = 1, by a breakpoint or by refinement: a typed error, and no
     # division by zero on the way
-    cfg = with_updates(table3, h_A=1.4000001)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DomainError, match="t breakpoint"):
-            AnalyticEngine(cfg).report()
+    for offset in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
+        cfg = with_updates(table3, h_A=1.4 + offset)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cov = AnalyticEngine(cfg, rel_tol=1e-4).coverage().total_coverage
+            assert 0.0 <= cov <= 1.0, offset
+            with pytest.raises(DomainError, match="t breakpoint"):
+                AnalyticEngine(cfg, rel_tol=1e-4).report()
 
 
 @pytest.mark.parametrize("s_unit", [1e300, 1e307, 1e308])

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,24 @@ def test_semiinfinite_breakpoint_at_u_one_raises(t_break):
     # a breakpoint whose panel stays below u = 1 is accepted
     assert integrate_semiinfinite(
         f, Quadrature(breakpoints=(1e13,))).value > 0.0
+
+
+def test_semiinfinite_refinement_toward_u_one_raises():
+    # the panel from the breakpoint 1e13 up to u = 1 has no node at 1, but f
+    # decays on the scale t ~ 1e15, so refinement halves it toward u = 1
+    # until a node lands there: a DomainError, and f never sees t = inf
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return np.exp(-t / 1e15)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError, match="node at u = 1"):
+            integrate_semiinfinite(f, Quadrature(breakpoints=(1e13,)))
+    assert len(calls) > 1
+    assert all(np.isfinite(t).all() for t in calls)
 
 
 def test_tail_integral_matches_direct():
