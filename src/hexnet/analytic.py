@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,51 +75,83 @@ class CoverageReport:
     total_rate: float           # bits/s
 
 
+class ServingTable(NamedTuple):
+    """What one outer sweep needs of its serving distances x (X,), in the
+    support, for one association event: the event's unnormalized density
+    ``w`` (``AnalyticEngine._weight``), and for each class c of a competing
+    tier that has APs, the lower limit ``lo[c]`` in v of class c's APs and
+    their tail mass ``mass[c]`` beyond it."""
+
+    x: np.ndarray
+    w: np.ndarray
+    lo: dict
+    mass: dict
+
+    def take(self, sel) -> "ServingTable":
+        """The table of the serving distances selected by ``sel``."""
+        return ServingTable(self.x[sel], self.w[sel],
+                            {c: v[sel] for c, v in self.lo.items()},
+                            {c: v[sel] for c, v in self.mass.items()})
+
+
 class AnalyticEngine:
     """Per-config caches and the quadrature pipeline.
 
     Each association event (LOS THz, NLOS THz, RF) is one entry of
     ``_ev``, keyed by the letter of its link class: that class's row of
     ``propagation.link_table`` (``amp``, ``k_a``, ``alpha``, ``m``, ``bias``,
-    ``noise``, ``bw``), its blockage law ``kappa`` (None for RF) and tail
-    mass ``tail`` (of a lower limit in v), the serving tier's AP count, the
-    desired and interferer gain atoms, and two competing tiers, RF first,
-    then THz.  A tier is ``(count, classes)``; class c's APs lie beyond
-    ``_boundary``, the serving distance itself for the serving class, else
-    the exclusion boundary ``e_xy``, x the event and y c.  The event's density is the
-    serving density times each tier's summed tail mass beyond its
-    boundaries to the power ``count`` (``_weight``); the boundaries give the
-    panel breakpoints (``_event_breakpoints``); and the serving tier,
-    ``tiers[own]``, gives the interferer segments of the Laplace transform
-    (``_laplace_coeffs``), each with its class's ``_ev`` entry.
+    ``noise``, ``bw``), its blockage law ``kappa`` (None for RF), the
+    columns ``cols`` of ``tail`` whose sum is its tail mass, the serving
+    tier's AP count, the desired and interferer gain atoms, and two
+    competing tiers, RF first, then THz.  A tier is ``(count, classes)``;
+    class c's APs lie beyond ``_boundary``, the serving distance itself for
+    the serving class, else the exclusion boundary ``e_xy``, x the event and
+    y c.  The event's density is the serving density times each tier's
+    summed tail mass beyond its boundaries to the power ``count``
+    (``_weight``); the boundaries give the panel breakpoints
+    (``_event_breakpoints``); and the serving tier, ``tiers[own]``, gives
+    the interferer segments of the Laplace transform (``_laplace_coeffs``),
+    each with its class's ``_ev`` entry.
 
     Every quadrature over a distance runs in the smoothing variable v of
     ``vmap`` (``geometry.SmoothingMap``) with the Jacobian dz/dv, which
     cancels the square-root endpoints of the distance law and the LOS
     probability; in z each would cost the adaptive rule a bisection sweep
-    per halving toward it, at every level.  The outer expectations over the
-    serving distance x run at ``rel_tol`` on [0, v_max], cut at the event
-    breakpoints mapped into v (``_integrate_over_serving``).  The tail caches
-    ``S1``, ``SL`` and ``SN`` (mass of f_Z, f_Z kappa_L and f_Z kappa_N
-    beyond a distance) are built in v, so a lookup takes its lower limit in
-    v.  The inner interference integrals run 10x tighter (``q_inner``),
-    batched: one ``integrate`` per outer sweep and interferer segment serves
-    the sweep's whole vector of x.  Each x's range [lo(x), z_p] is taken into
-    v, cut at ``_inner_breaks`` (z_m and four seeds near z_l, mapped into
-    v), its pieces are mapped affinely onto shared panels in u in [0, 1], and
-    its column is divided by the segment's interferer mass over the range (a
-    tail lookup), so the max-norm tolerance applies per x.  The kernel is
-    accumulated one piece at a time, so its widest temporary, one piece's
-    jet, has no piece axis; the x are sliced so that it stays within
-    ``_INNER_ELEMENTS`` elements in the first sweep.
+    per halving toward it, at every level.  ``tail`` is one ``TailIntegral``
+    of the two columns (f_Z kappa_L, f_Z kappa_N) in v, built at 1e-11 per
+    column, effectively exact for the outer loops: a lookup takes a lower
+    limit in v and returns the LOS and NLOS masses beyond it.  The RF
+    class's mass, that of f_Z, is the sum of the two columns.
+
+    The outer expectations over the serving distance x run at ``rel_tol``
+    on [0, v_max] (``_integrate_over_serving``).  An event's association
+    integral starts on its breakpoints mapped into v; its coverage and rate
+    integrals start on the panels the association integral ended on
+    (``_panels``), as the weight w(x) is a factor of their integrands and
+    those panels are where it needed resolution.  Each outer sweep builds
+    one ``ServingTable`` (``_serving_table``): per class of a competing
+    tier with APs, the lower limit in v of its APs and, in one tail lookup
+    for all classes, the mass beyond it; w(x) is read from the table, and so
+    are the interferer segments' lower limits and masses in the Laplace
+    kernel.  The inner interference integrals run 10x tighter
+    (``q_inner``), batched: one ``integrate`` per outer sweep and interferer
+    segment serves the sweep's whole vector of x.  Each x's range
+    [lo(x), z_p] is taken into v, cut at ``_inner_breaks`` (z_m and four
+    seeds near z_l, mapped into v), its pieces are mapped affinely onto
+    shared panels in u in [0, 1], and its column is divided by the
+    segment's interferer mass over the range, so the max-norm tolerance
+    applies per x.  The kernel is accumulated one piece at a time, so its
+    widest temporary, one piece's jet, has no piece axis; the x are sliced
+    so that it stays within ``_INNER_ELEMENTS`` elements in the first sweep.
 
     Coverage needs the Laplace transforms' derivatives up to order m - 1 at
     the threshold, carried as jets.  The rate needs them at order 0 only:
     by Hamdi's lemma (``_rate_kernel``) the mean log of 1 + SINR is one
     integral over the Laplace argument, run at ``rel_tol`` with one
     ``integrate_semiinfinite`` per outer sweep, one column per serving
-    distance of the sweep, between the outer and inner levels.  The tail
-    caches run at 1e-11, effectively exact for the outer loops.
+    distance of the sweep, between the outer and inner levels.  Every sweep
+    of that integral hands the outer sweep's serving table to the Laplace
+    kernel, so the rate level looks up no boundary or tail mass either.
     """
 
     def __init__(self, cfg: NetworkConfig, rel_tol: float = 1e-7):
@@ -156,12 +188,16 @@ class AnalyticEngine:
         self._fz = lambda z: distance_pdf(z, self.sup, g.v_0, g.r_d)
         self._kl = lambda z: kappa_los(z, self.der.beta, self.der.delta_h)
         self._kn = lambda z: kappa_nlos(z, self.der.beta, self.der.delta_h)
-        # tail masses beyond a lower limit given in v
-        self.S1 = TailIntegral(self._in_v(self._fz), 0.0, v_max, q_tail)
-        self.SL = TailIntegral(self._in_v(lambda z: self._fz(z) * self._kl(z)),
-                               0.0, v_max, q_tail)
-        self.SN = TailIntegral(self._in_v(lambda z: self._fz(z) * self._kn(z)),
-                               0.0, v_max, q_tail)
+
+        def los_nlos(v):
+            z, jac = self.vmap.z(v)
+            f = self._fz(z)
+            kl = self._kl(z)
+            # kappa_nlos is 1 - kappa_los, to the bit
+            return np.column_stack([f * kl, f * (1.0 - kl)]) * jac[:, None]
+
+        # LOS and NLOS tail masses beyond a lower limit given in v
+        self.tail = TailIntegral(los_nlos, 0.0, v_max, q_tail)
 
         # gain atoms of probability zero contribute nothing to the outer sums
         des_g = np.asarray(self.pmf_desired.gains)
@@ -172,12 +208,12 @@ class AnalyticEngine:
         int_g, int_p = int_g[int_p > 0], int_p[int_p > 0]
         one = np.asarray([1.0])
         self._ev = {}
-        for i, (event, kappa, tail) in enumerate(zip(
-                EVENTS, (self._kl, self._kn, None), (self.SL, self.SN, self.S1))):
+        for i, (event, kappa, cols) in enumerate(zip(
+                EVENTS, (self._kl, self._kn, None), ([0], [1], [0, 1]))):
             thz = event != "R"
             self._ev[event] = dict(
                 {f: col[i].item() for f, col in links._asdict().items()},
-                kappa=kappa, tail=tail,
+                kappa=kappa, cols=cols,
                 count=self.n_thz if thz else self.n_rf,
                 gains=des_g if thz else one, probs=des_p if thz else one,
                 int_gains=int_g if thz else one, int_probs=int_p if thz else one,
@@ -188,6 +224,9 @@ class AnalyticEngine:
                        (self.n_thz - thz, "NL" if event == "N" else "LN")))
         self._assoc: Optional[TierMetrics] = None
         self._breaks: dict[str, tuple] = {}
+        # per event, the final panels' edges (in v) of its association
+        # integral, where every later outer integral of the event starts
+        self._panels: dict[str, tuple] = {}
 
     # -- serving-distance machinery --------------------------------------------
 
@@ -198,12 +237,15 @@ class AnalyticEngine:
             return f(z) * jac
         return integrand
 
-    def _integrate_over_serving(self, event: str, f) -> float:
+    def _integrate_over_serving(self, f, cuts):
         """int f(x) dx over [z_l, z_p], run in the smoothing variable on
-        panels cut at the event's breakpoints mapped into v."""
-        cuts = self.vmap.v(np.array(self._event_breakpoints(event)))
+        panels cut at ``cuts`` (in v); the ``integrate`` result."""
         q = replace(self.q_outer, breakpoints=tuple(cuts))
-        return integrate(self._in_v(f), 0.0, self.vmap.v_max, q).value
+        return integrate(self._in_v(f), 0.0, self.vmap.v_max, q)
+
+    def _event_cuts(self, event: str) -> tuple:
+        """The event's breakpoints mapped into v."""
+        return tuple(self.vmap.v(np.array(self._event_breakpoints(event))))
 
     def _boundary(self, event: str, c: str, x):
         """Lower limit of class-c APs at serving distance x: x itself for the
@@ -232,6 +274,34 @@ class AnalyticEngine:
         self._breaks[event] = out
         return out
 
+    def _serving_table(self, event: str, x) -> ServingTable:
+        """The ``ServingTable`` of one association event at serving
+        distances x (X,), clipped to the support: one exclusion boundary
+        per class of a competing tier with APs, and one lookup of
+        ``self.tail`` for all of them, a class's mass being the sum of its
+        columns (``cols``: LOS, NLOS, or both for RF).  The density
+        w = count * f_Z(x) * kappa(x), times each competing tier's summed
+        mass to the power of its AP count."""
+        ev = self._ev[event]
+        x = np.clip(x, self.sup.z_l, self.sup.z_p)
+        classes = [c for count, cs in ev["tiers"] if count > 0 for c in cs]
+        lo = {c: self.vmap.v(self._boundary(event, c, x)) for c in classes}
+        mass = {}
+        if classes:
+            cols = self.tail(np.concatenate([lo[c] for c in classes]))
+            for k, c in enumerate(classes):
+                mass[c] = cols[k * x.size:(k + 1) * x.size,
+                               self._ev[c]["cols"]].sum(axis=1)
+        w = ev["count"] * self._fz(x)
+        if ev["kappa"] is not None:
+            w = w * ev["kappa"](x)
+        for count, cs in ev["tiers"]:
+            if count > 0:
+                # np.power, not **: a float's ** is libm's pow, which can
+                # differ in the last bit from numpy's on arrays
+                w = w * np.power(sum(mass[c] for c in cs), count)
+        return ServingTable(x, w, lo, mass)
+
     def _weight(self, event: str, x):
         """Unnormalized serving-distance density of one association event:
         count * f_Z(x) * kappa(x), times each competing tier's tail mass
@@ -243,36 +313,28 @@ class AnalyticEngine:
         blockage and exclusion laws inside their domains.  A scalar x gives a
         float, an array x an array of the same shape.
         """
-        ev = self._ev[event]
-        x_raw = np.asarray(x, dtype=float)
-        zl, zp = self.sup.z_l, self.sup.z_p
-        x = np.clip(x_raw, zl, zp)
-        out = ev["count"] * self._fz(x)
-        if ev["kappa"] is not None:
-            out = out * ev["kappa"](x)
-        for count, classes in ev["tiers"]:
-            if count > 0:
-                # np.power, not **: a float's ** is libm's pow, which can
-                # differ in the last bit from numpy's on arrays
-                out = out * np.power(sum(
-                    self._ev[c]["tail"](self.vmap.v(self._boundary(event, c, x)))
-                    for c in classes), count)
-        out = np.where((x_raw < zl) | (x_raw > zp), 0.0, out)
-        return float(out) if out.ndim == 0 else out
+        x = np.asarray(x, dtype=float)
+        w = self._serving_table(event, x.reshape(-1)).w.reshape(x.shape)
+        w = np.where((x < self.sup.z_l) | (x > self.sup.z_p), 0.0, w)
+        return float(w) if w.ndim == 0 else w
 
     def assoc_probabilities(self) -> TierMetrics:
         if self._assoc is not None:
             return self._assoc
         if self.n_thz == 0:
             self._assoc = TierMetrics(0.0, 0.0, 1.0)
+            # no association integral to start from
+            self._panels["R"] = self._event_cuts("R")
             return self._assoc
         vals = {}
         for event in EVENTS:
             if event == "R" and self.n_rf == 0:
                 vals["R"] = 0.0
                 continue
-            vals[event] = self._integrate_over_serving(
-                event, lambda x, e=event: self._weight(e, x))
+            res = self._integrate_over_serving(
+                lambda x, e=event: self._weight(e, x), self._event_cuts(event))
+            vals[event] = res.value
+            self._panels[event] = res.breakpoints
         self._assoc = TierMetrics(vals["L"], vals["N"], vals["R"])
         return self._assoc
 
@@ -296,25 +358,30 @@ class AnalyticEngine:
 
     # -- interference Laplace transforms ----------------------------------------
 
-    def _laplace_coeffs(self, event: str, xs, nu0, order: int):
-        """Taylor coefficients (order+1, X, M) of L_I at serving distances
-        ``xs`` (X,) and expansion points ``nu0`` (X, M), one row per x.
+    def _laplace_coeffs(self, event: str, table: ServingTable, nu0,
+                        order: int):
+        """Taylor coefficients (order+1, X, M) of L_I at the serving
+        distances of ``table`` (X,) and expansion points ``nu0`` (X, M), one
+        row per x.
 
         The segments are the serving tier's classes.  Per segment, column x
         integrates over [lo(x), z_p], lo the class's boundary at x clipped to
         z_l, in the smoothing variable: over [v(lo), v_max], cut into pieces
-        at the inner breakpoints inside it.  Every piece [a, b] is mapped affinely
-        onto u in [0, 1], and column x's integrand at u is the sum over its
-        pieces of the integrand in v times (b - a), so one integral in u
-        serves all x on shared panels.  In v the density's square-root
-        endpoints are smooth; on shared panels in z they would make every
-        column refine with the worst one.  Each column is divided by the
-        segment's interferer mass over [lo(x), z_p] (a tail lookup) and
-        multiplied back afterwards: all columns are O(1), so the shared
-        max-norm tolerance holds per x.  The xs are sorted by lo, so a slice
-        holds x with similar piece counts, and sliced so that one piece's
-        kernel jet, 15 u-nodes x slice x M x gain atoms x (order + 1),
-        stays within ``_INNER_ELEMENTS`` in the first sweep.
+        at the inner breakpoints inside it.  The lower limits v(lo) and the
+        segment's interferer masses beyond them are the table's ``lo`` and
+        ``mass``: the kernel looks up no boundary and no tail mass.  Every
+        piece [a, b] is mapped affinely onto u in [0, 1], and column x's
+        integrand at u is the sum over its pieces of the integrand in v times
+        (b - a), so one integral in u serves all x on shared panels.  In v
+        the density's square-root endpoints are smooth; on shared panels in
+        z they would make every column refine with the worst one.  Each
+        column is divided by the segment's interferer mass over [lo(x), z_p]
+        and multiplied back afterwards: all columns are O(1), so the shared
+        max-norm tolerance holds per x; an x where that mass is 0 has no
+        column.  The x are sorted by lo, so a slice holds x with similar
+        piece counts, and sliced so that one piece's kernel jet, 15 u-nodes
+        x slice x M x gain atoms x (order + 1), stays within
+        ``_INNER_ELEMENTS`` in the first sweep.
 
         The normalizing denominator is integrated on the same panels as the
         MGF kernels (an extra component per x), so L(0) = 1 holds to machine
@@ -322,7 +389,6 @@ class AnalyticEngine:
         no interferer mass although the event has interferers.
         """
         ev = self._ev[event]
-        xs = np.asarray(xs, dtype=float)
         nu0 = np.asarray(nu0, dtype=float)
         n_x, m_pts = nu0.shape
         k1 = order + 1
@@ -335,7 +401,6 @@ class AnalyticEngine:
         gains = ev["int_gains"]
         probs = ev["int_probs"]
         n_g = gains.size
-        zp = self.sup.z_p
         # x per slice: one piece's kernel jet within the element budget
         step = max(1, _INNER_ELEMENTS // (15 * m_pts * n_g * k1))
         num = np.zeros((k1, n_x, m_pts, n_g))
@@ -343,12 +408,8 @@ class AnalyticEngine:
         mass_total = np.zeros(n_x)
         for c in classes:
             seg = self._ev[c]
-            lo = np.asarray(self._boundary(event, c, xs), dtype=float)
-            idx = np.flatnonzero(np.isfinite(lo) & (lo < zp))
-            lo = self.vmap.v(lo[idx])                  # below z_l maps to 0
-            mass = seg["tail"](lo)
-            keep = mass > 0.0
-            idx, lo, mass = idx[keep], lo[keep], mass[keep]
+            idx = np.flatnonzero(table.mass[c] > 0.0)
+            lo, mass = table.lo[c][idx], table.mass[c][idx]
             mass_total[idx] += mass
             by_lo = np.argsort(lo)
             for c in range(0, idx.size, step):
@@ -364,7 +425,7 @@ class AnalyticEngine:
         if bad.any():
             raise DegenerateEvent(
                 f"event {event} has interferers but no interferer mass at "
-                f"serving distance {float(xs[bad][0])!r}"
+                f"serving distance {float(table.x[bad][0])!r}"
             )
         bracket = num @ probs / den[:, None]                    # (K+1, X, M)
         return (Jet(bracket) ** float(n_exp)).coeffs
@@ -453,38 +514,41 @@ class AnalyticEngine:
             total += (-1.0) ** u * nu**u * l_coeffs[u] * cum[m - 1 - u]
         return total @ probs
 
-    def _coverage_kernel(self, event: str, xs) -> np.ndarray:
-        """P[SINR > theta | serving event, serving distance x] at serving
-        distances ``xs`` (X,)."""
+    def _coverage_kernel(self, event: str, table: ServingTable) -> np.ndarray:
+        """P[SINR > theta | serving event, serving distance x] at the serving
+        distances of ``table`` (X,)."""
         ev = self._ev[event]
-        s_vals = self._s_factor(event, xs) * self.cfg.radio.theta
+        s_vals = self._s_factor(event, table.x) * self.cfg.radio.theta
         # where e^{-lambda} is 0 in double at the largest desired gain (at
         # the latest where the serving power underflows), so is every term
         live = np.exp(-s_vals * (ev["noise"] / ev["gains"].max())) > 0.0
-        out = np.zeros(xs.shape)
+        out = np.zeros(s_vals.shape)
         if live.any():
             s_live = s_vals[live]
             nu0 = s_live[:, None] / ev["gains"]
-            lc = self._laplace_coeffs(event, xs[live], nu0, ev["m"] - 1)
+            lc = self._laplace_coeffs(event, table.take(live), nu0,
+                                      ev["m"] - 1)
             out[live] = self._assemble_ccdf(event, s_live, lc)
         return out
 
-    def _rate_kernel(self, event: str, xs) -> np.ndarray:
-        """E[ln(1 + SINR) | serving event, serving distance x] at serving
-        distances ``xs`` (X,): one ``integrate_semiinfinite`` of Hamdi's
-        lemma with one column per x (see ``conditional_rate``); 0 where the
-        mean SNR is below t_0, which bounds the value by t_0."""
+    def _rate_kernel(self, event: str, table: ServingTable) -> np.ndarray:
+        """E[ln(1 + SINR) | serving event, serving distance x] at the
+        serving distances of ``table`` (X,): one ``integrate_semiinfinite``
+        of Hamdi's lemma with one column per x (see ``conditional_rate``),
+        each of whose sweeps hands the same table, sliced to the live x, to
+        ``_laplace_coeffs``; 0 where the mean SNR is below t_0, which bounds
+        the value by t_0."""
         ev = self._ev[event]
         m, gains, probs = ev["m"], ev["gains"], ev["probs"]
         mean_g = float(probs @ gains)
-        power = m / self._s_factor(event, xs) * mean_g      # c(x) E[g]
+        power = m / self._s_factor(event, table.x) * mean_g  # c(x) E[g]
         snr = power / ev["noise"]
         t0 = 0.1 * self.q_rate_t.abs_tol
-        out = np.zeros(xs.shape)
+        out = np.zeros(snr.shape)
         live = snr >= t0
         if not live.any():
             return out
-        xs, power, snr = xs[live], power[live], snr[live]
+        table, power, snr = table.take(live), power[live], snr[live]
         n_breaks = 1 + max(0, math.ceil(math.log(float(snr.max()) / t0) / 6.0))
         q = replace(self.q_rate_t,
                     breakpoints=tuple(t0 * np.exp(6.0 * np.arange(n_breaks))))
@@ -493,7 +557,7 @@ class AnalyticEngine:
         def integrand(ts):
             # 1 - M_S(t) by expm1/log1p: small t keeps its digits
             one_minus_ms = -np.expm1(-m * np.log1p(ts[:, None] * rel_g)) @ probs
-            lap = self._laplace_coeffs(event, xs, ts / power[:, None], 0)[0]
+            lap = self._laplace_coeffs(event, table, ts / power[:, None], 0)[0]
             noise = np.exp(-ts / snr[:, None])
             return ((1.0 + ts) / ts * one_minus_ms)[:, None] * (lap * noise).T
 
@@ -503,24 +567,27 @@ class AnalyticEngine:
     def _expect_over_serving(self, event: str, point_fn) -> float:
         """(1/A) * int w(x) point_fn(x) dx over the serving support.
 
-        ``point_fn`` takes the vector of one outer sweep's serving distances
-        with w(x) > 0 and returns one value per distance.
+        Starts on the final panels of the event's association integral:
+        w(x) is a factor of this integrand too, and those panels are where
+        it needed resolution.  ``point_fn`` takes the ``ServingTable`` of
+        one outer sweep's serving distances with w(x) > 0 and returns one
+        value per distance.
         """
         a = self._event_probability(event)
 
         def outer(xs):
-            w = self._weight(event, xs)
+            table = self._serving_table(event, xs)
             out = np.zeros_like(xs)
-            pos = w > 0.0
+            pos = table.w > 0.0
             if pos.any():
-                out[pos] = w[pos] * point_fn(xs[pos])
+                out[pos] = table.w[pos] * point_fn(table.take(pos))
             return out
 
-        return self._integrate_over_serving(event, outer) / a
+        return self._integrate_over_serving(outer, self._panels[event]).value / a
 
     def conditional_coverage(self, event: str) -> float:
         val = self._expect_over_serving(
-            event, lambda xs: self._coverage_kernel(event, xs))
+            event, lambda table: self._coverage_kernel(event, table))
         if not -PROBABILITY_SPILL_TOL <= val <= 1.0 + PROBABILITY_SPILL_TOL:
             raise NumericalInconsistency(
                 f"conditional coverage for event {event} is {val!r}"
@@ -565,7 +632,7 @@ class AnalyticEngine:
         ``NumericalInconsistency`` if it comes out negative.
         """
         val = self._expect_over_serving(
-            event, lambda xs: self._rate_kernel(event, xs))
+            event, lambda table: self._rate_kernel(event, table))
         if val < 0.0:
             raise NumericalInconsistency(
                 f"conditional mean log-rate for event {event} is {val!r}"

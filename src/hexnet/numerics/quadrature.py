@@ -86,6 +86,7 @@ class Quadrature:
 class QuadResult(NamedTuple):
     value: object  # float, or ndarray for vector-valued integrands
     error: float
+    breakpoints: tuple  # interior edges of the final panels, ascending
 
 
 def _maxabs(values, tail_ndim):
@@ -95,9 +96,15 @@ def _maxabs(values, tail_ndim):
     return np.abs(values).reshape(values.shape[0], -1).max(axis=1)
 
 
-def _eval_panels(f, a, b):
-    """Kronrod/Gauss evaluation of panels [a_i, b_i]; returns (values, errors).
-    Raises NonFiniteEstimate on the first panel whose error is not finite."""
+def _colabs(values, tail_ndim):
+    """Absolute value per component; values shape (m, *tail) -> (m, C)."""
+    return np.abs(values).reshape(values.shape[0], -1)
+
+
+def _eval_panels(f, a, b, norm):
+    """Kronrod/Gauss evaluation of panels [a_i, b_i]; returns (values, errors),
+    the errors reduced over the trailing axes by ``norm``.  Raises
+    NonFiniteEstimate on the first panel whose error is not finite."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     nodes = mid[:, None] + half[:, None] * NODES
@@ -109,36 +116,37 @@ def _eval_panels(f, a, b):
     resabs = np.tensordot(np.abs(fx), KRONROD_WEIGHTS, axes=([1], [0]))
     half_r = half.reshape((a.size,) + (1,) * len(tail))
     values = kron * half_r
-    err = _maxabs((kron - gauss) * half_r, len(tail))
-    err = np.maximum(err, _ERR_FLOOR * _maxabs(resabs * half_r, len(tail)))
-    bad = ~np.isfinite(err)
+    err = norm((kron - gauss) * half_r, len(tail))
+    err = np.maximum(err, _ERR_FLOOR * norm(resabs * half_r, len(tail)))
+    bad = ~np.isfinite(err.reshape(a.size, -1)).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        raise NonFiniteEstimate(float(a[i]), float(b[i]), float(err[i]))
+        raise NonFiniteEstimate(float(a[i]), float(b[i]), float(np.max(err[i])))
     return values, err
 
 
-def _initial_panels(f, a, b, breakpoints):
+def _initial_panels(f, a, b, breakpoints, norm):
     """Panels between the breakpoints inside (a, b), evaluated, at depth 0:
     (starts, ends, values, errors, depths)."""
     pts = sorted({float(p) for p in breakpoints if a < p < b})
     edges = np.array([a, *pts, b], dtype=float)
     pa, pb = edges[:-1], edges[1:]
-    return (pa, pb, *_eval_panels(f, pa, pb), np.zeros(pa.size, dtype=int))
+    return (pa, pb, *_eval_panels(f, pa, pb, norm),
+            np.zeros(pa.size, dtype=int))
 
 
-def _bisect(f, split, pa, pb, vals, errs, depths):
+def _bisect(f, split, pa, pb, vals, errs, depths, norm):
     """Halve the panels marked in ``split``: the kept panels, then the new
     halves, with their values, errors and depths."""
     sa, sb = pa[split], pb[split]
     smid = 0.5 * (sa + sb)
     ca = np.concatenate([sa, smid])
     cb = np.concatenate([smid, sb])
-    cvals, cerrs = _eval_panels(f, ca, cb)
+    cvals, cerrs = _eval_panels(f, ca, cb, norm)
     keep = ~split
     return (np.concatenate([pa[keep], ca]), np.concatenate([pb[keep], cb]),
             np.concatenate([vals[keep], cvals], axis=0),
-            np.concatenate([errs[keep], cerrs]),
+            np.concatenate([errs[keep], cerrs], axis=0),
             np.concatenate([depths[keep], depths[split] + 1, depths[split] + 1]))
 
 
@@ -151,15 +159,21 @@ def integrate(f, a: float, b: float, q: Quadrature | None = None) -> QuadResult:
     the worst panel) if a panel would have to be split beyond ``max_depth``
     halvings, and NonFiniteEstimate if a panel's error estimate is not
     finite.
+
+    The result also carries the interior edges of the final panels, where
+    the integrand needed resolution: as the ``breakpoints`` of a later
+    integral over the same range whose integrand shares a factor with this
+    one, they start it on panels that factor has already refined.
     """
     if q is None:
         q = Quadrature()
     if b < a:
         raise ValueError("integrate requires a <= b")
     if a == b:
-        return QuadResult(0.0, 0.0)
+        return QuadResult(0.0, 0.0, ())
 
-    pa, pb, vals, errs, depths = _initial_panels(f, a, b, q.breakpoints)
+    pa, pb, vals, errs, depths = _initial_panels(f, a, b, q.breakpoints,
+                                                 _maxabs)
     tail_ndim = vals.ndim - 1
     span = b - a
 
@@ -170,7 +184,7 @@ def integrate(f, a: float, b: float, q: Quadrature | None = None) -> QuadResult:
         tol = max(q.abs_tol, q.rel_tol * scale)
         if err_total <= tol:
             value = total if tail_ndim else float(total)
-            return QuadResult(value, err_total)
+            return QuadResult(value, err_total, tuple(np.sort(pa)[1:].tolist()))
 
         budget = tol * (pb - pa) / span
         split = errs > budget
@@ -182,7 +196,7 @@ def integrate(f, a: float, b: float, q: Quadrature | None = None) -> QuadResult:
                                    float(errs[worst]))
 
         pa, pb, vals, errs, depths = _bisect(f, split, pa, pb, vals, errs,
-                                             depths)
+                                             depths, _maxabs)
 
 
 def integrate_semiinfinite(f, q: Quadrature | None = None) -> QuadResult:
@@ -194,7 +208,8 @@ def integrate_semiinfinite(f, q: Quadrature | None = None) -> QuadResult:
     infinite, at u = 1, DomainError names the largest t breakpoint: raised
     for a breakpoint that maps to u = 1, and for a Kronrod node at u = 1,
     before f is called there.  A panel from a breakpoint close to 1 has such
-    a node, and so may the halves of a panel refined toward 1.
+    a node, and so may the halves of a panel refined toward 1.  The final
+    panels' edges in the result are in u.
     """
     if q is None:
         q = Quadrature()
@@ -216,17 +231,24 @@ def integrate_semiinfinite(f, q: Quadrature | None = None) -> QuadResult:
 
 
 class TailIntegral:
-    """Cached suffix antiderivative T(x) = int_x^b f(y) dy of a scalar f.
+    """Cached suffix antiderivative T(x) = int_x^b f(y) dy of a vectorized f.
 
-    Builds one adaptive panelization of [a, b] up front (each panel refined to
-    its length-proportional error share), then answers arbitrary lower limits
-    with a suffix sum plus a single fresh Kronrod rule on the partial panel.
-    Vectorized over x; each lower limit's rule is summed on its own, so a
-    value does not depend on the other entries of its array.  Raises
-    MaxDepthExceeded (reporting the worst panel) if the tolerance cannot be
-    met: a panel over its error share would have to be split below a width
-    of 64 ulp or beyond ``max_depth`` halvings.  A NaN lower limit raises
-    DomainError.
+    Like ``integrate``'s integrands, f may return trailing axes; T(x) has
+    them too.  Builds one adaptive panelization of [a, b] up front, shared
+    by all components, then answers arbitrary lower limits with a suffix sum
+    plus a single fresh Kronrod rule on the partial panel.  The tolerance
+    holds per component, not in the max norm: each component's summed error
+    estimate meets ``max(abs_tol, rel_tol * |its total|)``, and a panel is
+    split while any component is over its length-proportional share of its
+    own tolerance.  A component that is small is not held to the scale of a
+    large one, and one that is identically zero needs only ``abs_tol``.
+
+    Vectorized over x; each lower limit's rule is summed on its own, node by
+    node, so a value does not depend on the other entries of its array.
+    Raises MaxDepthExceeded (reporting the worst panel) if the tolerance
+    cannot be met: a panel over its error share would have to be split below
+    a width of 64 ulp or beyond ``max_depth`` halvings.  A NaN lower limit
+    raises DomainError.
     """
 
     def __init__(self, f, a: float, b: float, q: Quadrature | None = None):
@@ -237,33 +259,39 @@ class TailIntegral:
         self.b = float(b)
         if not b > a:
             raise ValueError("TailIntegral requires b > a")
-        pa, pb, vals, errs, depths = _initial_panels(f, a, b, q.breakpoints)
+        # errs: (panels, components)
+        pa, pb, vals, errs, depths = _initial_panels(f, a, b, q.breakpoints,
+                                                     _colabs)
         span = b - a
         min_width = 64.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
         while True:
-            total = float(vals.sum())
-            tol = max(q.abs_tol, q.rel_tol * abs(total))
-            if errs.sum() <= tol:
+            total = vals.sum(axis=0).reshape(-1)
+            tol = np.maximum(q.abs_tol, q.rel_tol * np.abs(total))
+            if np.all(errs.sum(axis=0) <= tol):
                 break
-            split = (errs > tol * (pb - pa) / span) & (pb - pa > min_width)
+            share = ((pb - pa) / span)[:, None]
+            split = (errs > tol * share).any(axis=1) & (pb - pa > min_width)
             if not split.any() or depths[split].max() >= q.max_depth:
                 # the tolerance is out of reach: every panel over its share
                 # is at min_width, or one would be split beyond max_depth
                 pool = split if split.any() else np.ones_like(split)
-                worst = int(np.argmax(np.where(pool, errs, -np.inf)))
+                worst = int(np.argmax(np.where(pool, errs.max(axis=1),
+                                               -np.inf)))
                 raise MaxDepthExceeded(float(pa[worst]), float(pb[worst]),
-                                       float(errs[worst]))
+                                       float(errs[worst].max()))
             pa, pb, vals, errs, depths = _bisect(f, split, pa, pb, vals, errs,
-                                                 depths)
+                                                 depths, _colabs)
 
         order = np.argsort(pa)
         self._edges = np.append(pa[order], b)
         panel_vals = vals[order]
-        suffix = np.zeros(panel_vals.size + 1)
-        suffix[:-1] = np.cumsum(panel_vals[::-1])[::-1]
+        suffix = np.zeros((panel_vals.shape[0] + 1,) + panel_vals.shape[1:])
+        suffix[:-1] = np.cumsum(panel_vals[::-1], axis=0)[::-1]
         self._suffix = suffix
-        self.total = float(suffix[0])
-        self.error = float(errs.sum())
+        scalar = suffix.ndim == 1
+        self.total = float(suffix[0]) if scalar else suffix[0]
+        err = errs.sum(axis=0)
+        self.error = float(err[0]) if scalar else err.reshape(suffix.shape[1:])
 
     def __call__(self, x):
         x_arr = np.asarray(x, dtype=float)
@@ -271,7 +299,8 @@ class TailIntegral:
         x_arr = np.atleast_1d(x_arr)
         if np.isnan(x_arr).any():
             raise DomainError("TailIntegral lower limit is NaN")
-        out = np.empty_like(x_arr)
+        tail = self._suffix.shape[1:]
+        out = np.empty(x_arr.shape + tail)
         out[x_arr <= self.a] = self.total
         out[x_arr >= self.b] = 0.0
         mid = (x_arr > self.a) & (x_arr < self.b)
@@ -283,9 +312,12 @@ class TailIntegral:
             h = 0.5 * (right - xm)
             nodes = m[:, None] + h[:, None] * NODES
             fx = np.asarray(self._f(nodes.reshape(-1)), dtype=float)
-            fx = fx.reshape(xm.size, 15)
-            # not a matrix product: BLAS may sum a row in an order that
-            # depends on the row count
-            partial = (fx * KRONROD_WEIGHTS).sum(axis=1) * h
+            fx = fx.reshape(xm.size, 15, -1)
+            # node by node, not a matrix product or a reduction: their
+            # summation order may depend on the number of lower limits
+            partial = sum(fx[:, k] * w for k, w in enumerate(KRONROD_WEIGHTS))
+            partial = (partial * h[:, None]).reshape(xm.shape + tail)
             out[mid] = partial + self._suffix[idx + 1]
-        return float(out[0]) if scalar else out
+        if not scalar:
+            return out
+        return float(out[0]) if out.ndim == 1 else out[0]

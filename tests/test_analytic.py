@@ -18,7 +18,7 @@ from hexnet.antenna import mean_desired_gain
 from hexnet.errors import DegenerateEvent, DomainError, NumericalInconsistency
 from hexnet.geometry import distance_pdf
 from hexnet.numerics import Quadrature, integrate, integrate_semiinfinite
-from hexnet.propagation import LinkClass, kappa_nlos
+from hexnet.propagation import LinkClass, kappa_los, kappa_nlos
 
 
 def test_assoc_simplex_table3(engine):
@@ -112,8 +112,9 @@ def test_serving_pdf_degenerate_event(table3):
 
 def _laplace(eng, event, s, x):
     """L_I(s) at serving distance x: the order-0 Laplace coefficient."""
-    return float(eng._laplace_coeffs(event, np.array([float(x)]),
-                                     np.array([[float(s)]]), 0)[0, 0, 0])
+    table = eng._serving_table(event, np.array([float(x)]))
+    return float(eng._laplace_coeffs(event, table, np.array([[float(s)]]),
+                                     0)[0, 0, 0])
 
 
 def test_laplace_at_zero_is_one(engine):
@@ -145,7 +146,8 @@ def test_laplace_jet_argument(engine):
     # the jet of L in its argument s: value, sign pattern of a completely
     # monotone transform, and central differences of the scalar transform
     s0, x = 1e12, 8.0
-    jet = engine._laplace_coeffs("L", np.array([x]), np.array([[s0]]), 2)[:, 0, 0]
+    table = engine._serving_table("L", np.array([x]))
+    jet = engine._laplace_coeffs("L", table, np.array([[s0]]), 2)[:, 0, 0]
     scalar = _laplace(engine, "L", s0, x)
     assert jet[0] == pytest.approx(scalar, rel=1e-12)
     assert jet[1] < 0 < jet[2]
@@ -206,10 +208,12 @@ def test_laplace_vector_matches_per_x(table3):
                     if n_exp > 0:
                         # longer than one slice of the element budget
                         assert 15 * xe.size * width > _INNER_ELEMENTS
-                    vec = eng._laplace_coeffs(event, xe, nu0, order)
+                    vec = eng._laplace_coeffs(
+                        event, eng._serving_table(event, xe), nu0, order)
                     per = np.stack(
-                        [eng._laplace_coeffs(event, xe[i:i + 1], nu0[i:i + 1],
-                                             order)[:, 0]
+                        [eng._laplace_coeffs(
+                            event, eng._serving_table(event, xe[i:i + 1]),
+                            nu0[i:i + 1], order)[:, 0]
                          for i in range(xe.size)], axis=1)
                     assert vec.shape == (order + 1, xe.size, nu0.shape[1])
                     scale = np.abs(per).max(axis=2, keepdims=True)
@@ -393,7 +397,7 @@ def test_rate_linear_in_bandwidth(table3):
 def test_rate_rejects_negative_mean_log(table3, monkeypatch):
     # a negative Hamdi integrand raises instead of clamping to rate 0
     eng = AnalyticEngine(table3, rel_tol=1e-4)
-    monkeypatch.setattr(eng, "_laplace_coeffs", lambda event, xs, nu0, order:
+    monkeypatch.setattr(eng, "_laplace_coeffs", lambda event, table, nu0, order:
                         -np.ones((order + 1,) + np.shape(nu0)))
     with pytest.raises(NumericalInconsistency, match="event L"):
         eng.conditional_rate("L")
@@ -411,7 +415,8 @@ def _threshold_mean_log(eng, event, x, q):
     def ccdf(ts):
         nu = (s1 * ts)[:, None] / gains                    # (T, gains)
         lam = nu * ev["noise"]
-        lc = eng._laplace_coeffs(event, np.full(ts.size, x), nu, m - 1)
+        table = eng._serving_table(event, np.full(ts.size, x))
+        lc = eng._laplace_coeffs(event, table, nu, m - 1)
         pois = [np.exp(-lam)]
         for j in range(1, m):
             pois.append(pois[-1] * lam / j)
@@ -444,7 +449,7 @@ def test_rate_kernel_matches_threshold_integral(table3):
         for event in EVENTS:
             if assoc.get(event) <= DEGENERATE_EVENT_TOL:
                 continue
-            got = eng._rate_kernel(event, xs)
+            got = eng._rate_kernel(event, eng._serving_table(event, xs))
             want = np.array([_threshold_mean_log(eng, event, x, q) for x in xs])
             tol = 10.0 * max(q.abs_tol, q.rel_tol * want.max())
             assert np.abs(got - want).max() <= tol, (name, event)
@@ -558,16 +563,18 @@ def test_rate_kernel_at_vanishing_serving_power(table3, s_unit):
         assert 0.0 < ev["m"] / eng._s_factor(event, np.array([x]))[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert eng._rate_kernel(event, np.array([x]))[0] == 0.0
+            table = eng._serving_table(event, np.array([x]))
+            assert eng._rate_kernel(event, table)[0] == 0.0
 
 
 def test_pointwise_values_independent_of_batch(engine):
-    # on 2,000 serving distances, a tail mass, an exclusion boundary and each
-    # event's weight computed in one array equal their values alone, bit for
-    # bit: no value depends on the batch it is computed in
+    # on 2,000 serving distances, the LOS and NLOS tail masses, an exclusion
+    # boundary and each event's weight computed in one array equal their
+    # values alone, bit for bit: no value depends on the batch it is
+    # computed in
     xs = np.random.default_rng(5).uniform(engine.sup.z_l, engine.sup.z_p, 2000)
     cases = {
-        "S1": (engine.S1, engine.vmap.v(xs)),
+        "tail": (engine.tail, engine.vmap.v(xs)),
         "e_rl": (engine.excl.e_rl, xs),
         **{"weight_" + e: (lambda x, e=e: engine._weight(e, x), xs)
            for e in EVENTS},
@@ -576,6 +583,112 @@ def test_pointwise_values_independent_of_batch(engine):
         got = fn(args)
         alone = np.array([fn(float(a)) for a in args])
         assert np.array_equal(got, alone), name
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"v_0": 40.0},
+    {"lambda_B": 0.0},     # no blockers: the NLOS column is identically 0
+    {"lambda_B": 20.0},    # heavy blockage: the LOS column holds 4e-4
+], ids=["table3", "v_0=40", "lambda_B=0", "lambda_B=20"])
+def test_tail_columns_against_quad(table3, overrides):
+    # the LOS and NLOS tail masses, and their sum (the RF class's mass), at
+    # several lower limits against QUADPACK in z: each within the tail's
+    # rel_tol of its own total, however small that total is
+    from scipy.integrate import quad
+
+    eng = AnalyticEngine(with_updates(table3, **overrides))
+    sup, g = eng.sup, eng.cfg.geometry
+    fz = lambda z: distance_pdf(z, sup, g.v_0, g.r_d)
+    kl = lambda z: kappa_los(z, eng.der.beta, eng.der.delta_h)
+    columns = (lambda z: fz(z) * kl(z), lambda z: fz(z) * kappa_nlos(
+        z, eng.der.beta, eng.der.delta_h), fz)
+    totals = (*eng.tail.total, eng.tail.total.sum())
+    rel_tol = 1e-11
+    if overrides.get("lambda_B") == 0.0:
+        assert totals[1] == 0.0
+    if overrides.get("lambda_B") == 20.0:
+        assert totals[0] < 1e-3
+    span = sup.z_p - sup.z_l
+    for z0 in (sup.z_l, sup.z_l + 1e-3, sup.z_l + 0.3 * span, sup.z_m,
+               sup.z_p - 0.1):
+        got = eng.tail(eng.vmap.v(z0))
+        got = (got[0], got[1], got.sum())
+        points = [sup.z_m] if z0 < sup.z_m < sup.z_p else None
+        for k, (f, total) in enumerate(zip(columns, totals)):
+            want, _ = quad(f, z0, sup.z_p, points=points, epsabs=0.0,
+                           epsrel=1e-13, limit=500)
+            if total == 0.0:
+                assert got[k] == 0.0 and want == 0.0
+            else:
+                assert abs(got[k] - want) <= rel_tol * total, (z0, k)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"v_0": 40.0},
+    {"sigma_eps_T": math.radians(10.0), "sigma_eps_U": math.radians(10.0)},
+], ids=["table3", "v_0=40", "sigma_eps=10"])
+def test_report_at_default_tolerance_against_tight(table3, overrides):
+    # every output of report() at the default rel_tol is within ten times
+    # that tolerance of an engine at rel_tol 1e-10
+    cfg = with_updates(table3, **overrides)
+    eng = AnalyticEngine(cfg)
+    got = _cells(eng.report())
+    want = _cells(AnalyticEngine(cfg, rel_tol=1e-10).report())
+    assert np.allclose(got, want, rtol=10.0 * eng.q_outer.rel_tol, atol=0.0)
+
+
+def test_outer_integrals_start_on_association_panels(table3, monkeypatch):
+    # an event's coverage and rate integrals start on the panels its
+    # association integral ended on, not on the event breakpoints again
+    eng = AnalyticEngine(table3)
+    calls = []
+    plain = analytic.integrate
+
+    def recording(f, a, b, q=None):
+        res = plain(f, a, b, q)
+        if q is not eng.q_inner:
+            calls.append((q.breakpoints, res.breakpoints))
+        return res
+
+    monkeypatch.setattr(analytic, "integrate", recording)
+    eng.report()
+    # association, coverage and rate, each for L, N and R in turn
+    assert len(calls) == 9
+    for i, event in enumerate(EVENTS):
+        started, ended = calls[i]
+        assert started == eng._event_cuts(event)
+        assert calls[3 + i][0] == ended and calls[6 + i][0] == ended, event
+    # the N event's association refines its panels (L's and R's need none)
+    assert set(calls[1][0]) < set(calls[1][1])
+
+
+def test_one_tail_lookup_per_outer_sweep(table3, monkeypatch):
+    # an outer sweep looks up the tail masses of all its classes at once,
+    # and the Laplace kernel reads them from the sweep's serving table
+    eng = AnalyticEngine(table3)
+    counts = {"lookups": 0, "sweeps": 0}
+    tail = eng.tail
+
+    def lookup(v):
+        counts["lookups"] += 1
+        return tail(v)
+
+    plain = analytic.integrate
+
+    def counting(f, a, b, q=None):
+        if q is eng.q_inner:
+            return plain(f, a, b, q)
+
+        def outer(xs):
+            counts["sweeps"] += 1
+            return f(xs)
+        return plain(outer, a, b, q)
+
+    monkeypatch.setattr(eng, "tail", lookup)
+    monkeypatch.setattr(analytic, "integrate", counting)
+    eng.coverage()
+    assert counts["sweeps"] > 6
+    assert counts["lookups"] == counts["sweeps"]
 
 
 @pytest.mark.parametrize("v_0", [0.0, 10.0, 40.0, 79.0])

@@ -71,3 +71,22 @@ def test_tracer_installs_and_uninstalls(table3):
     # one fading value
     assert tracer.counts["geometry.sample.trials"] == 1000
     assert tracer.counts["propagation.fading.draws"] == 1000 * cfg.geometry.N_A
+
+
+def test_traced_report_equals_untraced(table3):
+    # the traced run of a full report() reaches every quadrature level and
+    # the tail lookups, and its outputs equal an untraced run's, bit for bit
+    tracing = _tracing()
+    plain = AnalyticEngine(table3, rel_tol=1e-4).report()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        eng = AnalyticEngine(table3, rel_tol=1e-4)
+        tracer.bind_engine(eng)
+        traced = eng.report()
+    finally:
+        tracer.uninstall()
+    for level in ("outer", "inner", "rate_t"):
+        assert tracer.counts[f"numerics.quadrature.{level}.calls"] > 0, level
+    assert tracer.counts["numerics.quadrature.tail.lookups"] > 0
+    assert traced == plain

@@ -22,3 +22,54 @@ def test_rate_rises_with_thz_fraction(table3):
              for v in curve["values"]]
     assert len(rates) == 11
     assert all(b > a for a, b in zip(rates, rates[1:])), rates
+
+
+def _coverage_curve(table3, figure: str, label: str, values=None):
+    """(A_T, Pcov) of coverage() at each value of a preset curve, or at the
+    given subset of its values."""
+    curve = _curve(figure, label)
+    base = with_updates(table3, **curve["overrides"])
+    out = []
+    for v in curve["values"] if values is None else values:
+        assert v in curve["values"]
+        rep = AnalyticEngine(
+            apply_sweep_value(base, curve["parameter"], v)).coverage()
+        out.append((rep.assoc.los + rep.assoc.nlos, rep.total_coverage))
+    return out
+
+
+def test_coverage_peaks_inside_thz_fraction(table3):
+    # Fig. 6: on each N_A curve coverage peaks at a mixed network, and an
+    # all-THz network (delta_T = 1) falls below that peak.  The smallest
+    # margin, N_A=10 against its delta_T = 0 end, is 0.019
+    for label in ("N_A=10", "N_A=20", "N_A=30"):
+        pcov = [p for _, p in _coverage_curve(table3, "fig6", label)]
+        assert len(pcov) == 11
+        peak = max(pcov[1:-1])
+        assert peak > max(pcov[0], pcov[-1]) + 0.01, (label, pcov)
+
+
+def test_thz_association_rises_with_bias_and_falls_with_error(table3):
+    # Fig. 4: A_T is non-decreasing in B_T on each curve, and at every B_T
+    # where it is positive it falls with the beam-steering error
+    curves = [[a for a, _ in _coverage_curve(table3, "fig4", label)]
+              for label in ("sigma_eps=0deg", "sigma_eps=10deg",
+                            "sigma_eps=30deg")]
+    for a_t in curves:
+        assert len(a_t) == 9
+        assert all(b >= a for a, b in zip(a_t, a_t[1:])), a_t
+    for less_err, more_err in zip(curves, curves[1:]):
+        for a, b in zip(less_err, more_err):
+            assert a >= b and (a > b or a == 0.0), (a, b)
+
+
+def test_ue_offset_shifts_the_best_thz_fraction(table3):
+    # Fig. 8: among delta_T 0.2, 0.5 and 0.8, a centred UE is covered best
+    # at 0.8 (by 0.034) and a UE at v_0 = 70 at 0.5 (by 0.019)
+    labels = ("delta_T=0.2", "delta_T=0.5", "delta_T=0.8")
+    pcov = {label: [p for _, p in _coverage_curve(table3, "fig8", label,
+                                                  (0.0, 70.0))]
+            for label in labels}
+    for i, best in ((0, "delta_T=0.8"), (1, "delta_T=0.5")):
+        others = [pcov[label][i] for label in labels if label != best]
+        assert pcov[best][i] > max(others) + 0.01, (i, pcov)

@@ -139,6 +139,59 @@ def test_tail_integral_matches_direct():
     assert tail(31.0) == 0.0
 
 
+def test_final_panels_restart_converged():
+    # the result's breakpoints are the interior edges of its final panels:
+    # an integral started on them converges in its first sweep, to the same
+    # value
+    f = lambda x: 1.0 / (1e-3 + x * x)
+    q = Quadrature(rel_tol=1e-10, abs_tol=1e-14)
+    res = integrate(f, -1.0, 2.0, q)
+    edges = res.breakpoints
+    assert len(edges) > 10 and list(edges) == sorted(edges)
+    assert -1.0 < edges[0] and edges[-1] < 2.0
+    sweeps = []
+
+    def counted(x):
+        sweeps.append(x.size)
+        return f(x)
+
+    again = integrate(counted, -1.0, 2.0, Quadrature(1e-10, 1e-14,
+                                                      breakpoints=edges))
+    assert sweeps == [15 * (len(edges) + 1)]
+    assert again.value == pytest.approx(res.value, rel=1e-14)
+    assert again.breakpoints == edges
+    assert integrate(f, 1.0, 1.0).breakpoints == ()
+
+
+def test_tail_integral_columns_meet_own_tolerance():
+    # trailing axes share panels, and each component meets rel_tol against
+    # its own total: a wiggly column 1e-12 times smaller than a smooth one,
+    # which a tolerance scaled by the largest total would leave unrefined,
+    # and a column that is identically 0 and needs only abs_tol
+    def f(x):
+        wiggly = 1e-12 * np.exp(-0.1 * x) * (1.3 + np.sin(3.0 * x))
+        return np.stack([np.exp(-0.3 * x), wiggly, np.zeros_like(x)],
+                        axis=1).reshape(x.size, 3, 1)
+
+    rel_tol = 1e-10
+    tail = TailIntegral(f, 1.0, 30.0, Quadrature(rel_tol=rel_tol,
+                                                 abs_tol=1e-30))
+    assert tail.total.shape == (3, 1) and tail.total[2, 0] == 0.0
+    rng = np.random.default_rng(6)
+    xs = rng.uniform(1.0, 30.0, size=25)
+    got = tail(xs)
+    assert got.shape == (25, 3, 1)
+    assert np.all(got[:, 2] == 0.0)
+    for k in (0, 1):
+        col = lambda x, k=k: f(x)[:, k, 0]
+        for x, value in zip(xs, got[:, k, 0]):
+            direct = integrate(col, x, 30.0,
+                               Quadrature(rel_tol=1e-13, abs_tol=0.0)).value
+            assert abs(value - direct) <= rel_tol * tail.total[k, 0], (k, x)
+    assert np.array_equal(tail(float(xs[0])), got[0])
+    assert np.array_equal(tail(0.5), tail.total) and np.all(tail(31.0) == 0.0)
+
+
 def test_tail_integral_vectorized():
     f = lambda x: 2.0 * x
     tail = TailIntegral(f, 0.0, 1.0)
