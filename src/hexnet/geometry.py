@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import DomainError
 from .params import NetworkConfig, derived_constants
-from .propagation import kappa_los
 
 #: allowed floating-point spill of the arccos argument beyond [-1, 1]
 ARCCOS_SPILL_TOL = 1e-9
@@ -146,27 +145,39 @@ def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
     and the LOS marks of the THz APs, ``(n_trials, n_thz)``.  The THz APs
     are the first ``n_thz`` columns: the positions are i.i.d. and
     independent of which APs are THz, so any fixed ``n_thz`` columns have
-    the joint law of a uniformly random THz subset.  Draw order: radii,
-    angles (off centre only), LOS marks of the THz block; a seed gives a
-    different stream from versions that drew THz subset keys, angles for a
-    centred UE and LOS marks for RF APs.  The squared horizontal distance
-    r^2 + v_0^2 - 2 r v_0 cos a is written (r - v_0)^2 + 2 r v_0 (1 - cos a)
-    so that no rounding takes it below zero.
+    the joint law of a uniformly random THz subset.
+
+    Draw order: one uniform U per AP for its radius r = r_d sqrt(U), one
+    angle a per AP off centre only, then one uniform per THz AP for its LOS
+    mark.  The sampler works in the squared horizontal distance h^2: r_d^2 U
+    for a centred UE; off centre r^2 + v_0^2 - 2 r v_0 cos a, written
+    (r - v_0)^2 + 2 r v_0 (1 - cos a) so that no rounding takes it below
+    zero.  A THz AP is LOS with probability exp(-beta h), taken from h^2
+    directly, and d = sqrt(h^2 + delta_h^2).
     """
     g = cfg.geometry
     der = derived_constants(cfg)
 
-    radii = g.r_d * np.sqrt(rng.random((n_trials, g.N_A)))
-    sq = (radii - g.v_0) ** 2 + der.delta_h**2
-    if g.v_0 != 0.0:
+    sq = rng.random((n_trials, g.N_A))
+    if g.v_0 == 0.0:
+        sq *= g.r_d**2
+    else:
+        radii = np.sqrt(sq, out=sq)
+        radii *= g.r_d
         # 2 r v_0 (1 - cos a) = (cos a - 1) r (-2 v_0), in one buffer
-        term = np.cos(2.0 * math.pi * rng.random(sq.shape))
+        term = rng.random(sq.shape)
+        term *= 2.0 * math.pi
+        np.cos(term, out=term)
         term -= 1.0
         term *= radii
         term *= -2.0 * g.v_0
+        radii -= g.v_0
+        sq = np.square(radii, out=radii)
         sq += term
-    dist = np.sqrt(sq, out=sq)
 
-    thz = dist[:, :g.n_thz]
-    is_los = rng.random(thz.shape) < kappa_los(thz, der.beta, der.delta_h)
-    return dist, is_los
+    kappa = np.sqrt(sq[:, :g.n_thz])
+    kappa *= -der.beta
+    np.exp(kappa, out=kappa)
+    is_los = rng.random(kappa.shape) < kappa
+    sq += der.delta_h**2
+    return np.sqrt(sq, out=sq), is_los

@@ -1,19 +1,22 @@
 """Monte-Carlo simulation engine: the system model implemented literally.
 
-Each trial redraws the whole network (AP positions, LOS/NLOS marks, antenna
-gains, fading), associates by maximum average biased received power, and
-evaluates the instantaneous SINR of the serving link.
+Each trial redraws the network (AP positions, LOS/NLOS marks, antenna gains,
+fading), associates by maximum average biased received power, and evaluates
+the instantaneous SINR of the serving link.
 
 The N_A AP positions are i.i.d. and independent of which APs are THz, so
 taking the first ``n_thz`` columns of a trial as its THz APs has the law of
-a uniformly random THz subset, and each tier is one contiguous block.  A
-batch draws radii, angles (off centre only) and the THz block's LOS marks
-(``geometry.sample_deployment_arrays``), then the desired gains of
-THz-served trials, the THz block's interferer gains, the fading of its LOS
-then its NLOS APs, and the RF block's fading.  A seed's stream differs from
-that of versions that drew a random THz subset per trial.  Trials are split
-into ``SUBSTREAMS`` independent sub-streams, so results are reproducible
-and independent of the degree of parallelism.
+a uniformly random THz subset, and each tier is one contiguous block.
+Association compares biased log-powers, so no power underflows at large
+absorption.  Interference comes only from the serving tier, so a trial draws
+gains and fading for its serving tier's APs alone.  A batch draws, in order:
+radii, angles (off centre only) and the THz block's LOS marks
+(``geometry.sample_deployment_arrays``); then, for the THz-served trials,
+the desired gains, the interferer gains and the fading of the LOS then the
+NLOS THz APs; then the fading of the RF-served trials' RF APs.  A seed's
+stream differs from that of versions that drew for every AP of every trial.
+Trials are split into ``SUBSTREAMS`` independent sub-streams, so results are
+reproducible and independent of the degree of parallelism.
 """
 
 from __future__ import annotations
@@ -54,62 +57,106 @@ class SimulationSummary:
     n_trials: int
 
 
-def _at(block, col):
-    """``block[i, col[i]]`` of every row i; zeros for a tier without APs,
-    which serves no trial."""
+def _best(block, pick, empty):
+    """Each row's winning column of ``block`` by ``pick`` (``np.argmax`` or
+    ``np.argmin``) and its value; column 0 and ``empty`` for a tier without
+    APs, which wins no trial."""
     if block.shape[1] == 0:
-        return np.zeros(len(block), block.dtype)
-    return block[np.arange(len(block)), col]
+        return np.zeros(len(block), np.intp), np.full(len(block), empty)
+    col = pick(block, axis=1)
+    return col, block[np.arange(len(block)), col]
 
 
-def _others(term, col):
-    """Row sums of ``term`` without column ``col[i]``, zeroed in place."""
-    if term.shape[1]:
-        term[np.arange(len(term)), col] = 0.0
-    return term.sum(axis=1)
+def _rows(block, serv, count):
+    """The ``count`` rows of ``block`` where ``serv``; ``block`` itself, not
+    a copy, when that is every row."""
+    return block if count == len(block) else block[serv]
+
+
+def _split(sig, col):
+    """(``sig[i, col[i]]``, row sums of ``sig`` without it) of every row i:
+    the desired and the interfering power.  Zeroes the winners in place."""
+    rows = np.arange(len(sig))
+    desired = sig[rows, col]
+    sig[rows, col] = 0.0
+    return desired, sig.sum(axis=1)
+
+
+def _log_path_gain(d, is_los, t):
+    """``-alpha_c ln d - k_a d`` of every THz AP, in place of its distance d;
+    alpha_c is the exponent of the AP's LOS/NLOS class."""
+    ln_d = np.log(d)
+    ln_d *= np.array([t.alpha[1], t.alpha[0]]).take(is_los.view(np.uint8))
+    d *= -t.k_a[0]
+    d -= ln_d
+    return d
+
+
+def _thz_served(cfg, rng, lg, los, col):
+    """(desired, interference) of THz-served rows, without the factor amp_T,
+    from their log path gains ``lg`` (overwritten), LOS marks and winners.
+    Draws the desired gains, the interferer gains over the block and the
+    fading of its LOS then its NLOS APs."""
+    rows = np.arange(len(col))
+    g_des = sample_gain(desired_gain_pmf(cfg.antenna), rng, len(col))
+    sig = np.exp(lg, out=lg)
+    buf = sample_gain(interferer_gain_pmf(cfg.antenna), rng, lg.shape)
+    buf[rows, col] = g_des
+    sig *= buf
+    # the gains are in sig now, so buf takes the fading
+    flat = los.ravel()
+    for link, mask in zip(LINKS, (flat, ~flat)):
+        idx = np.flatnonzero(mask)
+        np.put(buf, idx, sample_fading(link, rng, cfg.radio, idx.size))
+    sig *= buf
+    return _split(sig, col)
 
 
 def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
     """Vectorized trials; returns (event codes 0/1/2, sinr, rate).
 
-    Link-table codes 0 (THz LOS) and 1 (THz NLOS) differ only in the
-    path-loss exponent and the fading shape, so the THz powers are one
-    ``amp e^{-k_a d - alpha log d}``.  A tier's bias is one constant, so its
-    winner is its strongest AP (for RF the nearest), and THz serves where
-    its biased maximum is at least RF's.  Interference sums power x gain x
-    fading over the serving tier's other APs; the desired power is the
-    winner's times the desired gain and its fading.
+    Association compares biased log-powers, which neither underflow nor
+    overflow.  A tier's bias is one constant, so its winner is its strongest
+    AP: for THz the largest log path gain (``_log_path_gain``), for RF the
+    nearest AP.  THz serves where ``ln(bias_T amp_T)`` plus its winner's
+    log path gain is at least ``ln amp_R - alpha_R ln d`` of the nearest RF
+    AP.  A tier without APs scores ``-inf``, so with ``B_T = 0`` THz serves
+    only where there is no RF AP.
+
+    Gains, fading and linear powers are computed for the serving tier's
+    block of each row only, THz-served rows first (see the module docstring
+    for the draw order).  The desired power is the winner's entry, the
+    interference the sum of the rest.  Where one tier serves every row, its
+    block is used in place, without a row copy.
     """
     t = link_table(cfg)
     n_thz = cfg.geometry.n_thz
     dist, is_los = sample_deployment_arrays(cfg, rng, n)
-    d_thz, d_rf = dist[:, :n_thz], dist[:, n_thz:]
-    nlos = ~is_los
-    alpha = (-t.alpha).take(nlos.view(np.uint8))     # code 0 LOS, 1 NLOS
-    p_thz = t.amp[0] * np.exp(alpha * np.log(d_thz) - t.k_a[0] * d_thz)
-    p_rf = t.amp[2] * np.power(d_rf, -t.alpha[2])
-    w_thz = p_thz.argmax(axis=1) if p_thz.size else 0
-    w_rf = p_rf.argmax(axis=1) if p_rf.size else 0
-    serv_thz = t.bias[0] * _at(p_thz, w_thz) >= _at(p_rf, w_rf)
-    event = np.where(serv_thz, np.where(_at(is_los, w_thz), 0, 1), 2)
+    lg = _log_path_gain(dist[:, :n_thz], is_los, t)
+    d_rf = dist[:, n_thz:]
+    w_thz, lg_win = _best(lg, np.argmax, -np.inf)
+    w_rf, d_near = _best(d_rf, np.argmin, np.inf)
+    with np.errstate(divide="ignore"):           # B_T = 0: ln 0 = -inf
+        lg_win += np.log(t.bias[0] * t.amp[0])
+    serv = lg_win >= math.log(t.amp[2]) - t.alpha[2] * np.log(d_near)
+    k = np.count_nonzero(serv)
 
-    gain_des = np.ones(n)
-    gain_des[serv_thz] = sample_gain(desired_gain_pmf(cfg.antenna), rng,
-                                     np.count_nonzero(serv_thz))
-    gain = sample_gain(interferer_gain_pmf(cfg.antenna), rng, is_los.shape)
-    sig_thz = np.empty_like(p_thz)
-    for link, sel in zip(LINKS, (is_los, nlos)):
-        sig_thz[sel] = sample_fading(link, rng, cfg.radio, np.count_nonzero(sel))
-    sig_thz *= p_thz
-    sig_rf = sample_fading(LINKS[2], rng, cfg.radio, p_rf.shape)
-    sig_rf *= p_rf
+    event = np.full(n, 2)
+    desired, interference = np.empty(n), np.empty(n)
+    col, los = _rows(w_thz, serv, k), _rows(is_los, serv, k)
+    event[serv] = ~los[np.arange(k), col]         # code 0 LOS, 1 NLOS
+    desired[serv], interference[serv] = _thz_served(
+        cfg, rng, _rows(lg, serv, k), los, col)
 
-    # the desired powers first: _others zeroes the winners' terms
-    desired = np.where(serv_thz, _at(sig_thz, w_thz) * gain_des,
-                       _at(sig_rf, w_rf))
-    sig_thz *= gain
-    interference = np.where(serv_thz, _others(sig_thz, w_thz),
-                            _others(sig_rf, w_rf))
+    rf = ~serv
+    d = _rows(d_rf, rf, n - k)
+    sig = sample_fading(LINKS[2], rng, cfg.radio, d.shape)
+    sig *= np.power(d, -t.alpha[2], out=d)
+    desired[rf], interference[rf] = _split(sig, _rows(w_rf, rf, n - k))
+
+    amp = t.amp[event]
+    desired *= amp
+    interference *= amp
     sinr = desired / (interference + t.noise[event])
     rate = t.bw[event] * np.log2(1.0 + sinr)
     return event, sinr, rate

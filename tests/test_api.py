@@ -55,7 +55,7 @@ def test_tracer_installs_and_uninstalls(table3):
         eng = AnalyticEngine(cfg, rel_tol=1e-4)
         tracer.bind_engine(eng)
         eng.coverage()
-        estimate(cfg, 1000, seed=1)
+        sim = estimate(cfg, 1000, seed=1)
     finally:
         tracer.uninstall()
     for (owner, attr), original in before.items():
@@ -67,10 +67,12 @@ def test_tracer_installs_and_uninstalls(table3):
                  "propagation.kappa.calls", "geometry.distance_pdf.calls",
                  "propagation.fading.draws"):
         assert tracer.counts[name] > 0, name
-    # the sampler saw every trial once, and every AP of every trial drew
-    # one fading value
+    # the sampler saw every trial once, and every AP of the serving tier
+    # of every trial drew one fading value
     assert tracer.counts["geometry.sample.trials"] == 1000
-    assert tracer.counts["propagation.fading.draws"] == 1000 * cfg.geometry.N_A
+    n_l, n_n, n_r = sim.counts
+    assert tracer.counts["propagation.fading.draws"] == (
+        (n_l + n_n) * cfg.geometry.n_thz + n_r * cfg.geometry.n_rf)
 
 
 def test_traced_report_equals_untraced(table3):

@@ -1,11 +1,12 @@
 import csv
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
 from hexnet import serialize_config, with_updates
-from hexnet.cli import BASE_COLUMNS, EXIT_CONFIG, main
+from hexnet.cli import BASE_COLUMNS, EXIT_CONFIG, PRESETS, main
 
 
 @pytest.fixture(scope="module")
@@ -50,3 +51,29 @@ def test_simulate_below_min_trials_is_a_config_error(small_config, tmp_path):
                                     "--out", str(tmp_path / "out.csv")])
     assert res.exit_code == EXIT_CONFIG == 2
     assert "below minimum" in res.output
+
+
+#: one seeded ``validate`` point per figure family: (preset, curve, value)
+VALIDATE_POINTS = (
+    ("fig4", "sigma_eps=10deg", 10.0),
+    ("fig5", "sigma_eps=0deg,delta_T=0.5", 0.1),
+    ("fig6", "N_A=10", 0.6),
+    ("fig8", "delta_T=0.2", 60.0),
+)
+VALIDATE_SEED = 7
+
+
+@pytest.mark.parametrize("figure, label, value", VALIDATE_POINTS)
+def test_validate_preset_point(table3, tmp_path, figure, label, value):
+    # both engines agree under the validate rule at one point of each
+    # figure family, on a config file the CLI reads back
+    (curve,) = [c for c in PRESETS[figure] if c["label"] == label]
+    assert any(math.isclose(v, value) for v in curve["values"])
+    path = tmp_path / "point.cfg"
+    path.write_text(serialize_config(with_updates(table3, **curve["overrides"])))
+    res = CliRunner().invoke(main, [
+        "validate", "--config", str(path),
+        "--sweep", f"{curve['parameter']}={value!r}",
+        "--seed", str(VALIDATE_SEED)])
+    assert res.exit_code == 0, res.output
+    assert "all 1 points pass" in res.output

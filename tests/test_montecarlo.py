@@ -139,9 +139,9 @@ def test_interferer_uses_own_link_class(table3, pinned_fading):
 
 
 def test_each_ap_draws_its_own_class_only(table3, monkeypatch):
-    # THz fading in one call per class, sized by that class's AP count, RF
-    # fading in one call over the RF block, and one interferer gain per THz
-    # AP: nothing is drawn that no AP uses
+    # gains and fading are drawn for the serving tier's rows only: desired
+    # and interferer gains and LOS/NLOS fading over the THz block of the
+    # THz-served rows, RF fading over the RF block of the RF-served rows
     cfg = with_updates(table3, N_A=30, delta_T=0.8)
     fading, gains = [], []
 
@@ -162,15 +162,17 @@ def test_each_ap_draws_its_own_class_only(table3, monkeypatch):
     event, _, _ = _simulate_batch(cfg, np.random.default_rng(13), n)
 
     n_thz, n_rf = cfg.geometry.n_thz, cfg.geometry.n_rf
-    los = int(is_los.sum())
-    nlos = int((~is_los).sum())
-    assert 0 < los and 0 < nlos and 0 < n_rf
+    thz_rows = event < 2
+    n_t = int(thz_rows.sum())
+    los = int(is_los[thz_rows].sum())
+    nlos = int((~is_los[thz_rows]).sum())
+    assert 0 < los and 0 < nlos and 0 < n_t < n
     assert fading == [(LinkClass.THZ_LOS, (los,)),
                       (LinkClass.THZ_NLOS, (nlos,)),
-                      (LinkClass.RF, (n, n_rf))]
-    assert los + nlos + n * n_rf == n * cfg.geometry.N_A
-    assert gains == [(desired_gain_pmf(cfg.antenna), (int((event < 2).sum()),)),
-                     (interferer_gain_pmf(cfg.antenna), (n, n_thz))]
+                      (LinkClass.RF, (n - n_t, n_rf))]
+    assert los + nlos == n_t * n_thz
+    assert gains == [(desired_gain_pmf(cfg.antenna), (n_t,)),
+                     (interferer_gain_pmf(cfg.antenna), (n_t, n_thz))]
 
 
 def _global_argmax_oracle(cfg, dist, is_los):
@@ -271,3 +273,30 @@ def test_estimate_matches_analytic_quick(table3, engine):
     assert abs((a.los + a.nlos) - (sim.assoc.los + sim.assoc.nlos)) < 0.015
     cov = engine.coverage().total_coverage
     assert abs(cov - sim.coverage.mean) < sim.coverage.half_width_95 + 0.01
+
+
+@pytest.mark.parametrize("k_a", [25.0, 40.0, 50.0])
+def test_association_by_log_power_at_large_absorption(table3, k_a):
+    # all-THz at large absorption: every linear THz power of some trials
+    # underflows, yet each trial's event is that of the log-power argmax
+    cfg = with_updates(table3, delta_T=1.0, k_a=k_a)
+    n = 4000
+    dist, is_los = sample_deployment_arrays(cfg, np.random.default_rng(11), n)
+    event, _, _ = _simulate_batch(cfg, np.random.default_rng(11), n)
+    r = cfg.radio
+    alpha = np.where(is_los, r.alpha_L, r.alpha_N)
+    log_power = math.log(r.P_T * r.gamma_T) - alpha * np.log(dist) - k_a * dist
+    assert (log_power.max(axis=1) < math.log(np.finfo(float).tiny)).any()
+    los = is_los[np.arange(n), log_power.argmax(axis=1)]
+    assert np.array_equal(event, np.where(los, 0, 1))
+    assert 0.80 < np.mean(event == 0) < 0.85
+
+
+def test_zero_bias_keeps_thz_only_where_no_rf_ap(table3):
+    # B_T = 0 scores THz at -inf: RF serves every trial where RF APs exist,
+    # THz where none do, and no RuntimeWarning is raised (tier-1 makes one
+    # an error)
+    mixed = estimate(with_updates(table3, B_T=0.0), MIN_TRIALS, seed=6)
+    assert mixed.counts == (0, 0, MIN_TRIALS)
+    thz = estimate(with_updates(table3, B_T=0.0, delta_T=1.0), MIN_TRIALS, seed=6)
+    assert thz.counts[2] == 0 and sum(thz.counts) == MIN_TRIALS

@@ -73,3 +73,33 @@ def test_ue_offset_shifts_the_best_thz_fraction(table3):
     for i, best in ((0, "delta_T=0.8"), (1, "delta_T=0.5")):
         others = [pcov[label][i] for label in labels if label != best]
         assert pcov[best][i] > max(others) + 0.01, (i, pcov)
+
+
+def test_coverage_peaks_inside_bias_range(table3):
+    # Fig. 5: coverage over B_T peaks at an interior bias, beating both ends
+    # of the range by at least 0.03 on these three curves.  The 30 degree
+    # curve is left out: its peak beats the low end by only 7e-4
+    for label in ("sigma_eps=0deg,delta_T=0.8", "sigma_eps=10deg,delta_T=0.8",
+                  "sigma_eps=0deg,delta_T=0.5"):
+        pcov = [p for _, p in _coverage_curve(table3, "fig5", label)]
+        assert len(pcov) == 9
+        assert max(pcov[1:-1]) > max(pcov[0], pcov[-1]) + 0.01, (label, pcov)
+
+
+def test_rate_ordered_by_thz_fraction_at_every_offset(table3):
+    # Fig. 9: at each UE offset the average rate is ordered by the THz
+    # fraction, 0.8 above 0.5 above 0.2 (a subset of the preset offsets)
+    offsets = (0.0, 40.0, 79.0)
+    rates = {}
+    for label in ("delta_T=0.2", "delta_T=0.5", "delta_T=0.8"):
+        curve = _curve("fig9", label)
+        base = with_updates(table3, **curve["overrides"])
+        rates[label] = []
+        for v in offsets:
+            assert v in curve["values"]
+            rates[label].append(AnalyticEngine(
+                apply_sweep_value(base, curve["parameter"], v),
+                rel_tol=1e-4).report().total_rate)
+    for i in range(len(offsets)):
+        assert (rates["delta_T=0.8"][i] > rates["delta_T=0.5"][i]
+                > rates["delta_T=0.2"][i]), (offsets[i], rates)
