@@ -8,94 +8,52 @@ boundary ``E_XY(r)`` at which its biased power equals the server's.
 
 Each boundary is piecewise: below a threshold ``h_XY`` the balance solution
 falls under the minimum feasible distance ``z_l = h_A - h_U`` and the
-boundary clamps to ``z_l`` (no exclusion).  Solving a balance for a THz
-distance requires the principal branch of the Lambert W function.
+boundary clamps to ``z_l`` (no exclusion).  Every balance is solved in log
+power, so it holds where the linear powers underflow; a THz distance is the
+Wright omega function of a log.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
 from .errors import DomainError, NotConverged
 from .propagation import LinkTable
 
-INV_E = math.exp(-1.0)
-
-#: arguments this far below -1/e are rejected rather than clamped
-W_DOMAIN_TOL = 1e-12
-
-#: Halley steps before ``lambert_w0`` checks its residual
-HALLEY_STEPS = 12
-
-#: residual |w e^w - x| accepted after the last Halley step, per unit of
-#: |x| (1 + |w|); at the solution the rounding of w e^w stays below 2 eps
-HALLEY_RESID_TOL = 8.0 * np.finfo(float).eps
+#: Newton steps before ``wright_omega`` gives up
+NEWTON_STEPS = 8
 
 #: letter of each class code in the e_xy / h_xy names
 _CODES = "lnr"
 
 
-def lambert_w0(x):
-    """Principal branch of the Lambert W function (w e^w = x, w >= -1).
+def wright_omega(L):
+    """The w > 0 with w + ln w = L, i.e. W0(e^L), for finite real L.
 
-    Initial guess by region (branch-point series, log1p, asymptotic log-log),
-    then Halley refinement of each entry until its step is below 1e-16
-    relative; an entry's value does not depend on the rest of its array.
-    Steps can stall at rounding noise near the branch point, where W is
-    ill-conditioned, so an entry whose test is unmet after ``HALLEY_STEPS``
-    steps must have its residual within ``HALLEY_RESID_TOL``, else
-    ``NotConverged``.
-    Accepts scalars or arrays; defined for x >= -1/e, with W(inf) = inf.
-    Raises ``DomainError`` for NaN or x below -1/e.
+    Newton's method in y = ln w on the convex, increasing g(y) = e^y + y - L,
+    from y0 = ln max(L, 1), where g(y0) >= 0: the iterates fall
+    monotonically onto the root, and the error left after a step is below
+    half the step's square.  An entry stops once its squared step is within
+    eps, so w is exact to rounding and does not depend on the rest of its
+    array.  Raises ``DomainError`` for NaN or infinite L and
+    ``NotConverged`` if an entry is still moving after ``NEWTON_STEPS``
+    steps.
     """
-    arr = np.asarray(x, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
-    if not np.all(arr >= -INV_E - W_DOMAIN_TOL):
-        raise DomainError(f"lambert_w0 argument {np.min(arr)!r} is NaN or below -1/e")
-    xc = np.maximum(arr, -INV_E)
-
-    w = np.full_like(xc, np.inf)
-    near = xc < -0.25
-    if np.any(near):
-        p = np.sqrt(2.0 * (math.e * xc[near] + 1.0))
-        w[near] = -1.0 + p * (1.0 - p * (1.0 / 3.0 - (11.0 / 72.0) * p))
-    mid = ~near & (xc <= math.e)
-    w[mid] = np.log1p(xc[mid])
-    far = (xc > math.e) & np.isfinite(xc)
-    if np.any(far):
-        l1 = np.log(xc[far])
-        l2 = np.log(l1)
-        w[far] = l1 - l2 + l2 / l1
-
-    # W(inf) = inf is a fixed point: its Halley step is NaN and zeroed.  An
-    # entry stops at its first step within the test, so its value does not
-    # depend on how long the rest of its array keeps iterating.
-    active = np.ones(xc.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(HALLEY_STEPS):
-            ew = np.exp(w)
-            f = w * ew - xc
-            wp1 = w + 1.0
-            denom = ew * wp1 - (w + 2.0) * f / (2.0 * wp1)
-            step = np.where(active & (f != 0.0), f / denom, 0.0)
-            step = np.where(np.isfinite(step), step, 0.0)
-            w -= step
-            active &= ~(np.abs(step) <= 1e-16 * (1.0 + np.abs(w)))
-            if not active.any():
-                break
-        else:
-            resid = np.abs(w * np.exp(w) - xc)
-            bad = active & np.isfinite(xc) & ~(
-                resid <= HALLEY_RESID_TOL * np.abs(xc) * (1.0 + np.abs(w)))
-            if bad.any():
-                raise NotConverged(f"lambert_w0 residual {resid[bad].max()!r} "
-                                   f"after {HALLEY_STEPS} Halley steps")
-    w = np.maximum(w, -1.0)
-    return float(w[0]) if scalar else w
+    L = np.asarray(L, dtype=float)
+    if not np.isfinite(L).all():
+        raise DomainError("wright_omega argument is NaN or infinite")
+    y = np.log(np.maximum(L, 1.0))
+    active = np.ones(L.shape, dtype=bool)
+    for _ in range(NEWTON_STEPS):
+        ey = np.exp(y)
+        step = np.where(active, (ey + y - L) / (ey + 1.0), 0.0)
+        y = y - step
+        active &= step * step > np.finfo(float).eps
+        if not active.any():
+            return np.exp(y)
+    raise NotConverged(f"wright_omega still moving after {NEWTON_STEPS} Newton steps")
 
 
 class ExclusionRegions:
@@ -121,21 +79,21 @@ class ExclusionRegions:
 
             bias_y amp_y e^{-k_y E} E^-alpha_y = bias_x amp_x e^{-k_x r} r^-alpha_x.
 
-        With q = k_y / alpha_y this is E e^{q E} = root, so E = root at
-        k_y = 0 and E = W(q root) / q otherwise.  E is +inf, without a
-        warning, where e^{k_x r / alpha_y} nears the float range (k_x r /
-        alpha_y above about 700): for a class-y RF the boundary lies beyond
-        every AP, and for a class-y THz both THz powers underflow to zero.
+        With q = k_y / alpha_y this is E e^{q E} = root, where ln root is a
+        sum of logs, so E = root at k_y = 0 and E = omega(ln(q root)) / q
+        otherwise.  A class-y THz boundary is finite wherever the powers
+        underflow; a class-y RF one is +inf, without a warning, only where
+        root passes the float range, beyond every AP.
         """
         t = self.links
         a_y = t.alpha[y]
-        with np.errstate(over="ignore"):
-            root = ((t.bias[y] * t.amp[y] / (t.bias[x] * t.amp[x])) ** (1.0 / a_y)
-                    * np.exp(t.k_a[x] / a_y * r) * r ** (t.alpha[x] / a_y))
-            if t.k_a[y] == 0.0:
-                return root
-            q = t.k_a[y] / a_y
-            return lambert_w0(q * root) / q
+        log_root = ((np.log(t.bias[y] * t.amp[y]) - np.log(t.bias[x] * t.amp[x])
+                     + t.k_a[x] * r + t.alpha[x] * np.log(r)) / a_y)
+        if t.k_a[y] == 0.0:
+            with np.errstate(over="ignore"):
+                return np.exp(log_root)
+        q = t.k_a[y] / a_y
+        return wright_omega(np.log(q) + log_root) / q
 
     # -- public piecewise boundaries ------------------------------------------
 

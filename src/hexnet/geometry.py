@@ -39,7 +39,7 @@ class DistanceSupport:
 
 def support(cfg: NetworkConfig) -> DistanceSupport:
     g = cfg.geometry
-    return DistanceSupport.from_scenario(g.r_d, g.v_0, g.h_A - g.h_U)
+    return DistanceSupport.from_scenario(g.r_d, g.v_0, g.delta_h)
 
 
 def distance_pdf(z, sup: DistanceSupport, v_0: float, r_d: float):

@@ -54,6 +54,7 @@ class GeometryParams:
 
     @property
     def delta_h(self) -> float:
+        """AP-UE height gap, the shortest AP-UE distance z_l."""
         return self.h_A - self.h_U
 
 
@@ -134,7 +135,7 @@ def derived_constants(cfg: NetworkConfig) -> DerivedConstants:
         gamma_T=cfg.radio.gamma_T,
         gamma_R=cfg.radio.gamma_R,
         beta=cfg.blockage.beta(g.h_A, g.h_U),
-        delta_h=g.h_A - g.h_U,
+        delta_h=g.delta_h,
     )
 
 

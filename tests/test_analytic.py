@@ -15,8 +15,10 @@ from hexnet.analytic import (
     TierMetrics,
 )
 from hexnet.antenna import mean_desired_gain
+from hexnet.cli import VALIDATE_SLACK_PROB
 from hexnet.errors import DegenerateEvent, DomainError, NumericalInconsistency
 from hexnet.geometry import distance_pdf
+from hexnet.montecarlo import estimate
 from hexnet.numerics import Quadrature, integrate, integrate_semiinfinite
 from hexnet.propagation import LinkClass, kappa_los, kappa_nlos
 
@@ -507,19 +509,22 @@ def test_tier_metrics_accessors():
 
 @pytest.mark.parametrize("k_a", [18.0, 25.0])
 def test_large_absorption_is_finite(table3, k_a):
-    # e^{k_a r / alpha} overflows in some balances at z_p: those boundaries
-    # are +inf, not NaN.  All-THz (delta_T = 1), the serving power underflows
-    # at far serving distances, where the coverage and rate terms are 0.  No
-    # warning is raised, on Table 3 as given and all-THz.
+    # e^{k_a r / alpha} would overflow in some balances at z_p; the balances
+    # are solved in log power, so every boundary against a THz AP is finite
+    # and only one against an RF AP may be +inf, never NaN.  All-THz
+    # (delta_T = 1), the serving power underflows at far serving distances,
+    # where the coverage and rate terms are 0.  No warning is raised, on
+    # Table 3 as given and all-THz.
     for delta_t in (table3.geometry.delta_T, 1.0):
         eng = AnalyticEngine(with_updates(table3, k_a=k_a, delta_T=delta_t),
                              rel_tol=1e-4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            at_zp = [getattr(eng.excl, "e_" + key)(eng.sup.z_p)
-                     for key in ("lr", "ln", "nr", "nl", "rl", "rn")]
+            at_zp = {key: getattr(eng.excl, "e_" + key)(eng.sup.z_p)
+                     for key in ("lr", "ln", "nr", "nl", "rl", "rn")}
             reps = (eng.coverage(), eng.report())
-        assert math.inf in at_zp and not any(math.isnan(v) for v in at_zp)
+        assert not any(math.isnan(v) for v in at_zp.values())
+        assert all(math.isfinite(at_zp[key]) for key in ("ln", "nl", "rl", "rn"))
         for rep in reps:
             assert math.isfinite(rep.total_coverage)
             for e in EVENTS:
@@ -528,6 +533,23 @@ def test_large_absorption_is_finite(table3, k_a):
                     assert math.isfinite(rep.cond_coverage.get(e))
         assert math.isfinite(rep.total_rate)
         assert rep.total_rate > 0.0 if delta_t < 1.0 else rep.total_rate >= 0.0
+
+
+@pytest.mark.parametrize("k_a", [25.0, 40.0, 50.0])
+def test_thz_association_at_large_absorption_against_mc(table3, k_a):
+    # all-THz: the serving distances where both linear THz powers underflow
+    # keep their association mass, so A_L + A_N = 1 to the engine's
+    # tolerance, and A_L and A_N each match the log-power Monte-Carlo within
+    # its binomial CI plus the validate rule's slack
+    cfg = with_updates(table3, delta_T=1.0, k_a=k_a)
+    eng = AnalyticEngine(cfg)
+    a = eng.assoc_probabilities()
+    assert abs(a.los + a.nlos - 1.0) <= 10 * eng.q_outer.rel_tol
+    n = 100_000
+    sim = estimate(cfg, n, seed=5)
+    for an, mc in ((a.los, sim.assoc.los), (a.nlos, sim.assoc.nlos)):
+        ci = 1.96 * math.sqrt(mc * (1.0 - mc) / n)
+        assert abs(an - mc) <= ci + VALIDATE_SLACK_PROB
 
 
 def test_nearly_coplanar_aps_raise_domain_error(table3):

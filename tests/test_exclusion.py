@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +8,7 @@ from conftest import random_config
 from hexnet import default_config, with_updates
 from hexnet.antenna import mean_desired_gain
 from hexnet.errors import DomainError, NotConverged
-from hexnet.exclusion import ExclusionRegions, lambert_w0
+from hexnet.exclusion import ExclusionRegions, wright_omega
 from hexnet.geometry import support
 from hexnet.propagation import link_table
 
@@ -41,71 +40,51 @@ def _balance_configs():
 
 
 def test_lambert_known_values():
-    assert lambert_w0(0.0) == 0.0
-    assert lambert_w0(math.e) == pytest.approx(1.0, rel=1e-14)
-    assert lambert_w0(1.0) == pytest.approx(0.5671432904097838, rel=1e-12)
-    assert lambert_w0(-1.0 / math.e) == pytest.approx(-1.0, abs=1e-7)
+    # wright_omega(L) = W0(e^L): W0(e) = 1, W0(e^{1+e}) = e, and W0(1) is
+    # the omega constant
+    assert wright_omega(1.0) == 1.0
+    assert wright_omega(1.0 + math.e) == pytest.approx(math.e, rel=1e-15)
+    assert wright_omega(0.0) == pytest.approx(0.5671432904097838, rel=1e-15)
 
 
 def test_lambert_residual_over_required_range():
-    x = np.concatenate([
-        np.linspace(-math.exp(-1.0) + 1e-6, 1.0, 4001),
-        np.geomspace(1.0, 1e6, 4001),
-    ])
-    w = lambert_w0(x)
-    resid = np.abs(w * np.exp(w) - x) / np.maximum(np.abs(x), 1e-300)
-    assert resid.max() <= 1e-12
-    assert np.all(w >= -1.0)
+    L = np.concatenate([np.linspace(-700.0, 700.0, 4001),
+                        np.geomspace(700.0, 1e12, 4001)])
+    w = wright_omega(L)
+    assert np.all(w > 0.0)
+    resid = np.abs(w + np.log(w) - L)
+    assert np.all(resid <= 32 * np.finfo(float).eps * (1.0 + np.abs(L)))
 
 
 def test_lambert_against_scipy():
     from scipy.special import lambertw
-    x = np.geomspace(1e-8, 1e6, 300)
-    assert lambert_w0(x) == pytest.approx(np.real(lambertw(x)), rel=1e-12)
+    L = np.linspace(-700.0, 700.0, 2001)
+    assert wright_omega(L) == pytest.approx(np.real(lambertw(np.exp(L))), rel=1e-14)
 
 
 def test_lambert_domain_error():
-    with pytest.raises(DomainError):
-        lambert_w0(-1.0 / math.e - 1e-6)
-    with pytest.raises(DomainError):
-        lambert_w0(math.nan)
-    with pytest.raises(DomainError):
-        lambert_w0(np.array([1.0, math.nan]))
-
-
-def test_lambert_infinity_is_a_fixed_point():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert lambert_w0(math.inf) == math.inf
-        w = lambert_w0(np.array([1.0, math.inf, 1e300]))
-    assert w[1] == math.inf
-    assert w[[0, 2]] == pytest.approx(lambert_w0(np.array([1.0, 1e300])), rel=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            wright_omega(bad)
+        with pytest.raises(DomainError):
+            wright_omega(np.array([1.0, bad]))
 
 
 def test_lambert_unconverged_raises(monkeypatch):
-    # one Halley step from the asymptotic guess is not enough at 1e6, and the
-    # residual check after the last step says so
-    monkeypatch.setattr(exclusion, "HALLEY_STEPS", 1)
+    # one Newton step from ln L is not enough at 1e6
+    monkeypatch.setattr(exclusion, "NEWTON_STEPS", 1)
     with pytest.raises(NotConverged):
-        lambert_w0(1e6)
+        wright_omega(1e6)
 
 
 def test_lambert_values_independent_of_batch():
     # an entry stops at its own converged step, whatever the rest of its
     # array does: a value in an array equals the value computed alone
     rng = np.random.default_rng(11)
-    x = np.concatenate([-exclusion.INV_E + np.geomspace(1e-12, 0.1, 200),
-                        np.exp(rng.uniform(-1.0, 700.0, 1800))])
-    w = lambert_w0(x)
-    assert all(w[i] == lambert_w0(float(a)) for i, a in enumerate(x))
-
-
-def test_lambert_residual_at_branch_point():
-    # where W is ill-conditioned the Halley step stalls above 1e-16 relative
-    # for all 12 steps; the residual check accepts these at rounding level
-    x = -math.exp(-1.0) + np.geomspace(1e-300, 1e-3, 2000)
-    w = lambert_w0(x)
-    assert np.all(np.abs(w * np.exp(w) - x) <= 4 * np.finfo(float).eps)
+    L = np.concatenate([rng.uniform(-700.0, 700.0, 1000),
+                        np.exp(rng.uniform(0.0, math.log(1e12), 1000))])
+    w = wright_omega(L)
+    assert all(w[i] == wright_omega(float(a)) for i, a in enumerate(L))
 
 
 def _powers(radio, mean_gain):
@@ -124,9 +103,9 @@ def _powers(radio, mean_gain):
     return p_los, p_nlos, p_rf
 
 
-def _cases(cfg, ex):
+def _cases(cfg, ex, powers=_powers):
     """(boundary, threshold, serving power, competitor power) of all six."""
-    p_los, p_nlos, p_rf = _powers(cfg.radio, mean_desired_gain(cfg.antenna))
+    p_los, p_nlos, p_rf = powers(cfg.radio, mean_desired_gain(cfg.antenna))
     return [
         (ex.e_lr, ex.h_lr, p_los, p_rf),
         (ex.e_ln, ex.h_ln, p_los, p_nlos),
@@ -147,6 +126,46 @@ def test_all_six_balances():
             e = boundary(r)
             resid = np.abs(p_serv(r) - p_other(e)) / p_other(e)
             assert resid.max() <= 1e-9, name
+
+
+def _log_powers(radio, mean_gain):
+    """ln of the three powers of ``_powers``, formed without exp."""
+    log_thz = math.log(radio.B_T * radio.P_T * radio.gamma_T * mean_gain)
+    log_rf = math.log(radio.P_R * radio.gamma_R)
+    return (lambda d: log_thz - radio.k_a * d - radio.alpha_L * np.log(d),
+            lambda d: log_thz - radio.k_a * d - radio.alpha_N * np.log(d),
+            lambda d: log_rf - radio.alpha_R * np.log(d))
+
+
+@pytest.mark.parametrize("k_a", [25.0, 50.0])
+def test_all_six_balances_in_log_power(table3, k_a):
+    # at large absorption both linear THz powers underflow at far serving
+    # distances; every balance still holds in log power, and a boundary
+    # against a THz AP is finite.  One against an RF AP is +inf only where
+    # the RF AP would have to sit beyond the float range
+    eps, big = np.finfo(float).eps, np.finfo(float).max
+    rng = np.random.default_rng(25)
+    for delta_t in (table3.geometry.delta_T, 1.0):
+        cfg = with_updates(table3, k_a=k_a, delta_T=delta_t)
+        sup, ex = _regions(cfg)
+        log_l, log_n, log_r = _log_powers(cfg.radio, mean_desired_gain(cfg.antenna))
+        for boundary, h, log_serv, log_other in _cases(cfg, ex, _log_powers):
+            lo = max(h, sup.z_l) * (1 + 1e-9)
+            r = rng.uniform(lo, max(3 * sup.z_p, 3 * lo), size=1000)
+            e = boundary(r)
+            assert not np.isnan(e).any()
+            far = np.isinf(e)
+            if boundary.__name__ in ("e_lr", "e_nr"):
+                assert np.all(log_r(big) > log_serv(r[far]))
+            else:
+                assert not far.any()
+            r, e = r[~far], e[~far]
+            scale = 1.0 + np.abs(log_serv(r))
+            resid = np.abs(log_serv(r) - log_other(e)) / (eps * scale)
+            assert resid.max() <= 16, (delta_t, boundary.__name__)
+        x = np.linspace(sup.z_l, 3 * sup.z_p, 1000)
+        tiny = math.log(np.finfo(float).tiny)
+        assert np.any((log_l(x) < tiny) & (log_n(x) < tiny))
 
 
 def test_boundaries_clamp_below_threshold(table3, regions):
