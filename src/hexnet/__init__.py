@@ -12,7 +12,6 @@ from .analytic import AnalyticEngine, CoverageReport, TierMetrics
 from .montecarlo import McEstimate, SimulationSummary, estimate
 from .params import (
     NetworkConfig,
-    derived_constants,
     load_config,
     serialize_config,
     with_updates,
@@ -39,7 +38,6 @@ __all__ = [
     "TierMetrics",
     "default_config",
     "default_config_text",
-    "derived_constants",
     "estimate",
     "load_config",
     "serialize_config",

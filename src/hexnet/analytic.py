@@ -35,7 +35,7 @@ from .numerics.quadrature import (
     integrate,
     integrate_semiinfinite,
 )
-from .params import NetworkConfig, derived_constants
+from .params import NetworkConfig
 from .propagation import kappa_los, kappa_nlos, link_table
 
 EVENTS = ("L", "N", "R")
@@ -163,7 +163,6 @@ class AnalyticEngine:
         self.cfg = cfg
         g = cfg.geometry
         self.sup = support(cfg)
-        self.der = derived_constants(cfg)
         self.n_thz = g.n_thz
         self.n_rf = g.n_rf
         self.pmf_desired = desired_gain_pmf(cfg.antenna)
@@ -186,8 +185,9 @@ class AnalyticEngine:
                             breakpoints=(self.vmap.v_m,))
 
         self._fz = lambda z: distance_pdf(z, self.sup, g.v_0, g.r_d)
-        self._kl = lambda z: kappa_los(z, self.der.beta, self.der.delta_h)
-        self._kn = lambda z: kappa_nlos(z, self.der.beta, self.der.delta_h)
+        beta = cfg.blockage.beta(g.h_A, g.h_U)
+        self._kl = lambda z: kappa_los(z, beta, g.delta_h)
+        self._kn = lambda z: kappa_nlos(z, beta, g.delta_h)
 
         def los_nlos(v):
             z, jac = self.vmap.z(v)
@@ -223,7 +223,6 @@ class AnalyticEngine:
                 tiers=((self.n_rf - (not thz), "R"),
                        (self.n_thz - thz, "NL" if event == "N" else "LN")))
         self._assoc: Optional[TierMetrics] = None
-        self._breaks: dict[str, tuple] = {}
         # per event, the final panels' edges (in v) of its association
         # integral, where every later outer integral of the event starts
         self._panels: dict[str, tuple] = {}
@@ -258,8 +257,6 @@ class AnalyticEngine:
         """Panel breakpoints: density kink, piecewise thresholds, and the radii
         where an exclusion boundary crosses z_m or z_p.  A boundary e_xy
         contributes h_xy and the reverse boundary e_yx at z_m and z_p."""
-        if event in self._breaks:
-            return self._breaks[event]
         ex, sup = self.excl, self.sup
         zm, zp = sup.z_m, sup.z_p
         cands = [zm]
@@ -269,10 +266,8 @@ class AnalyticEngine:
                     key = (event + c).lower()
                     back = getattr(ex, "e_" + key[::-1])
                     cands += [getattr(ex, "h_" + key), back(zm), back(zp)]
-        out = tuple(sorted({float(c) for c in cands
-                            if math.isfinite(c) and sup.z_l < c < zp}))
-        self._breaks[event] = out
-        return out
+        return tuple(sorted({float(c) for c in cands
+                             if math.isfinite(c) and sup.z_l < c < zp}))
 
     def _serving_table(self, event: str, x) -> ServingTable:
         """The ``ServingTable`` of one association event at serving

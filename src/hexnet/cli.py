@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -62,22 +61,6 @@ class BelowMinTrials(ConfigError):
     pass
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One swept parameter with its value grid."""
-
-    parameter: str
-    values: tuple[float, ...]
-
-    def points(self, base: NetworkConfig):
-        """(parameter, value, config) per grid point; validates every config."""
-        out = []
-        for v in self.values:
-            out.append((self.parameter, v,
-                        apply_sweep_value(base, self.parameter, v)))
-        return out
-
-
 def apply_sweep_value(cfg: NetworkConfig, parameter: str, value: float) -> NetworkConfig:
     if parameter == "sigma_eps":
         return with_updates(cfg, sigma_eps_T=value, sigma_eps_U=value)
@@ -91,8 +74,9 @@ def apply_sweep_value(cfg: NetworkConfig, parameter: str, value: float) -> Netwo
                       f"choose from {SWEEP_PARAMETERS}")
 
 
-def parse_sweep(text: str) -> SweepSpec:
-    """Parse ``param=v1,v2,...`` or ``param=linspace:a,b,n`` / ``logspace:a,b,n``.
+def parse_sweep(text: str) -> dict:
+    """Parse ``param=v1,v2,...`` or ``param=linspace:a,b,n`` / ``logspace:a,b,n``
+    into one curve (see ``_curve``) on the base config, without a label.
 
     ``logspace`` takes actual endpoint values, not exponents.  Aliases
     ``B_T_db``, ``theta_db`` and ``sigma_eps_deg`` convert their values.
@@ -132,12 +116,15 @@ def parse_sweep(text: str) -> SweepSpec:
         except ValueError as exc:
             raise ConfigError(f"non-numeric sweep value in {text!r}") from exc
     values = [conv(v) if conv else float(v) for v in values]
-    return SweepSpec(name, tuple(values))
+    return _curve(None, {}, name, values)
 
 
 # -- presets reproducing the reference figure axes -----------------------------
 
 def _curve(label, overrides, parameter, values):
+    """One curve: ``parameter`` swept over ``values`` on the base config
+    updated by ``overrides``.  Its rows are labelled ``parameter``, or
+    ``parameter[label]`` when it has a label."""
     return {"label": label, "overrides": overrides,
             "parameter": parameter, "values": tuple(values)}
 
@@ -160,25 +147,24 @@ PRESETS = {
     # coverage (fig6) / rate (fig7) vs THz fraction, one curve per AP count
     "fig6": [_curve(f"N_A={n}", {"N_A": n}, "delta_T", _DELTA_GRID)
              for n in (10, 20, 30)],
-    "fig7": [_curve(f"N_A={n}", {"N_A": n}, "delta_T", _DELTA_GRID)
-             for n in (10, 20, 30)],
     # coverage (fig8) / rate (fig9) vs UE offset, one curve per THz fraction
     "fig8": [_curve(f"delta_T={dt}", {"delta_T": dt}, "v_0", _V0_GRID)
              for dt in (0.2, 0.5, 0.8)],
-    "fig9": [_curve(f"delta_T={dt}", {"delta_T": dt}, "v_0", _V0_GRID)
-             for dt in (0.2, 0.5, 0.8)],
 }
+# every row carries both coverage and rate
+PRESETS["fig7"] = PRESETS["fig6"]
+PRESETS["fig9"] = PRESETS["fig8"]
 
 
-def _preset_points(name: str, base: NetworkConfig):
-    try:
-        curves = PRESETS[name]
-    except KeyError:
-        raise ConfigError(f"unknown preset {name!r}; choose fig4..fig9") from None
+def _points(curves, base: NetworkConfig):
+    """(label, value, config) per point of every curve; validates every
+    config."""
     points = []
     for curve in curves:
         cfg = with_updates(base, **curve["overrides"]) if curve["overrides"] else base
-        label = f"{curve['parameter']}[{curve['label']}]"
+        label = curve["parameter"]
+        if curve["label"] is not None:
+            label += f"[{curve['label']}]"
         for v in curve["values"]:
             points.append((label, float(v),
                            apply_sweep_value(cfg, curve["parameter"], v)))
@@ -275,9 +261,11 @@ def _load_cfg(path) -> NetworkConfig:
 
 def _gather_points(cfg, sweep, preset):
     if preset is not None:
-        return _preset_points(preset, cfg)
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; choose fig4..fig9")
+        return _points(PRESETS[preset], cfg)
     if sweep is not None:
-        return parse_sweep(sweep).points(cfg)
+        return _points([parse_sweep(sweep)], cfg)
     return [("none", 0.0, cfg)]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .params import NetworkConfig, derived_constants
+from .params import NetworkConfig
 
 #: allowed floating-point spill of the arccos argument beyond [-1, 1]
 ARCCOS_SPILL_TOL = 1e-9
@@ -156,7 +156,6 @@ def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
     directly, and d = sqrt(h^2 + delta_h^2).
     """
     g = cfg.geometry
-    der = derived_constants(cfg)
 
     sq = rng.random((n_trials, g.N_A))
     if g.v_0 == 0.0:
@@ -176,8 +175,8 @@ def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
         sq += term
 
     kappa = np.sqrt(sq[:, :g.n_thz])
-    kappa *= -der.beta
+    kappa *= -cfg.blockage.beta(g.h_A, g.h_U)
     np.exp(kappa, out=kappa)
     is_los = rng.random(kappa.shape) < kappa
-    sq += der.delta_h**2
+    sq += g.delta_h**2
     return np.sqrt(sq, out=sq), is_los

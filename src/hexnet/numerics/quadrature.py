@@ -2,11 +2,14 @@
 
 Integrands must be vectorized: ``f`` receives a 1-D array of abscissae and
 returns an array whose first axis matches it.  Trailing axes are allowed, in
-which case all components are integrated on shared panels and the error is
-controlled in the max norm (useful for jet coefficients and parameter grids).
+which case all components are integrated on shared panels (useful for jet
+coefficients and parameter grids).
 
-Panels are processed in batches (one integrand call per refinement sweep), so
-the per-call Python overhead stays small even for deeply refined integrals.
+``integrate`` and ``TailIntegral`` share one refinement loop, ``_refine``,
+whose docstring states the stopping rule; they differ only in the norm their
+tolerance is taken in.  Panels are processed in batches (one integrand call
+per refinement sweep), so the per-call Python overhead stays small even for
+deeply refined integrals.
 """
 
 from __future__ import annotations
@@ -125,40 +128,68 @@ def _eval_panels(f, a, b, norm):
     return values, err
 
 
-def _initial_panels(f, a, b, breakpoints, norm):
-    """Panels between the breakpoints inside (a, b), evaluated, at depth 0:
-    (starts, ends, values, errors, depths)."""
-    pts = sorted({float(p) for p in breakpoints if a < p < b})
+def _refine(f, a, b, q, norm):
+    """Adaptive Gauss-Kronrod refinement of [a, b], the one loop behind
+    ``integrate`` and ``TailIntegral``.
+
+    Starts on the panels between ``q.breakpoints`` and halves panels, all of
+    a sweep in one integrand call, until the summed error estimate meets
+    ``max(abs_tol, rel_tol * norm(total))``: componentwise for
+    ``norm=_colabs``, in the max norm for ``_maxabs``.  Each sweep splits
+    every panel over its length-proportional share of that tolerance; if
+    rounding leaves the sum over it with no panel over its share, the worst
+    panel.  A panel narrower than 64 ulp of ``max(|a|, |b|, 1)``, where the
+    Kronrod nodes round onto its ends, or ``max_depth`` halvings deep is
+    never split: MaxDepthExceeded names the worst such panel that would have
+    to be.  NonFiniteEstimate names a panel whose error is not finite.
+
+    Returns the final panels' starts, their values, the total and the summed
+    error estimate.
+    """
+    pts = sorted({float(p) for p in q.breakpoints if a < p < b})
     edges = np.array([a, *pts, b], dtype=float)
     pa, pb = edges[:-1], edges[1:]
-    return (pa, pb, *_eval_panels(f, pa, pb, norm),
-            np.zeros(pa.size, dtype=int))
+    vals, errs = _eval_panels(f, pa, pb, norm)
+    depths = np.zeros(pa.size, dtype=int)
+    span = b - a
+    min_width = 64.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
+    while True:
+        total = vals.sum(axis=0)
+        err = errs.sum(axis=0)
+        tol = np.maximum(q.abs_tol, q.rel_tol * norm(total[None], total.ndim)[0])
+        if np.all(err <= tol):
+            return pa, vals, total, err
 
+        share = ((pb - pa) / span).reshape((-1,) + (1,) * (errs.ndim - 1))
+        split = (errs > tol * share).reshape(pa.size, -1).any(axis=1)
+        worst = errs.reshape(pa.size, -1).max(axis=1)
+        if not split.any():
+            split = worst >= worst.max()
+        stuck = split & ((pb - pa <= min_width) | (depths >= q.max_depth))
+        if stuck.any():
+            i = int(np.argmax(np.where(stuck, worst, -np.inf)))
+            raise MaxDepthExceeded(float(pa[i]), float(pb[i]), float(worst[i]))
 
-def _bisect(f, split, pa, pb, vals, errs, depths, norm):
-    """Halve the panels marked in ``split``: the kept panels, then the new
-    halves, with their values, errors and depths."""
-    sa, sb = pa[split], pb[split]
-    smid = 0.5 * (sa + sb)
-    ca = np.concatenate([sa, smid])
-    cb = np.concatenate([smid, sb])
-    cvals, cerrs = _eval_panels(f, ca, cb, norm)
-    keep = ~split
-    return (np.concatenate([pa[keep], ca]), np.concatenate([pb[keep], cb]),
-            np.concatenate([vals[keep], cvals], axis=0),
-            np.concatenate([errs[keep], cerrs], axis=0),
-            np.concatenate([depths[keep], depths[split] + 1, depths[split] + 1]))
+        sa, sb = pa[split], pb[split]
+        smid = 0.5 * (sa + sb)
+        ca = np.concatenate([sa, smid])
+        cb = np.concatenate([smid, sb])
+        cvals, cerrs = _eval_panels(f, ca, cb, norm)
+        keep = ~split
+        pa = np.concatenate([pa[keep], ca])
+        pb = np.concatenate([pb[keep], cb])
+        vals = np.concatenate([vals[keep], cvals], axis=0)
+        errs = np.concatenate([errs[keep], cerrs], axis=0)
+        depths = np.concatenate([depths[keep], depths[split] + 1,
+                                 depths[split] + 1])
 
 
 def integrate(f, a: float, b: float, q: Quadrature | None = None) -> QuadResult:
     """Adaptive integral of a vectorized integrand over [a, b].
 
-    Splits every panel whose error exceeds its length-proportional share of
-    the tolerance until the summed error estimate meets
-    ``max(abs_tol, rel_tol * |value|)``.  Raises MaxDepthExceeded (reporting
-    the worst panel) if a panel would have to be split beyond ``max_depth``
-    halvings, and NonFiniteEstimate if a panel's error estimate is not
-    finite.
+    Refines by ``_refine``'s stopping rule until the summed error estimate
+    meets ``max(abs_tol, rel_tol * |value|)``, |value| in the max norm over
+    trailing axes; raises as ``_refine`` does.
 
     The result also carries the interior edges of the final panels, where
     the integrand needed resolution: as the ``breakpoints`` of a later
@@ -171,32 +202,9 @@ def integrate(f, a: float, b: float, q: Quadrature | None = None) -> QuadResult:
         raise ValueError("integrate requires a <= b")
     if a == b:
         return QuadResult(0.0, 0.0, ())
-
-    pa, pb, vals, errs, depths = _initial_panels(f, a, b, q.breakpoints,
-                                                 _maxabs)
-    tail_ndim = vals.ndim - 1
-    span = b - a
-
-    while True:
-        total = vals.sum(axis=0)
-        err_total = float(errs.sum())
-        scale = float(np.max(np.abs(total))) if tail_ndim else abs(float(total))
-        tol = max(q.abs_tol, q.rel_tol * scale)
-        if err_total <= tol:
-            value = total if tail_ndim else float(total)
-            return QuadResult(value, err_total, tuple(np.sort(pa)[1:].tolist()))
-
-        budget = tol * (pb - pa) / span
-        split = errs > budget
-        if not split.any():
-            split = errs >= errs.max()
-        if depths[split].max() >= q.max_depth:
-            worst = int(np.argmax(np.where(split, errs, -np.inf)))
-            raise MaxDepthExceeded(float(pa[worst]), float(pb[worst]),
-                                   float(errs[worst]))
-
-        pa, pb, vals, errs, depths = _bisect(f, split, pa, pb, vals, errs,
-                                             depths, _maxabs)
+    pa, _, total, err = _refine(f, a, b, q, _maxabs)
+    value = total if total.ndim else float(total)
+    return QuadResult(value, float(err), tuple(np.sort(pa)[1:].tolist()))
 
 
 def integrate_semiinfinite(f, q: Quadrature | None = None) -> QuadResult:
@@ -236,19 +244,17 @@ class TailIntegral:
     Like ``integrate``'s integrands, f may return trailing axes; T(x) has
     them too.  Builds one adaptive panelization of [a, b] up front, shared
     by all components, then answers arbitrary lower limits with a suffix sum
-    plus a single fresh Kronrod rule on the partial panel.  The tolerance
-    holds per component, not in the max norm: each component's summed error
-    estimate meets ``max(abs_tol, rel_tol * |its total|)``, and a panel is
-    split while any component is over its length-proportional share of its
-    own tolerance.  A component that is small is not held to the scale of a
-    large one, and one that is identically zero needs only ``abs_tol``.
+    plus a single fresh Kronrod rule on the partial panel.  The panels come
+    from ``_refine``, with the tolerance held per component, not in the max
+    norm: each component's summed error estimate meets
+    ``max(abs_tol, rel_tol * |its total|)``, and a panel is split while any
+    component is over its share of its own tolerance.  A component that is
+    small is not held to the scale of a large one, and one that is
+    identically zero needs only ``abs_tol``.
 
     Vectorized over x; each lower limit's rule is summed on its own, node by
     node, so a value does not depend on the other entries of its array.
-    Raises MaxDepthExceeded (reporting the worst panel) if the tolerance
-    cannot be met: a panel over its error share would have to be split below
-    a width of 64 ulp or beyond ``max_depth`` halvings.  A NaN lower limit
-    raises DomainError.
+    Raises as ``_refine`` does; a NaN lower limit raises DomainError.
     """
 
     def __init__(self, f, a: float, b: float, q: Quadrature | None = None):
@@ -259,29 +265,7 @@ class TailIntegral:
         self.b = float(b)
         if not b > a:
             raise ValueError("TailIntegral requires b > a")
-        # errs: (panels, components)
-        pa, pb, vals, errs, depths = _initial_panels(f, a, b, q.breakpoints,
-                                                     _colabs)
-        span = b - a
-        min_width = 64.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
-        while True:
-            total = vals.sum(axis=0).reshape(-1)
-            tol = np.maximum(q.abs_tol, q.rel_tol * np.abs(total))
-            if np.all(errs.sum(axis=0) <= tol):
-                break
-            share = ((pb - pa) / span)[:, None]
-            split = (errs > tol * share).any(axis=1) & (pb - pa > min_width)
-            if not split.any() or depths[split].max() >= q.max_depth:
-                # the tolerance is out of reach: every panel over its share
-                # is at min_width, or one would be split beyond max_depth
-                pool = split if split.any() else np.ones_like(split)
-                worst = int(np.argmax(np.where(pool, errs.max(axis=1),
-                                               -np.inf)))
-                raise MaxDepthExceeded(float(pa[worst]), float(pb[worst]),
-                                       float(errs[worst].max()))
-            pa, pb, vals, errs, depths = _bisect(f, split, pa, pb, vals, errs,
-                                                 depths, _colabs)
-
+        pa, vals, _, err = _refine(f, a, b, q, _colabs)
         order = np.argsort(pa)
         self._edges = np.append(pa[order], b)
         panel_vals = vals[order]
@@ -290,7 +274,6 @@ class TailIntegral:
         self._suffix = suffix
         scalar = suffix.ndim == 1
         self.total = float(suffix[0]) if scalar else suffix[0]
-        err = errs.sum(axis=0)
         self.error = float(err[0]) if scalar else err.reshape(suffix.shape[1:])
 
     def __call__(self, x):

@@ -11,7 +11,6 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from .errors import ConfigError, MissingKey, NonIntegerThzCount, OutOfRange
 
@@ -119,24 +118,6 @@ class NetworkConfig:
 
     def __post_init__(self):
         _validate(self)
-
-
-class DerivedConstants(NamedTuple):
-    gamma_T: float
-    gamma_R: float
-    beta: float
-    delta_h: float
-
-
-def derived_constants(cfg: NetworkConfig) -> DerivedConstants:
-    """The handful of derived quantities every other module shares."""
-    g = cfg.geometry
-    return DerivedConstants(
-        gamma_T=cfg.radio.gamma_T,
-        gamma_R=cfg.radio.gamma_R,
-        beta=cfg.blockage.beta(g.h_A, g.h_U),
-        delta_h=g.delta_h,
-    )
 
 
 def _require(key, value, ok: bool, bound: str):

@@ -308,8 +308,9 @@ def test_laplace_r_against_conditional_mc(table3):
     d_rf = d[:, :g.n_rf]
     d_thz = d[:, g.n_rf:]
     mean_gain = mean_desired_gain(table3.antenna)
+    beta = table3.blockage.beta(g.h_A, g.h_U)
     los = rng.random(d_thz.shape) < np.exp(
-        -eng.der.beta * np.sqrt(np.maximum(d_thz**2 - eng.der.delta_h**2, 0.0)))
+        -beta * np.sqrt(np.maximum(d_thz**2 - g.delta_h**2, 0.0)))
     alpha_t = np.where(los, r.alpha_L, r.alpha_N)
     p_thz = (r.B_T * r.P_T * r.gamma_T * mean_gain
              * np.exp(-r.k_a * d_thz) * d_thz**-alpha_t).max(axis=1)
@@ -472,7 +473,7 @@ def test_rate_single_ap_closed_form(table3):
 
     def density(xs):
         return (distance_pdf(xs, sup, g.v_0, g.r_d)
-                * kappa_nlos(xs, eng.der.beta, eng.der.delta_h))
+                * kappa_nlos(xs, cfg.blockage.beta(g.h_A, g.h_U), g.delta_h))
 
     def mean_log(xs):
         snr = r.P_T * g1 * path_gain(LinkClass.THZ_NLOS, xs, r) / r.sigma2_T
@@ -621,9 +622,10 @@ def test_tail_columns_against_quad(table3, overrides):
     eng = AnalyticEngine(with_updates(table3, **overrides))
     sup, g = eng.sup, eng.cfg.geometry
     fz = lambda z: distance_pdf(z, sup, g.v_0, g.r_d)
-    kl = lambda z: kappa_los(z, eng.der.beta, eng.der.delta_h)
+    beta = eng.cfg.blockage.beta(g.h_A, g.h_U)
+    kl = lambda z: kappa_los(z, beta, g.delta_h)
     columns = (lambda z: fz(z) * kl(z), lambda z: fz(z) * kappa_nlos(
-        z, eng.der.beta, eng.der.delta_h), fz)
+        z, beta, g.delta_h), fz)
     totals = (*eng.tail.total, eng.tail.total.sum())
     rel_tol = 1e-11
     if overrides.get("lambda_B") == 0.0:

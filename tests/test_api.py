@@ -25,8 +25,8 @@ def test_public_names():
     assert sorted(hexnet.__all__) == [
         "AnalyticEngine", "CoverageReport", "McEstimate", "NetworkConfig",
         "SimulationSummary", "TierMetrics", "default_config",
-        "default_config_text", "derived_constants", "estimate", "load_config",
-        "serialize_config", "with_updates",
+        "default_config_text", "estimate", "load_config", "serialize_config",
+        "with_updates",
     ]
     for name in hexnet.__all__:
         assert hasattr(hexnet, name), name

@@ -21,7 +21,8 @@ def test_analytic_writes_csv_header_and_row(small_config, tmp_path):
     res = CliRunner().invoke(main, ["analytic", "--config", small_config,
                                     "--out", str(out)])
     assert res.exit_code == 0, res.output
-    rows = list(csv.reader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.reader(fh))
     assert tuple(rows[0]) == BASE_COLUMNS
     assert len(rows) == 2 and len(rows[1]) == len(BASE_COLUMNS)
     assert rows[1][0] == "none"

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from hexnet import default_config_text, load_config, serialize_config, with_updates
 from hexnet.errors import ConfigError, MissingKey, NonIntegerThzCount, OutOfRange
-from hexnet.params import derived_constants, from_db
+from hexnet.params import from_db
 
 
 def _doc(**overrides):
@@ -33,23 +33,21 @@ def test_table3_document_loads(table3):
 
 
 def test_derived_constants(table3):
-    der = derived_constants(table3)
+    r, g = table3.radio, table3.geometry
     c = 3.0e8
-    assert der.gamma_R == pytest.approx(c**2 / (4 * math.pi * 2.1e9) ** 2, rel=1e-14)
-    assert der.gamma_R == pytest.approx(1.2923620362543083e-4, rel=1e-12)
-    assert der.gamma_T == pytest.approx(c**2 / (4 * math.pi * 1.05e12) ** 2, rel=1e-14)
+    assert r.gamma_R == pytest.approx(c**2 / (4 * math.pi * 2.1e9) ** 2, rel=1e-14)
+    assert r.gamma_R == pytest.approx(1.2923620362543083e-4, rel=1e-12)
+    assert r.gamma_T == pytest.approx(c**2 / (4 * math.pi * 1.05e12) ** 2, rel=1e-14)
     # blockage prefactor: 2 * 0.3 * 0.22 * (0.3 / 3.1)
-    assert der.beta == pytest.approx(0.012774193548387098, rel=1e-12)
-    assert der.delta_h == pytest.approx(3.1)
+    assert table3.blockage.beta(g.h_A, g.h_U) == pytest.approx(
+        0.012774193548387098, rel=1e-12)
+    assert g.delta_h == pytest.approx(3.1)
 
 
 def test_beta_zero_when_blockers_at_ue_height(table3):
-    cfg = with_updates(table3, h_B=table3.geometry.h_U)
-    assert derived_constants(cfg).beta == 0.0
-
-
-def test_derived_constants_pure(table3):
-    assert derived_constants(table3) == derived_constants(table3)
+    g = table3.geometry
+    cfg = with_updates(table3, h_B=g.h_U)
+    assert cfg.blockage.beta(g.h_A, g.h_U) == 0.0
 
 
 def test_round_trip(table3):
