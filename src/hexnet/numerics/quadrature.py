@@ -61,6 +61,8 @@ GAUSS_WEIGHTS = np.zeros(15)
 GAUSS_WEIGHTS[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 _ERR_FLOOR = 50.0 * np.finfo(float).eps
+#: narrowest panel split, relative to max(|a|, |b|, 1): 64 ulp
+_MIN_WIDTH = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -92,21 +94,19 @@ class QuadResult(NamedTuple):
     breakpoints: tuple  # interior edges of the final panels, ascending
 
 
-def _maxabs(values, tail_ndim):
-    """Max-norm over trailing axes; values shape (m, *tail) -> (m,)."""
-    if tail_ndim == 0:
-        return np.abs(values)
-    return np.abs(values).reshape(values.shape[0], -1).max(axis=1)
+def _maxabs(values):
+    """Max-norm over trailing axes; values shape (m, *tail) -> (m, 1)."""
+    return np.abs(values).reshape(values.shape[0], -1).max(axis=1, keepdims=True)
 
 
-def _colabs(values, tail_ndim):
+def _colabs(values):
     """Absolute value per component; values shape (m, *tail) -> (m, C)."""
     return np.abs(values).reshape(values.shape[0], -1)
 
 
 def _eval_panels(f, a, b, norm):
     """Kronrod/Gauss evaluation of panels [a_i, b_i]; returns (values, errors),
-    the errors reduced over the trailing axes by ``norm``.  Raises
+    the errors reduced over the trailing axes by ``norm`` to (m, k).  Raises
     NonFiniteEstimate on the first panel whose error is not finite."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -119,9 +119,9 @@ def _eval_panels(f, a, b, norm):
     resabs = np.tensordot(np.abs(fx), KRONROD_WEIGHTS, axes=([1], [0]))
     half_r = half.reshape((a.size,) + (1,) * len(tail))
     values = kron * half_r
-    err = norm((kron - gauss) * half_r, len(tail))
-    err = np.maximum(err, _ERR_FLOOR * norm(resabs * half_r, len(tail)))
-    bad = ~np.isfinite(err.reshape(a.size, -1)).all(axis=1)
+    err = norm((kron - gauss) * half_r)
+    err = np.maximum(err, _ERR_FLOOR * norm(resabs * half_r))
+    bad = ~np.isfinite(err).all(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
         raise NonFiniteEstimate(float(a[i]), float(b[i]), float(np.max(err[i])))
@@ -152,17 +152,16 @@ def _refine(f, a, b, q, norm):
     vals, errs = _eval_panels(f, pa, pb, norm)
     depths = np.zeros(pa.size, dtype=int)
     span = b - a
-    min_width = 64.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
+    min_width = _MIN_WIDTH * max(abs(a), abs(b), 1.0)
     while True:
         total = vals.sum(axis=0)
         err = errs.sum(axis=0)
-        tol = np.maximum(q.abs_tol, q.rel_tol * norm(total[None], total.ndim)[0])
-        if np.all(err <= tol):
+        tol = np.maximum(q.abs_tol, q.rel_tol * norm(total[None])[0])
+        if (err <= tol).all():
             return pa, vals, total, err
 
-        share = ((pb - pa) / span).reshape((-1,) + (1,) * (errs.ndim - 1))
-        split = (errs > tol * share).reshape(pa.size, -1).any(axis=1)
-        worst = errs.reshape(pa.size, -1).max(axis=1)
+        split = (errs > tol * ((pb - pa) / span)[:, None]).any(axis=1)
+        worst = errs.max(axis=1)
         if not split.any():
             split = worst >= worst.max()
         stuck = split & ((pb - pa <= min_width) | (depths >= q.max_depth))
@@ -204,7 +203,7 @@ def integrate(f, a: float, b: float, q: Quadrature | None = None) -> QuadResult:
         return QuadResult(0.0, 0.0, ())
     pa, _, total, err = _refine(f, a, b, q, _maxabs)
     value = total if total.ndim else float(total)
-    return QuadResult(value, float(err), tuple(np.sort(pa)[1:].tolist()))
+    return QuadResult(value, float(err[0]), tuple(np.sort(pa)[1:].tolist()))
 
 
 def integrate_semiinfinite(f, q: Quadrature | None = None) -> QuadResult:
