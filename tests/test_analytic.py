@@ -15,8 +15,8 @@ from hexnet.analytic import (
     TierMetrics,
 )
 from hexnet.antenna import mean_desired_gain
-from hexnet.cli import VALIDATE_SLACK_PROB
-from hexnet.errors import DegenerateEvent, DomainError, NumericalInconsistency
+from hexnet.cli import VALIDATE_SLACK_PROB, VALIDATE_SLACK_RATE
+from hexnet.errors import DegenerateEvent, NumericalInconsistency
 from hexnet.geometry import distance_pdf
 from hexnet.montecarlo import estimate
 from hexnet.numerics import Quadrature, integrate, integrate_semiinfinite
@@ -254,41 +254,38 @@ def test_inner_calls_batched_over_serving_distances(table3, monkeypatch):
     assert 0 < inner_calls[0] <= bound[0]
 
 
-def test_rate_inner_calls_batched_over_serving_distances(table3, monkeypatch):
-    # the rate level passes ~100 t-nodes per serving distance at order 0; its
-    # inner calls hold as many x as one piece's kernel allows, counted
+def test_rate_builds_one_bracket_table_per_class_without_inner_calls(
+        table3, monkeypatch):
+    # counted, not timed: the rate makes no inner-level integral; it builds
+    # one bracket table per interferer class on the first conditional_rate,
+    # and none again; coverage() builds none
     eng = AnalyticEngine(table3, rel_tol=1e-4)
-    eng.assoc_probabilities()
-    ev = eng._ev["L"]
-    segments = ev["tiers"][ev["own"]][1]
-    n_g = ev["int_gains"].size
     inner_calls = [0]
-    bound = [0]
-    widest = [0]
+    builds = []
     plain = analytic.integrate
-    plain_semi = analytic.integrate_semiinfinite
+    plain_tail = analytic.TailIntegral
 
     def counting(f, a, b, q=None):
         if q is eng.q_inner:
             inner_calls[0] += 1
         return plain(f, a, b, q)
 
-    def semi(f, q=None):
-        def rate_t(ts):
-            out = f(ts)                                   # (T, X)
-            # segments x budget slices of X columns at T points each
-            step = max(1, _INNER_ELEMENTS // (15 * ts.size * n_g))
-            bound[0] += len(segments) * -(-out.shape[1] // step)
-            widest[0] = max(widest[0], step)
-            return out
-        return plain_semi(rate_t, q)
+    def building(f, a, b, q=None):
+        builds.append(f)
+        return plain_tail(f, a, b, q)
 
     monkeypatch.setattr(analytic, "integrate", counting)
-    monkeypatch.setattr(analytic, "integrate_semiinfinite", semi)
-    eng.conditional_rate("L")
-    # the first t-sweeps' slices hold several x
-    assert widest[0] > 1
-    assert 0 < inner_calls[0] <= bound[0]
+    monkeypatch.setattr(analytic, "TailIntegral", building)
+    eng.coverage()
+    assert builds == [] and inner_calls[0] > 0
+    inner_calls[0] = 0
+    for event in EVENTS:
+        eng.conditional_rate(event)
+    assert inner_calls[0] == 0
+    assert sorted(eng._brackets) == ["L", "N", "R"]
+    assert len(builds) == 3
+    eng.report()
+    assert len(builds) == 3 and inner_calls[0] > 0
 
 
 def test_laplace_r_against_conditional_mc(table3):
@@ -400,8 +397,7 @@ def test_rate_linear_in_bandwidth(table3):
 def test_rate_rejects_negative_mean_log(table3, monkeypatch):
     # a negative Hamdi integrand raises instead of clamping to rate 0
     eng = AnalyticEngine(table3, rel_tol=1e-4)
-    monkeypatch.setattr(eng, "_laplace_coeffs", lambda event, table, nu0, order:
-                        -np.ones((order + 1,) + np.shape(nu0)))
+    monkeypatch.setattr(eng, "_rate_laplace", lambda event, table: -1.0)
     with pytest.raises(NumericalInconsistency, match="event L"):
         eng.conditional_rate("L")
 
@@ -434,8 +430,8 @@ def _threshold_mean_log(eng, event, x, q):
 
 
 def test_rate_kernel_matches_threshold_integral(table3):
-    # Hamdi's lemma against the threshold integral it replaced, per serving
-    # distance, within ten times the rate level's own tolerance
+    # Hamdi's lemma against the threshold integral, per serving distance,
+    # within ten times the oracle's own tolerance
     sig = math.radians(10.0)
     cases = {
         "table3": table3,
@@ -446,7 +442,7 @@ def test_rate_kernel_matches_threshold_integral(table3):
     }
     for name, cfg in cases.items():
         eng = AnalyticEngine(cfg, rel_tol=1e-9)
-        q = eng.q_rate_t
+        q = Quadrature(rel_tol=1e-9, abs_tol=1e-9)
         assoc = eng.assoc_probabilities()
         xs = np.linspace(eng.sup.z_l, eng.sup.z_p, 9)[1:-1]
         for event in EVENTS:
@@ -553,20 +549,32 @@ def test_thz_association_at_large_absorption_against_mc(table3, k_a):
         assert abs(an - mc) <= ci + VALIDATE_SLACK_PROB
 
 
-def test_nearly_coplanar_aps_raise_domain_error(table3):
+def test_nearly_coplanar_aps_report_is_finite(table3):
     # with the APs nearly coplanar with the UE the interferer mass beyond a
-    # boundary can be tiny but positive: coverage stays finite, without an
-    # overflow.  The mean SNR exceeds 1e16, so the rate's t axis reaches
-    # u = 1, by a breakpoint or by refinement: a typed error, and no
-    # division by zero on the way
+    # boundary can be tiny but positive and the mean SNR exceeds 1e16:
+    # report() is finite and in range at every offset, without a warning,
+    # and at one offset matches a seeded Monte-Carlo under the validate rule
     for offset in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
         cfg = with_updates(table3, h_A=1.4 + offset)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            cov = AnalyticEngine(cfg, rel_tol=1e-4).coverage().total_coverage
-            assert 0.0 <= cov <= 1.0, offset
-            with pytest.raises(DomainError, match="t breakpoint"):
-                AnalyticEngine(cfg, rel_tol=1e-4).report()
+            rep = AnalyticEngine(cfg, rel_tol=1e-4).report()
+        assert 0.0 <= rep.total_coverage <= 1.0, offset
+        assert math.isfinite(rep.total_rate) and rep.total_rate > 0.0, offset
+        for e in EVENTS:
+            if rep.assoc.get(e) > DEGENERATE_EVENT_TOL:
+                assert 0.0 <= rep.cond_coverage.get(e) <= 1.0, (offset, e)
+                assert 0.0 <= rep.cond_rate.get(e) < math.inf, (offset, e)
+        if offset == 1e-5:
+            sim = estimate(cfg, 100_000, seed=11)
+            ci = sum(1.96 * math.sqrt(p * (1.0 - p) / sim.n_trials)
+                     for p in (sim.assoc.los, sim.assoc.nlos))
+            assert abs(rep.assoc.los + rep.assoc.nlos - sim.assoc.los
+                       - sim.assoc.nlos) <= ci + VALIDATE_SLACK_PROB
+            assert abs(rep.total_coverage - sim.coverage.mean) <= (
+                sim.coverage.half_width_95 + VALIDATE_SLACK_PROB)
+            assert abs(rep.total_rate - sim.rate.mean) <= (
+                sim.rate.half_width_95 + VALIDATE_SLACK_RATE * sim.rate.mean)
 
 
 @pytest.mark.parametrize("s_unit", [1e300, 1e307, 1e308])
@@ -751,3 +759,38 @@ def test_disk_edge_matches_tight_tolerance(table3, v_0):
     want = _cells(tight.report())
     assert np.allclose(cov, want[:7], rtol=1e-3, atol=0.0)
     assert np.allclose(rep, want, rtol=1e-3, atol=0.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"B_T": 1e-6}, {"B_T": 1e6},
+    {"m_L": 10, "m_N": 10, "k_a": 0.0},
+    {"lambda_B": 0.0},
+    {"v_0": 79.9},
+    {"h_A": 1.41},
+    {"N_A": 1, "delta_T": 0.0}, {"N_A": 1, "delta_T": 1.0},
+    {"sigma_eps_T": math.radians(10.0), "sigma_eps_U": math.radians(10.0)},
+], ids=["B_T=1e-6", "B_T=1e6", "m=10,k_a=0", "lambda_B=0", "v_0=79.9",
+        "h_A=1.41", "N_A=1,delta_T=0", "N_A=1,delta_T=1", "sigma_eps=10"])
+def test_rate_meets_rel_tol_against_tight(table3, overrides):
+    # the rate's step is set a priori from rel_tol: at rel_tol 1e-4 and 1e-7
+    # every conditional rate is within rel_tol of an engine at 1e-10
+    cfg = with_updates(table3, **overrides)
+    tight = AnalyticEngine(cfg, rel_tol=1e-10)
+    assoc = tight.assoc_probabilities()
+    events = [e for e in EVENTS if assoc.get(e) > DEGENERATE_EVENT_TOL]
+    want = np.array([tight.conditional_rate(e) for e in events])
+    for rel_tol in (1e-4, 1e-7):
+        eng = AnalyticEngine(cfg, rel_tol=rel_tol)
+        got = np.array([eng.conditional_rate(e) for e in events])
+        assert np.all(np.abs(got - want) <= rel_tol * want), (rel_tol, got, want)
+
+
+def test_rate_unchanged_by_a_finer_step(table3):
+    # on Table 3 the trapezoid sum of the tight engine above has converged:
+    # a step shorter by sqrt(2) moves no conditional rate by more than 1e-13
+    base = AnalyticEngine(table3, rel_tol=1e-10)
+    finer = AnalyticEngine(table3, rel_tol=1e-10)
+    finer.rate_step = base.rate_step / math.sqrt(2.0)
+    for event in EVENTS:
+        assert finer.conditional_rate(event) == pytest.approx(
+            base.conditional_rate(event), rel=1e-13, abs=0.0), event

@@ -76,8 +76,10 @@ def test_tracer_installs_and_uninstalls(table3):
 
 
 def test_traced_report_equals_untraced(table3):
-    # the traced run of a full report() reaches every quadrature level and
-    # the tail lookups, and its outputs equal an untraced run's, bit for bit
+    # the traced run of a full report() reaches the outer and inner levels,
+    # builds and looks up tail tables, the rate's bracket tables among them,
+    # and makes no call to the retired rate level; its outputs equal an
+    # untraced run's, bit for bit
     tracing = _tracing()
     plain = AnalyticEngine(table3, rel_tol=1e-4).report()
     tracer = tracing.Tracer()
@@ -88,7 +90,9 @@ def test_traced_report_equals_untraced(table3):
         traced = eng.report()
     finally:
         tracer.uninstall()
-    for level in ("outer", "inner", "rate_t"):
+    for level in ("outer", "inner"):
         assert tracer.counts[f"numerics.quadrature.{level}.calls"] > 0, level
-    assert tracer.counts["numerics.quadrature.tail.lookups"] > 0
+    assert tracer.counts["numerics.quadrature.rate_t.calls"] == 0
+    for name in ("build_nodes", "lookups"):
+        assert tracer.counts[f"numerics.quadrature.tail.{name}"] > 0, name
     assert traced == plain

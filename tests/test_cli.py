@@ -78,3 +78,16 @@ def test_validate_preset_point(table3, tmp_path, figure, label, value):
         "--seed", str(VALIDATE_SEED)])
     assert res.exit_code == 0, res.output
     assert "all 1 points pass" in res.output
+
+
+def test_validate_passes_where_the_serving_power_vanishes(table3, tmp_path):
+    # all-THz at k_a = 25 the mean SNR is below 1e-20 at every serving
+    # distance: both engines give a rate of exactly 0, which the validate
+    # rule's rate tolerance of 0 there requires
+    path = tmp_path / "point.cfg"
+    path.write_text(serialize_config(with_updates(table3, k_a=25.0,
+                                                  delta_T=1.0)))
+    res = CliRunner().invoke(main, ["validate", "--config", str(path),
+                                    "--trials", "2000", "--seed", "7"])
+    assert res.exit_code == 0, res.output
+    assert "all 1 points pass" in res.output
