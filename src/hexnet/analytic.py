@@ -43,13 +43,6 @@ DEGENERATE_EVENT_TOL = 1e-12
 #: tolerated numerical spill of a probability outside [0, 1]
 PROBABILITY_SPILL_TOL = 1e-6
 
-#: element budget of the inner kernel's widest temporary in its first sweep,
-#: one interferer piece's kernel jet: 15 u-nodes x serving distances x
-#: expansion points x interferer gain atoms x (jet order + 1).  Longer vectors
-#: of serving distances are sliced; a refinement sweep on k panels is 2k
-#: times as wide.
-_INNER_ELEMENTS = 2**14
-
 #: the rate's Laplace-argument grid starts at _RATE_EPS / max(P_max, sigma^2),
 #: and a serving distance whose mean SNR is below _RATE_EPS has rate 0
 _RATE_EPS = 1e-13
@@ -98,6 +91,18 @@ class ServingTable(NamedTuple):
                             {c: v[sel] for c, v in self.mass.items()})
 
 
+def _check_interferer_mass(event: str, table: ServingTable, classes) -> None:
+    """Raise ``DegenerateEvent`` where an x of ``table`` has no interferer
+    mass, summed over the serving tier's ``classes``, although the event
+    has interferers."""
+    bad = ~(sum(table.mass[c] for c in classes) > 0.0)
+    if bad.any():
+        raise DegenerateEvent(
+            f"event {event} has interferers but no interferer mass at "
+            f"serving distance {float(table.x[bad][0])!r}"
+        )
+
+
 class AnalyticEngine:
     """Per-config caches and the quadrature pipeline.
 
@@ -139,14 +144,14 @@ class AnalyticEngine:
     are the interferer segments' lower limits and masses in the Laplace
     kernel.  Coverage's inner interference integrals run 10x tighter
     (``q_inner``), batched: one ``integrate`` per outer sweep and interferer
-    segment serves the sweep's whole vector of x.  Each x's range
+    class with mass serves the sweep's whole vector of x.  Each x's range
     [lo(x), z_p] is taken into v, cut at ``_inner_breaks`` (z_m and four
     seeds near z_l, mapped into v), its pieces are mapped affinely onto
     shared panels in u in [0, 1], and its column is divided by the
     segment's interferer mass over the range, so the max-norm tolerance
-    applies per x.  The kernel is accumulated one piece at a time, so its
-    widest temporary, one piece's jet, has no piece axis; the x are sliced
-    so that it stays within ``_INNER_ELEMENTS`` elements in the first sweep.
+    applies per x, to the bracket averaged over the interferer gain atoms.
+    The kernel is accumulated one piece at a time, so its widest
+    temporary, one piece's jet, has no piece axis.
 
     Coverage needs the Laplace transforms' derivatives up to order m - 1 at
     the threshold, carried as jets.  The rate needs L_I at order 0 only, on
@@ -381,10 +386,9 @@ class AnalyticEngine:
         column is divided by the segment's interferer mass over [lo(x), z_p]
         and multiplied back afterwards: all columns are O(1), so the shared
         max-norm tolerance holds per x; an x where that mass is 0 has no
-        column.  The x are sorted by lo, so a slice holds x with similar
-        piece counts, and sliced so that one piece's kernel jet, 15 u-nodes
-        x slice x M x gain atoms x (order + 1), stays within
-        ``_INNER_ELEMENTS`` in the first sweep.
+        column.  The interferer gain atoms are averaged inside the
+        integrand, so the tolerance holds on the gain-averaged bracket, and
+        each segment is one ``integrate`` over all its x with mass.
 
         The normalizing denominator is integrated on the same panels as the
         MGF kernels (an extra component per x), so L(0) = 1 holds to machine
@@ -401,52 +405,40 @@ class AnalyticEngine:
             out[0] = 1.0
             return out
 
-        gains = ev["int_gains"]
-        probs = ev["int_probs"]
-        n_g = gains.size
-        # x per slice: one piece's kernel jet within the element budget
-        step = max(1, _INNER_ELEMENTS // (15 * m_pts * n_g * k1))
-        num = np.zeros((k1, n_x, m_pts, n_g))
+        _check_interferer_mass(event, table, classes)
+        num = np.zeros((k1, n_x, m_pts))
         den = np.zeros(n_x)
-        mass_total = np.zeros(n_x)
         for c in classes:
-            seg = self._ev[c]
             idx = np.flatnonzero(table.mass[c] > 0.0)
-            lo, mass = table.lo[c][idx], table.mass[c][idx]
-            mass_total[idx] += mass
-            by_lo = np.argsort(lo)
-            for c in range(0, idx.size, step):
-                sl = by_lo[c:c + step]
-                res = self._segment_integral(seg, lo[sl], mass[sl], nu0[idx[sl]],
-                                             gains, order)
-                n_c = sl.size
-                num[:, idx[sl]] += res[:-n_c].reshape(k1, n_c, m_pts, n_g) \
-                    * mass[sl, None, None]
-                den[idx[sl]] += res[-n_c:] * mass[sl]
-
-        bad = ~(mass_total > 0.0)
-        if bad.any():
-            raise DegenerateEvent(
-                f"event {event} has interferers but no interferer mass at "
-                f"serving distance {float(table.x[bad][0])!r}"
-            )
-        bracket = num @ probs / den[:, None]                    # (K+1, X, M)
+            if idx.size == 0:
+                continue
+            mass = table.mass[c][idx]
+            res = self._segment_integral(self._ev[c], table.lo[c][idx], mass,
+                                         nu0[idx], order)
+            num[:, idx] += res[:-idx.size].reshape(k1, idx.size, m_pts) \
+                * mass[:, None]
+            den[idx] += res[-idx.size:] * mass
+        bracket = num / den[:, None]                            # (K+1, X, M)
         return (Jet(bracket) ** float(n_exp)).coeffs
 
-    def _segment_integral(self, seg, lo, mass, nu0, gains, order: int):
+    def _segment_integral(self, seg, lo, mass, nu0, order: int):
         """One segment's mass-normalized kernel integrals over [lo, v_max]
         in v for each lower limit in ``lo`` (in v): the flat
-        ((order+1)*X*M*J + X,) result of one ``integrate`` in u, numerators
+        ((order+1)*X*M + X,) result of one ``integrate`` in u, numerators
         first, then the denominators.  ``seg`` is the interferer class's
         ``_ev`` entry.
 
-        The integrand adds the pieces' kernel jets into one
-        (n, order+1, X, M, J) accumulator, one piece at a time, each weighted
-        by w jac width / mass: the density times dz/dv times the piece's
-        width, over the segment's mass.  The small product is divided, so a
-        tiny positive mass cannot overflow the weight."""
+        The integrand averages each piece's kernel jet over the class's
+        interferer gain atoms with their probabilities and adds it into one (n, order+1, X, M)
+        accumulator, one piece at a time, each weighted by
+        w jac width / mass: the density times dz/dv times the piece's width,
+        over the segment's mass.  So the max-norm tolerance holds on the
+        gain-averaged bracket, which is what coverage uses.  The small
+        product is divided, so a tiny positive mass cannot overflow the
+        weight."""
         kap, amp, k_abs, alpha, m_seg = (
             seg[k] for k in ("kappa", "amp", "k_a", "alpha", "m"))
+        gains, probs = seg["int_gains"], seg["int_probs"]
         v_max = self.vmap.v_max
         breaks = self._inner_breaks
         # pieces per x: [lo, breakpoints above lo..., v_max], left-aligned
@@ -469,14 +461,14 @@ class AnalyticEngine:
             wt = w * jac * width / mass[:, None]
             c = amp * np.exp(-k_abs * y) * y ** (-alpha)
             ctil = (c / m_seg)[..., None, None] * gains        # (n, X, P, 1, J)
-            acc = np.zeros((u.size, order + 1) + nu0.shape + gains.shape)
+            acc = np.zeros((u.size, order + 1) + nu0.shape)
             for p in range(n_pieces):
                 a1 = ctil[:, :, p]
                 # the kernel is affine in the Laplace argument
                 a0 = nu * a1
                 a0 += 1.0
-                ker = affine_power(a0, a1, -float(m_seg), order).coeffs
-                ker *= wt[:, :, p, None, None]
+                ker = affine_power(a0, a1, -float(m_seg), order).coeffs @ probs
+                ker *= wt[:, :, p, None]
                 acc += ker.swapaxes(0, 1)
             return np.concatenate(
                 [acc.reshape(u.size, -1), wt.sum(axis=2)], axis=1)
@@ -596,15 +588,9 @@ class AnalyticEngine:
         n_exp, classes = self._ev[event]["tiers"][self._ev[event]["own"]]
         if n_exp == 0:
             return 1.0
+        _check_interferer_mass(event, table, classes)
         cols = sum(self._rate_bracket(c)(table.lo[c]) for c in classes)
-        den = cols[:, -1]
-        bad = ~(den > 0.0)
-        if bad.any():
-            raise DegenerateEvent(
-                f"event {event} has interferers but no interferer mass at "
-                f"serving distance {float(table.x[bad][0])!r}"
-            )
-        return np.power(cols[:, :-1] / den[:, None], float(n_exp))
+        return np.power(cols[:, :-1] / cols[:, -1:], float(n_exp))
 
     def _rate_kernel(self, event: str, table: ServingTable) -> np.ndarray:
         """E[ln(1 + SINR) | serving event, serving distance x] at the

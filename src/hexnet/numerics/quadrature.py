@@ -78,7 +78,6 @@ class Quadrature:
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    max_depth: int = 50
     breakpoints: tuple = ()
 
     def __post_init__(self):
@@ -139,9 +138,9 @@ def _refine(f, a, b, q, norm):
     every panel over its length-proportional share of that tolerance; if
     rounding leaves the sum over it with no panel over its share, the worst
     panel.  A panel narrower than 64 ulp of ``max(|a|, |b|, 1)``, where the
-    Kronrod nodes round onto its ends, or ``max_depth`` halvings deep is
-    never split: MaxDepthExceeded names the worst such panel that would have
-    to be.  NonFiniteEstimate names a panel whose error is not finite.
+    Kronrod nodes round onto its ends, is never split: MaxDepthExceeded
+    names the worst such panel that would have to be.  NonFiniteEstimate
+    names a panel whose error is not finite.
 
     Returns the final panels' starts, their values, the total and the summed
     error estimate.
@@ -150,7 +149,6 @@ def _refine(f, a, b, q, norm):
     edges = np.array([a, *pts, b], dtype=float)
     pa, pb = edges[:-1], edges[1:]
     vals, errs = _eval_panels(f, pa, pb, norm)
-    depths = np.zeros(pa.size, dtype=int)
     span = b - a
     min_width = _MIN_WIDTH * max(abs(a), abs(b), 1.0)
     while True:
@@ -164,7 +162,7 @@ def _refine(f, a, b, q, norm):
         worst = errs.max(axis=1)
         if not split.any():
             split = worst >= worst.max()
-        stuck = split & ((pb - pa <= min_width) | (depths >= q.max_depth))
+        stuck = split & (pb - pa <= min_width)
         if stuck.any():
             i = int(np.argmax(np.where(stuck, worst, -np.inf)))
             raise MaxDepthExceeded(float(pa[i]), float(pb[i]), float(worst[i]))
@@ -179,8 +177,6 @@ def _refine(f, a, b, q, norm):
         pb = np.concatenate([pb[keep], cb])
         vals = np.concatenate([vals[keep], cvals], axis=0)
         errs = np.concatenate([errs[keep], cerrs], axis=0)
-        depths = np.concatenate([depths[keep], depths[split] + 1,
-                                 depths[split] + 1])
 
 
 def integrate(f, a: float, b: float, q: Quadrature | None = None) -> QuadResult:

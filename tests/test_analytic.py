@@ -8,7 +8,6 @@ from conftest import path_gain, random_config
 import hexnet.analytic as analytic
 from hexnet import with_updates
 from hexnet.analytic import (
-    _INNER_ELEMENTS,
     DEGENERATE_EVENT_TOL,
     AnalyticEngine,
     EVENTS,
@@ -185,8 +184,9 @@ def test_laplace_vector_matches_per_x(table3):
         "n_thz=1": with_updates(table3, delta_T=0.05),  # bracket_exp = 0
     }
     thresholds = np.geomspace(0.01, 100.0, 10)
-    # the rate's shape: order 0 at over 100 expansion points per x
-    rate_ts = np.geomspace(1e-6, 1e6, 105)
+    # a wide order-0 case: 105 expansion points per x over twelve decades,
+    # more points and a wider range than the coverage thresholds
+    wide_ts = np.geomspace(1e-6, 1e6, 105)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for name, cfg in cases.items():
@@ -204,12 +204,8 @@ def test_laplace_vector_matches_per_x(table3):
                 s_x = eng._s_factor(event, xe)
                 nu0_cov = (s_x[:, None, None] * thresholds[:, None]
                            / ev["gains"]).reshape(xe.size, -1)
-                nu0_rate = s_x[:, None] / ev["m"] * rate_ts
-                for order, nu0 in ((ev["m"] - 1, nu0_cov), (0, nu0_rate)):
-                    width = nu0.shape[1] * ev["int_gains"].size * (order + 1)
-                    if n_exp > 0:
-                        # longer than one slice of the element budget
-                        assert 15 * xe.size * width > _INNER_ELEMENTS
+                nu0_wide = s_x[:, None] / ev["m"] * wide_ts
+                for order, nu0 in ((ev["m"] - 1, nu0_cov), (0, nu0_wide)):
                     vec = eng._laplace_coeffs(
                         event, eng._serving_table(event, xe), nu0, order)
                     per = np.stack(
@@ -227,15 +223,18 @@ def test_laplace_vector_matches_per_x(table3):
 
 
 def test_inner_calls_batched_over_serving_distances(table3, monkeypatch):
-    # a guard against one inner integral per outer node, counted, not timed
-    eng = AnalyticEngine(table3)
+    # a guard against one inner integral per outer node or per slice of
+    # serving distances, counted, not timed: each outer sweep makes exactly
+    # one inner integral per interferer class with mass, however wide the
+    # kernel (m_L = 10, and gain atoms from a 10 degree misalignment)
+    sig = math.radians(10.0)
+    eng = AnalyticEngine(with_updates(table3, m_L=10, sigma_eps_T=sig,
+                                      sigma_eps_U=sig))
     eng.assoc_probabilities()
     ev = eng._ev["L"]
-    segments = ev["tiers"][ev["own"]][1]
-    width = ev["gains"].size * ev["int_gains"].size * ev["m"]
-    min_slice = max(1, _INNER_ELEMENTS // (15 * width))
+    classes = ev["tiers"][ev["own"]][1]
     inner_calls = [0]
-    bound = [0]
+    sweeps = []     # (inner calls, classes with mass) per outer integrand call
     plain = analytic.integrate
 
     def counting(f, a, b, q=None):
@@ -243,15 +242,21 @@ def test_inner_calls_batched_over_serving_distances(table3, monkeypatch):
             inner_calls[0] += 1
             return plain(f, a, b, q)
 
-        def outer(xs):
-            # segments x budget slices this outer integrand call may use
-            bound[0] += len(segments) * -(-xs.size // min_slice)
-            return f(xs)
+        def outer(vs):
+            before = inner_calls[0]
+            out = f(vs)
+            table = eng._serving_table("L", eng.vmap.z(vs)[0])
+            pos = table.w > 0.0
+            with_mass = sum(bool((table.mass[c][pos] > 0.0).any())
+                            for c in classes)
+            sweeps.append((inner_calls[0] - before, with_mass))
+            return out
         return plain(outer, a, b, q)
 
     monkeypatch.setattr(analytic, "integrate", counting)
     eng.conditional_coverage("L")
-    assert 0 < inner_calls[0] <= bound[0]
+    assert len(sweeps) > 1 and all(n == 2 for _, n in sweeps)
+    assert all(calls == n for calls, n in sweeps), sweeps
 
 
 def test_rate_builds_one_bracket_table_per_class_without_inner_calls(

@@ -44,15 +44,17 @@ def test_declared_breakpoint_jump_converges():
     assert res.value == pytest.approx(cut, rel=1e-12)
 
 
-def test_undeclared_jump_raises_max_depth():
+def test_undeclared_jump_converges_honestly():
+    # halving toward an undeclared jump at 1/pi meets the tolerance long
+    # before the panel holding it reaches the 64-ulp minimum width, and the
+    # claimed error covers the true one
     cut = 1.0 / math.pi
     f = lambda x: np.where(x < cut, 1.0, 0.0)
-    q = Quadrature(rel_tol=1e-13, abs_tol=1e-16, max_depth=10)
-    for driver in (integrate, TailIntegral):
-        with pytest.raises(MaxDepthExceeded) as info:
-            driver(f, 0.0, 1.0, q)
-        lo, hi = info.value.panel
-        assert lo <= cut <= hi  # the reported worst panel straddles the jump
+    q = Quadrature(rel_tol=1e-13, abs_tol=1e-16)
+    res = integrate(f, 0.0, 1.0, q)
+    assert abs(res.value - cut) <= res.error
+    tail = TailIntegral(f, 0.0, 1.0, q)
+    assert abs(tail.total - cut) <= tail.error
 
 
 def test_vector_valued_integrand():
