@@ -129,7 +129,9 @@ class AnalyticEngine:
     per halving toward it, at every level.  ``tail`` is one ``TailIntegral``
     of the two columns (f_Z kappa_L, f_Z kappa_N) in v, built at 1e-11 per
     column, effectively exact for the outer loops: a lookup takes a lower
-    limit in v and returns the LOS and NLOS masses beyond it.  The RF
+    limit in v and returns the LOS and NLOS masses beyond it, read from the
+    interpolants of the build's panels with no new evaluation of f_Z or
+    kappa, except where the masses vanish toward v_max off centre.  The RF
     class's mass, that of f_Z, is the sum of the two columns.
 
     The outer expectations over the serving distance x run at ``rel_tol``
@@ -160,9 +162,10 @@ class AnalyticEngine:
     ``rate_step`` is set a priori from ``rel_tol`` (``conditional_rate``).
     Per interferer class, one ``TailIntegral`` in v (``_rate_bracket``),
     built on the first ``conditional_rate``, holds the class's bracket at
-    every z_j and its mass: one lookup at the serving table's ``lo[c]``
-    gives L_I on the whole grid for every x of an outer sweep
-    (``_rate_laplace``), and the rate runs no inner integral.
+    every z_j and its mass: one lookup at the serving table's ``lo[c]``,
+    which like ``tail``'s evaluates no kernel, gives L_I on the whole grid
+    for every x of an outer sweep (``_rate_laplace``), and the rate runs no
+    inner integral.
     """
 
     def __init__(self, cfg: NetworkConfig, rel_tol: float = 1e-7):
@@ -195,15 +198,18 @@ class AnalyticEngine:
         self.q_tail = Quadrature(rel_tol=1e-11, abs_tol=1e-15,
                                  breakpoints=(self.vmap.v_m,))
 
-        self._fz = lambda z: distance_pdf(z, self.sup, g.v_0, g.r_d)
+        # the laws and integrands close over what they use, not over self:
+        # a dropped engine is freed at once, without the cyclic collector
+        sup, vmap = self.sup, self.vmap
+        self._fz = fz = lambda z: distance_pdf(z, sup, g.v_0, g.r_d)
         beta = cfg.blockage.beta(g.h_A, g.h_U)
-        self._kl = lambda z: kappa_los(z, beta, g.delta_h)
+        self._kl = k_los = lambda z: kappa_los(z, beta, g.delta_h)
         self._kn = lambda z: kappa_nlos(z, beta, g.delta_h)
 
         def los_nlos(v):
-            z, jac = self.vmap.z(v)
-            f = self._fz(z)
-            kl = self._kl(z)
+            z, jac = vmap.z(v)
+            f = fz(z)
+            kl = k_los(z)
             # kappa_nlos is 1 - kappa_los, to the bit
             return np.column_stack([f * kl, f * (1.0 - kl)]) * jac[:, None]
 
@@ -554,14 +560,14 @@ class AnalyticEngine:
                 seg[k] for k in ("kappa", "amp", "k_a", "alpha", "m"))
             gains, probs = seg["int_gains"], seg["int_probs"]
             z = self._rate_grid(c)
+            vmap, fz = self.vmap, self._fz
 
             def columns(v):
-                y, jac = self.vmap.z(v)
-                w = self._fz(y) * jac
+                y, jac = vmap.z(v)
+                w = fz(y) * jac
                 if kap is not None:
                     w = w * kap(y)
                 a = (amp * np.exp(-k_abs * y) * y ** (-alpha) / m_seg)[:, None]
-                # in place: a lookup evaluates this at 15 nodes per lower limit
                 out = np.zeros((v.size, z.size + 1))
                 ker, term = out[:, :-1], np.empty((v.size, z.size))
                 for g, p in zip(gains, probs):

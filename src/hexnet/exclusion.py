@@ -28,6 +28,8 @@ NEWTON_STEPS = 8
 #: letter of each class code in the e_xy / h_xy names
 _CODES = "lnr"
 
+_EPS = np.finfo(float).eps
+
 
 def wright_omega(L):
     """The w > 0 with w + ln w = L, i.e. W0(e^L), for finite real L.
@@ -50,7 +52,7 @@ def wright_omega(L):
         ey = np.exp(y)
         step = np.where(active, (ey + y - L) / (ey + 1.0), 0.0)
         y = y - step
-        active &= step * step > np.finfo(float).eps
+        active &= step * step > _EPS
         if not active.any():
             return np.exp(y)
     raise NotConverged(f"wright_omega still moving after {NEWTON_STEPS} Newton steps")

@@ -19,6 +19,8 @@ from .params import NetworkConfig
 #: allowed floating-point spill of the arccos argument beyond [-1, 1]
 ARCCOS_SPILL_TOL = 1e-9
 
+_TINY = np.finfo(float).tiny
+
 
 @dataclass(frozen=True)
 class DistanceSupport:
@@ -69,7 +71,7 @@ def distance_pdf(z, sup: DistanceSupport, v_0: float, r_d: float):
             ze = z_arr[edge]
             horiz = np.sqrt(np.maximum(ze**2 - sup.z_l**2, 0.0))
             num = ze**2 + v_0**2 - r_d**2 - sup.z_l**2
-            arg = num / np.maximum(2.0 * v_0 * horiz, np.finfo(float).tiny)
+            arg = num / np.maximum(2.0 * v_0 * horiz, _TINY)
             if np.any(np.abs(arg) > 1.0 + ARCCOS_SPILL_TOL):
                 bad = arg[np.abs(arg) > 1.0 + ARCCOS_SPILL_TOL]
                 raise DomainError(

@@ -1,5 +1,7 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -291,6 +293,22 @@ def test_rate_builds_one_bracket_table_per_class_without_inner_calls(
     assert len(builds) == 3
     eng.report()
     assert len(builds) == 3 and inner_calls[0] > 0
+
+
+@pytest.mark.parametrize("overrides", [{}, {"v_0": 10.0}])
+def test_dropped_engine_freed_without_cyclic_gc(table3, overrides):
+    # the engine's laws, tail and bracket tables hold no reference back to
+    # it, so its tables go with its last reference, not at a later collection
+    eng = AnalyticEngine(with_updates(table3, **overrides), rel_tol=1e-4)
+    gc.collect()
+    gc.disable()
+    try:
+        eng.report()
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_laplace_r_against_conditional_mc(table3):

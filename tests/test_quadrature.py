@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from hexnet import with_updates
+from hexnet.analytic import AnalyticEngine
 from hexnet.errors import (
     DomainError,
     MaxDepthExceeded,
@@ -261,3 +263,61 @@ def test_tail_integral_values_independent_of_batch():
     xs = np.random.default_rng(3).uniform(-0.5, 5.5, 2000)
     got = tail(xs)
     assert all(got[i] == tail(float(x)) for i, x in enumerate(xs))
+
+
+def _engine_tables(table3):
+    """The analytic engine's tail tables, centred and at v_0=10: the
+    distance-law tail and the rate's bracket table of each class."""
+    for cfg in (table3, with_updates(table3, v_0=10.0)):
+        eng = AnalyticEngine(cfg, rel_tol=1e-4)
+        yield eng.tail
+        for c in "LNR":
+            yield eng._rate_bracket(c)
+
+
+def _lower_limits(tail):
+    """Limits spread over (a, b), and 1e-12 to 1e-3 below b."""
+    return np.concatenate([np.linspace(tail.a, tail.b, 402)[1:-1],
+                           tail.b - np.logspace(-12, -3, 28)])
+
+
+def test_tail_lookups_match_fresh_rule_on_engine_tables(table3):
+    # a lookup reads the build's interpolant, or falls back to a fresh
+    # Kronrod rule on the partial panel; either way it agrees with that rule
+    # within 1e-12 of the value, per column, also where the tail vanishes
+    # toward b (off centre like (b - v)^3)
+    for tail in _engine_tables(table3):
+        xs = _lower_limits(tail)
+        got = tail(xs).reshape(xs.size, -1)
+        fresh = tail._fresh(xs, np.searchsorted(tail._ends, xs, side="right"))
+        assert np.all(np.abs(got - fresh) <= 1e-12 * np.abs(fresh))
+
+
+def test_tail_masses_positive_wherever_integrand_is(table3):
+    for tail in _engine_tables(table3):
+        xs = _lower_limits(tail)
+        got = tail(xs).reshape(xs.size, -1)
+        f = tail._f(xs).reshape(xs.size, -1)
+        assert np.all(got[f > 0.0] > 0.0) and np.all(got >= 0.0)
+
+
+def test_tail_interior_lookups_make_no_integrand_call(table3):
+    calls = []
+    g = lambda x: np.exp(-0.3 * x) * (1.3 + np.sin(x))
+    tail = TailIntegral(lambda x: calls.append(x.size) or g(x), 1.0, 30.0,
+                        Quadrature(rel_tol=1e-12, abs_tol=1e-15))
+    calls.clear()
+    xs = np.linspace(1.0, 29.0, 300)
+    got = tail(xs)
+    assert calls == []
+    for x, value in zip(xs[::30], got[::30]):
+        direct = integrate(g, x, 30.0, Quadrature(1e-13, 1e-16)).value
+        assert value == pytest.approx(direct, rel=1e-11)
+    # on the engine's tables too; where the tail vanishes toward b, a
+    # lookup falls back to the fresh rule, which calls the integrand
+    for tail in _engine_tables(table3):
+        tail._f = lambda v, f=tail._f: calls.append(v.size) or f(v)
+        tail(np.linspace(tail.a, 0.9 * tail.b, 200))
+        assert calls == []
+    tail(tail.b - 1e-9)
+    assert calls == [15]
