@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .antenna import desired_gain_pmf, interferer_gain_pmf
-from .errors import DegenerateEvent, NumericalInconsistency
+from .errors import ConfigError, DegenerateEvent, NumericalInconsistency
 from .exclusion import ExclusionRegions
 from .geometry import SmoothingMap, distance_pdf, support
 from .numerics.jets import Jet, affine_power
@@ -75,9 +75,9 @@ class CoverageReport:
 class ServingTable(NamedTuple):
     """What one outer sweep needs of its serving distances x (X,), in the
     support, for one association event: the event's unnormalized density
-    ``w`` (``AnalyticEngine._weight``), and for each class c of a competing
-    tier that has APs, the lower limit ``lo[c]`` in v of class c's APs and
-    their tail mass ``mass[c]`` beyond it."""
+    ``w``, whose integral is the event's association probability, and for
+    each class c of a competing tier that has APs, the lower limit ``lo[c]``
+    in v of class c's APs and their tail mass ``mass[c]`` beyond it."""
 
     x: np.ndarray
     w: np.ndarray
@@ -91,16 +91,21 @@ class ServingTable(NamedTuple):
                             {c: v[sel] for c, v in self.mass.items()})
 
 
-def _check_interferer_mass(event: str, table: ServingTable, classes) -> None:
-    """Raise ``DegenerateEvent`` where an x of ``table`` has no interferer
-    mass, summed over the serving tier's ``classes``, although the event
-    has interferers."""
-    bad = ~(sum(table.mass[c] for c in classes) > 0.0)
-    if bad.any():
-        raise DegenerateEvent(
-            f"event {event} has interferers but no interferer mass at "
-            f"serving distance {float(table.x[bad][0])!r}"
-        )
+def _interferer_kernel(c_m, nu, gains, probs, m, order: int):
+    """Jet in ds of one interferer's gain-averaged Nakagami kernel
+    sum_g p_g (1 + (nu + ds) c g / m)^-m around ds = 0: the coefficients
+    (order+1, ..., M) at path gains over m ``c_m`` (...) and expansion
+    points ``nu`` (..., M), broadcast against each other.  The kernel is
+    affine in the Laplace argument.  The interferer gain atoms ``gains``
+    with probabilities ``probs`` run on a leading axis, so every
+    elementwise loop runs over the long trailing axes, and are averaged by
+    one matrix product."""
+    a1 = gains.reshape((-1,) + (1,) * (c_m.ndim + 1)) * c_m[..., None]
+    a0 = nu * a1
+    a0 += 1.0
+    coeffs = affine_power(a0, a1, -float(m), order).coeffs  # (K+1, J, ..., M)
+    return (probs @ coeffs.reshape(order + 1, probs.size, -1)).reshape(
+        coeffs.shape[:1] + coeffs.shape[2:])
 
 
 class AnalyticEngine:
@@ -109,27 +114,29 @@ class AnalyticEngine:
     Each association event (LOS THz, NLOS THz, RF) is one entry of
     ``_ev``, keyed by the letter of its link class: that class's row of
     ``propagation.link_table`` (``amp``, ``k_a``, ``alpha``, ``m``, ``bias``,
-    ``noise``, ``bw``), its blockage law ``kappa`` (None for RF), the
-    columns ``cols`` of ``tail`` whose sum is its tail mass, the serving
-    tier's AP count, the desired and interferer gain atoms, and two
-    competing tiers, RF first, then THz.  A tier is ``(count, classes)``;
-    class c's APs lie beyond ``_boundary``, the serving distance itself for
-    the serving class, else the exclusion boundary ``e_xy``, x the event and
-    y c.  The event's density is the serving density times each tier's
-    summed tail mass beyond its boundaries to the power ``count``
-    (``_weight``); the boundaries give the panel breakpoints
-    (``_event_breakpoints``); and the serving tier, ``tiers[own]``, gives
-    the interferer segments of the Laplace transform (``_laplace_coeffs``),
-    each with its class's ``_ev`` entry.
+    ``noise``, ``bw``), its law, the columns ``cols`` of ``tail`` whose sum
+    is its tail mass, the serving tier's AP count, the desired and
+    interferer gain atoms, and two competing tiers, RF first, then THz.  A
+    class's law is its ``density`` f_Z kappa_c (f_Z for RF) and its
+    ``path_gain`` c_c(y) = amp e^{-k_a y} y^-alpha; every integrand over an
+    AP distance reads them, and nothing else spells them out.  A tier is
+    ``(count, classes)``; class c's APs lie beyond ``_boundary``, the
+    serving distance itself for the serving class, else the exclusion
+    boundary ``e_xy``, x the event and y c.  The event's weight is the
+    serving class's density times each tier's summed tail mass beyond its
+    boundaries to the power ``count`` (``_serving_table``); the boundaries
+    give the panel breakpoints (``_event_breakpoints``); and the serving
+    tier, ``tiers[own]``, gives the interferer classes of the Laplace
+    transform, each with its ``_ev`` entry.
 
     Every quadrature over a distance runs in the smoothing variable v of
     ``vmap`` (``geometry.SmoothingMap``) with the Jacobian dz/dv, which
     cancels the square-root endpoints of the distance law and the LOS
     probability; in z each would cost the adaptive rule a bisection sweep
     per halving toward it, at every level.  ``tail`` is one ``TailIntegral``
-    of the two columns (f_Z kappa_L, f_Z kappa_N) in v, built at 1e-11 per
-    column, effectively exact for the outer loops: a lookup takes a lower
-    limit in v and returns the LOS and NLOS masses beyond it, read from the
+    of the LOS and NLOS densities in v, built at 1e-11 per column,
+    effectively exact for the outer loops: a lookup takes a lower limit in
+    v and returns the LOS and NLOS masses beyond it, read from the
     interpolants of the build's panels with no new evaluation of f_Z or
     kappa, except where the masses vanish toward v_max off centre.  The RF
     class's mass, that of f_Z, is the sum of the two columns.
@@ -143,34 +150,33 @@ class AnalyticEngine:
     one ``ServingTable`` (``_serving_table``): per class of a competing
     tier with APs, the lower limit in v of its APs and, in one tail lookup
     for all classes, the mass beyond it; w(x) is read from the table, and so
-    are the interferer segments' lower limits and masses in the Laplace
-    kernel.  Coverage's inner interference integrals run 10x tighter
-    (``q_inner``), batched: one ``integrate`` per outer sweep and interferer
-    class with mass serves the sweep's whole vector of x.  Each x's range
-    [lo(x), z_p] is taken into v, cut at ``_inner_breaks`` (z_m and four
-    seeds near z_l, mapped into v), its pieces are mapped affinely onto
-    shared panels in u in [0, 1], and its column is divided by the
-    segment's interferer mass over the range, so the max-norm tolerance
-    applies per x, to the bracket averaged over the interferer gain atoms.
-    The kernel is accumulated one piece at a time, so its widest
-    temporary, one piece's jet, has no piece axis.
+    are the interferer classes' lower limits and masses in the Laplace
+    transform.  Coverage and rate evaluate their kernels only where w > 0
+    and the metric can be non-zero (``_expect_over_serving``).
 
-    Coverage needs the Laplace transforms' derivatives up to order m - 1 at
-    the threshold, carried as jets.  The rate needs L_I at order 0 only, on
-    one fixed grid z_j per serving tier (``_rate_grid``): by Hamdi's lemma
-    its mean log of 1 + SINR is a trapezoid sum in ln z whose step
-    ``rate_step`` is set a priori from ``rel_tol`` (``conditional_rate``).
-    Per interferer class, one ``TailIntegral`` in v (``_rate_bracket``),
-    built on the first ``conditional_rate``, holds the class's bracket at
-    every z_j and its mass: one lookup at the serving table's ``lo[c]``,
-    which like ``tail``'s evaluates no kernel, gives L_I on the whole grid
-    for every x of an outer sweep (``_rate_laplace``), and the rate runs no
+    Both metrics rest on one interference law: L_I = (sum_c bracket_c /
+    sum_c mass_c)^n over the serving tier's classes, n its interferer count
+    (``_laplace``), where bracket_c integrates class c's density times the
+    gain-averaged Nakagami kernel sum_g p_g (1 + s c_c g / m_c)^-m_c
+    (``_interferer_kernel``) beyond the class's lower limit.  Only the
+    bracket's source differs.  Coverage needs L_I's derivatives up to order
+    m - 1 at the threshold, carried as jets, from inner integrals 10x
+    tighter (``q_inner``), one per outer sweep and interferer class with
+    mass for the sweep's whole vector of x (``_laplace_coeffs``).  The rate
+    needs L_I at order 0 only, on one fixed grid z_j per serving tier
+    (``_rate_grid``): by Hamdi's lemma its mean log of 1 + SINR is a
+    trapezoid sum in ln z whose step ``rate_step`` is set a priori from
+    ``rel_tol`` (``conditional_rate``).  Per interferer class, one
+    ``TailIntegral`` in v (``_rate_bracket``), built on the first
+    ``conditional_rate``, holds the class's bracket at every z_j and its
+    mass, so one lookup per class and outer sweep at the serving table's
+    ``lo[c]`` gives L_I on the whole grid (``_rate_laplace``), with no
     inner integral.
     """
 
     def __init__(self, cfg: NetworkConfig, rel_tol: float = 1e-7):
         if cfg.radio.B_T <= 0.0:
-            raise ValueError(
+            raise ConfigError(
                 "the analytic pipeline needs B_T > 0; B_T = 0 association "
                 "semantics are only defined for the Monte-Carlo engine"
             )
@@ -194,27 +200,23 @@ class AnalyticEngine:
         self._inner_breaks = self.vmap.v(np.array(
             sorted({p for p in (self.sup.z_m, *seeds) if zl < p < zp})))
         self.rate_step = math.pi ** 2 / math.log(_RATE_C / rel_tol)
-        v_max = self.vmap.v_max
         self.q_tail = Quadrature(rel_tol=1e-11, abs_tol=1e-15,
                                  breakpoints=(self.vmap.v_m,))
 
-        # the laws and integrands close over what they use, not over self:
-        # a dropped engine is freed at once, without the cyclic collector
+        # the laws close over what they use, not over self, and look up the
+        # module's distance and blockage laws at call time: a dropped engine
+        # is freed at once, without the cyclic collector
         sup, vmap = self.sup, self.vmap
-        self._fz = fz = lambda z: distance_pdf(z, sup, g.v_0, g.r_d)
         beta = cfg.blockage.beta(g.h_A, g.h_U)
-        self._kl = k_los = lambda z: kappa_los(z, beta, g.delta_h)
-        self._kn = lambda z: kappa_nlos(z, beta, g.delta_h)
 
-        def los_nlos(v):
-            z, jac = vmap.z(v)
-            f = fz(z)
-            kl = k_los(z)
-            # kappa_nlos is 1 - kappa_los, to the bit
-            return np.column_stack([f * kl, f * (1.0 - kl)]) * jac[:, None]
+        def fz(z):
+            return distance_pdf(z, sup, g.v_0, g.r_d)
 
-        # LOS and NLOS tail masses beyond a lower limit given in v
-        self.tail = TailIntegral(los_nlos, 0.0, v_max, self.q_tail)
+        def path_gain(amp, k_a, alpha):
+            return lambda y: amp * np.exp(-k_a * y) * y ** (-alpha)
+
+        densities = (lambda z: fz(z) * kappa_los(z, beta, g.delta_h),
+                     lambda z: fz(z) * kappa_nlos(z, beta, g.delta_h), fz)
 
         # gain atoms of probability zero contribute nothing to the outer sums
         des_g = np.asarray(self.pmf_desired.gains)
@@ -225,13 +227,14 @@ class AnalyticEngine:
         int_g, int_p = int_g[int_p > 0], int_p[int_p > 0]
         one = np.asarray([1.0])
         self._ev = {}
-        for i, (event, kappa, cols) in enumerate(zip(
-                EVENTS, (self._kl, self._kn, None), ([0], [1], [0, 1]))):
+        for i, (event, density, cols) in enumerate(zip(
+                EVENTS, densities, ([0], [1], [0, 1]))):
             thz = event != "R"
+            row = {f: col[i].item() for f, col in links._asdict().items()}
             self._ev[event] = dict(
-                {f: col[i].item() for f, col in links._asdict().items()},
-                kappa=kappa, cols=cols,
-                count=self.n_thz if thz else self.n_rf,
+                row, density=density,
+                path_gain=path_gain(row["amp"], row["k_a"], row["alpha"]),
+                cols=cols, count=self.n_thz if thz else self.n_rf,
                 gains=des_g if thz else one, probs=des_p if thz else one,
                 int_gains=int_g if thz else one, int_probs=int_p if thz else one,
                 # competing tiers (count, classes), RF first; the server's
@@ -239,6 +242,15 @@ class AnalyticEngine:
                 own=int(thz),
                 tiers=((self.n_rf - (not thz), "R"),
                        (self.n_thz - thz, "NL" if event == "N" else "LN")))
+
+        los, nlos = densities[:2]
+
+        def los_nlos(v):
+            z, jac = vmap.z(v)
+            return np.column_stack([los(z), nlos(z)]) * jac[:, None]
+
+        # LOS and NLOS tail masses beyond a lower limit given in v
+        self.tail = TailIntegral(los_nlos, 0.0, vmap.v_max, self.q_tail)
         self._assoc: Optional[TierMetrics] = None
         # per event, the final panels' edges (in v) of its association
         # integral, where every later outer integral of the event starts
@@ -293,9 +305,9 @@ class AnalyticEngine:
         distances x (X,), clipped to the support: one exclusion boundary
         per class of a competing tier with APs, and one lookup of
         ``self.tail`` for all of them, a class's mass being the sum of its
-        columns (``cols``: LOS, NLOS, or both for RF).  The density
-        w = count * f_Z(x) * kappa(x), times each competing tier's summed
-        mass to the power of its AP count."""
+        columns (``cols``: LOS, NLOS, or both for RF).  The weight
+        w = count times the serving class's density at x, times each
+        competing tier's summed mass to the power of its AP count."""
         ev = self._ev[event]
         x = np.clip(x, self.sup.z_l, self.sup.z_p)
         classes = [c for count, cs in ev["tiers"] if count > 0 for c in cs]
@@ -306,31 +318,13 @@ class AnalyticEngine:
             for k, c in enumerate(classes):
                 mass[c] = cols[k * x.size:(k + 1) * x.size,
                                self._ev[c]["cols"]].sum(axis=1)
-        w = ev["count"] * self._fz(x)
-        if ev["kappa"] is not None:
-            w = w * ev["kappa"](x)
+        w = ev["count"] * ev["density"](x)
         for count, cs in ev["tiers"]:
             if count > 0:
                 # np.power, not **: a float's ** is libm's pow, which can
                 # differ in the last bit from numpy's on arrays
                 w = w * np.power(sum(mass[c] for c in cs), count)
         return ServingTable(x, w, lo, mass)
-
-    def _weight(self, event: str, x):
-        """Unnormalized serving-distance density of one association event:
-        count * f_Z(x) * kappa(x), times each competing tier's tail mass
-        beyond its exclusion boundaries to the power of its AP count.
-
-        Its integral over [z_l, z_p] is the event's association probability.
-        Zero outside [z_l, z_p]: every factor is evaluated at x clipped to the
-        support, which leaves in-support values unchanged and keeps the
-        blockage and exclusion laws inside their domains.  A scalar x gives a
-        float, an array x an array of the same shape.
-        """
-        x = np.asarray(x, dtype=float)
-        w = self._serving_table(event, x.reshape(-1)).w.reshape(x.shape)
-        w = np.where((x < self.sup.z_l) | (x > self.sup.z_p), 0.0, w)
-        return float(w) if w.ndim == 0 else w
 
     def assoc_probabilities(self) -> TierMetrics:
         if self._assoc is not None:
@@ -346,7 +340,8 @@ class AnalyticEngine:
                 vals["R"] = 0.0
                 continue
             res = self._integrate_over_serving(
-                lambda x, e=event: self._weight(e, x), self._event_cuts(event))
+                lambda x, e=event: self._serving_table(e, x).w,
+                self._event_cuts(event))
             vals[event] = res.value
             self._panels[event] = res.breakpoints
         self._assoc = TierMetrics(vals["L"], vals["N"], vals["R"])
@@ -355,13 +350,17 @@ class AnalyticEngine:
     def serving_distance_pdf(self, event: str, x):
         """Density of the serving distance given the association event.
 
-        ``_weight`` divided by the event's association probability, so it
-        integrates to 1 over [z_l, z_p] and is zero outside it.  A scalar x
-        gives a float, an array x an array of the same shape.  Raises
-        ``DegenerateEvent`` when the association probability is
+        The weight w of ``_serving_table``, at x clipped to the support,
+        over the association probability; zero outside [z_l, z_p].  A
+        scalar x gives a float, an array x an array of the same shape.
+        Raises ``DegenerateEvent`` when the association probability is
         ``<= DEGENERATE_EVENT_TOL``.
         """
-        return self._weight(event, x) / self._event_probability(event)
+        a = self._event_probability(event)
+        x = np.asarray(x, dtype=float)
+        w = self._serving_table(event, x.reshape(-1)).w.reshape(x.shape)
+        pdf = np.where((x < self.sup.z_l) | (x > self.sup.z_p), 0.0, w) / a
+        return float(pdf) if pdf.ndim == 0 else pdf
 
     def _event_probability(self, event: str) -> float:
         a = self.assoc_probabilities().get(event)
@@ -372,114 +371,109 @@ class AnalyticEngine:
 
     # -- interference Laplace transforms ----------------------------------------
 
-    def _laplace_coeffs(self, event: str, table: ServingTable, nu0,
-                        order: int):
-        """Taylor coefficients (order+1, X, M) of L_I at the serving
-        distances of ``table`` (X,) and expansion points ``nu0`` (X, M), one
-        row per x.
-
-        The segments are the serving tier's classes.  Per segment, column x
-        integrates over [lo(x), z_p], lo the class's boundary at x clipped to
-        z_l, in the smoothing variable: over [v(lo), v_max], cut into pieces
-        at the inner breakpoints inside it.  The lower limits v(lo) and the
-        segment's interferer masses beyond them are the table's ``lo`` and
-        ``mass``: the kernel looks up no boundary and no tail mass.  Every
-        piece [a, b] is mapped affinely onto u in [0, 1], and column x's
-        integrand at u is the sum over its pieces of the integrand in v times
-        (b - a), so one integral in u serves all x on shared panels.  In v
-        the density's square-root endpoints are smooth; on shared panels in
-        z they would make every column refine with the worst one.  Each
-        column is divided by the segment's interferer mass over [lo(x), z_p]
-        and multiplied back afterwards: all columns are O(1), so the shared
-        max-norm tolerance holds per x; an x where that mass is 0 has no
-        column.  The interferer gain atoms are averaged inside the
-        integrand, so the tolerance holds on the gain-averaged bracket, and
-        each segment is one ``integrate`` over all its x with mass.
-
-        The normalizing denominator is integrated on the same panels as the
-        MGF kernels (an extra component per x), so L(0) = 1 holds to machine
-        precision by construction.  Raises ``DegenerateEvent`` where an x has
-        no interferer mass although the event has interferers.
-        """
+    def _laplace(self, event: str, table: ServingTable, shape, bracket):
+        """The one L_I transform of coverage and rate: the Taylor
+        coefficients ``shape`` = (K+1, X, M) of L_I = (sum_c bracket_c /
+        sum_c mass_c)^n at the serving distances of ``table`` (X,), the sums
+        over the serving tier's interferer classes c, n its interferer
+        count.  ``bracket(c)`` gives class c's bracket (K+1, X, M), the
+        integral of its density times the interferer kernel beyond its lower
+        limit, and its mass (X,) there; the caller's source sets how they
+        are integrated.  Dividing by the summed mass gives L(0) = 1 to the
+        source's precision.  L_I is 1 without interferers.  Raises
+        ``DegenerateEvent`` where an x has no interferer mass in ``table``,
+        summed over the classes, although the event has interferers."""
         ev = self._ev[event]
-        nu0 = np.asarray(nu0, dtype=float)
-        n_x, m_pts = nu0.shape
-        k1 = order + 1
         n_exp, classes = ev["tiers"][ev["own"]]
         if n_exp == 0:
-            out = np.zeros((k1, n_x, m_pts))
+            out = np.zeros(shape)
             out[0] = 1.0
             return out
-
-        _check_interferer_mass(event, table, classes)
-        num = np.zeros((k1, n_x, m_pts))
-        den = np.zeros(n_x)
+        bad = ~(sum(table.mass[c] for c in classes) > 0.0)
+        if bad.any():
+            raise DegenerateEvent(
+                f"event {event} has interferers but no interferer mass at "
+                f"serving distance {float(table.x[bad][0])!r}"
+            )
+        num = den = 0.0
         for c in classes:
-            idx = np.flatnonzero(table.mass[c] > 0.0)
-            if idx.size == 0:
-                continue
-            mass = table.mass[c][idx]
-            res = self._segment_integral(self._ev[c], table.lo[c][idx], mass,
-                                         nu0[idx], order)
-            num[:, idx] += res[:-idx.size].reshape(k1, idx.size, m_pts) \
-                * mass[:, None]
-            den[idx] += res[-idx.size:] * mass
-        bracket = num / den[:, None]                            # (K+1, X, M)
-        return (Jet(bracket) ** float(n_exp)).coeffs
+            b, mass = bracket(c)
+            num, den = num + b, den + mass
+        return (Jet(num / den[:, None]) ** float(n_exp)).coeffs
 
-    def _segment_integral(self, seg, lo, mass, nu0, order: int):
-        """One segment's mass-normalized kernel integrals over [lo, v_max]
-        in v for each lower limit in ``lo`` (in v): the flat
-        ((order+1)*X*M + X,) result of one ``integrate`` in u, numerators
-        first, then the denominators.  ``seg`` is the interferer class's
-        ``_ev`` entry.
+    def _laplace_coeffs(self, event: str, table: ServingTable, nu0,
+                        order: int):
+        """Coverage's L_I: Taylor coefficients (order+1, X, M) of the one
+        L_I transform (``_laplace``) at the serving distances of ``table``
+        (X,) and expansion points ``nu0`` (X, M), one row per x, with each
+        class's bracket and mass from one inner integral over all its x
+        (``_segment_integral``)."""
+        nu0 = np.asarray(nu0, dtype=float)
+        return self._laplace(
+            event, table, (order + 1,) + nu0.shape,
+            lambda c: self._segment_integral(c, table, nu0, order))
 
-        The integrand averages each piece's kernel jet over the class's
-        interferer gain atoms with their probabilities and adds it into one (n, order+1, X, M)
-        accumulator, one piece at a time, each weighted by
-        w jac width / mass: the density times dz/dv times the piece's width,
-        over the segment's mass.  So the max-norm tolerance holds on the
-        gain-averaged bracket, which is what coverage uses.  The small
-        product is divided, so a tiny positive mass cannot overflow the
-        weight."""
-        kap, amp, k_abs, alpha, m_seg = (
-            seg[k] for k in ("kappa", "amp", "k_a", "alpha", "m"))
+    def _segment_integral(self, c: str, table: ServingTable, nu0,
+                          order: int):
+        """Interferer class c's bracket (order+1, X, M) and mass (X,) at the
+        serving distances of ``table`` and expansion points ``nu0``, 0 where
+        the table gives the class no mass: one ``integrate`` over the x with
+        mass.
+
+        Column x runs over [lo, v_max] in the smoothing variable, lo from
+        the table, cut into pieces at ``_inner_breaks`` (z_m and four seeds
+        near z_l).  Each piece [a, b] is mapped affinely onto u in [0, 1],
+        and column x's integrand at u is the sum over its pieces of the
+        integrand in v times (b - a), so all x share panels in u; in z the
+        density's square-root endpoints would make every column refine with
+        the worst one.  Each column is divided by the table's mass at x and
+        multiplied back afterwards: all columns are O(1), so the max-norm
+        tolerance holds per x, on the gain-averaged bracket.  The mass is
+        also integrated on the same panels, an extra column per x, so
+        L(0) = 1 to machine precision.  Dividing the small product density
+        dz/dv width by a tiny positive mass cannot overflow.  The kernel
+        jets are accumulated one piece at a time, so the widest temporary
+        has no piece axis."""
+        seg = self._ev[c]
+        density, path_gain, m = seg["density"], seg["path_gain"], seg["m"]
         gains, probs = seg["int_gains"], seg["int_probs"]
-        v_max = self.vmap.v_max
-        breaks = self._inner_breaks
+        k1 = order + 1
+        num = np.zeros((k1,) + nu0.shape)
+        den = np.zeros(nu0.shape[0])
+        idx = np.flatnonzero(table.mass[c] > 0.0)
+        if idx.size == 0:
+            return num, den
+        lo, mass, nu = table.lo[c][idx], table.mass[c][idx], nu0[idx]
+        vmap, breaks = self.vmap, self._inner_breaks
         # pieces per x: [lo, breakpoints above lo..., v_max], left-aligned
         # and padded with zero-width pieces at v_max
         first = np.searchsorted(breaks, lo, side="right")
         n_pieces = 1 + breaks.size - int(first.min())
-        ends = np.append(breaks, v_max)
+        ends = np.append(breaks, vmap.v_max)
         inner = ends[np.minimum(first[:, None] + np.arange(n_pieces - 1),
                                 breaks.size)]
-        edges = np.column_stack([lo, inner, np.full(lo.size, v_max)])
+        edges = np.column_stack([lo, inner, np.full(lo.size, vmap.v_max)])
         start = edges[:, :-1]                                  # (X, P)
         width = np.diff(edges, axis=1)
-        nu = nu0[:, :, None]                                   # (X, M, 1)
 
         def integrand(u):
-            y, jac = self.vmap.z(start + width * u[:, None, None])  # (n, X, P)
-            w = self._fz(y)
-            if kap is not None:
-                w = w * kap(y)
-            wt = w * jac * width / mass[:, None]
-            c = amp * np.exp(-k_abs * y) * y ** (-alpha)
-            ctil = (c / m_seg)[..., None, None] * gains        # (n, X, P, 1, J)
-            acc = np.zeros((u.size, order + 1) + nu0.shape)
+            y, jac = vmap.z(start + width * u[:, None, None])  # (n, X, P)
+            wt = density(y) * jac * width / mass[:, None]
+            c_m = path_gain(y) / m
+            acc = np.zeros((u.size, k1) + nu.shape)
             for p in range(n_pieces):
-                a1 = ctil[:, :, p]
-                # the kernel is affine in the Laplace argument
-                a0 = nu * a1
-                a0 += 1.0
-                ker = affine_power(a0, a1, -float(m_seg), order).coeffs @ probs
+                ker = _interferer_kernel(c_m[:, :, p], nu, gains, probs, m,
+                                         order)
                 ker *= wt[:, :, p, None]
                 acc += ker.swapaxes(0, 1)
             return np.concatenate(
                 [acc.reshape(u.size, -1), wt.sum(axis=2)], axis=1)
 
-        return integrate(integrand, 0.0, 1.0, self.q_inner).value
+        res = integrate(integrand, 0.0, 1.0, self.q_inner).value
+        num[:, idx] = res[:-idx.size].reshape(k1, idx.size, -1) \
+            * mass[:, None]
+        den[idx] = res[-idx.size:] * mass
+        return num, den
 
     # -- coverage and rate -------------------------------------------------------
 
@@ -515,28 +509,34 @@ class AnalyticEngine:
             total += (-1.0) ** u * nu**u * l_coeffs[u] * cum[m - 1 - u]
         return total @ probs
 
+    def _coverage_live(self, event: str, x) -> np.ndarray:
+        """Where P[SINR > theta | x] can be non-zero: where e^{-lambda} is 0
+        in double at the largest desired gain (at the latest where the
+        serving power underflows), so is every term."""
+        ev = self._ev[event]
+        s_vals = self._s_factor(event, x) * self.cfg.radio.theta
+        return np.exp(-s_vals * (ev["noise"] / ev["gains"].max())) > 0.0
+
     def _coverage_kernel(self, event: str, table: ServingTable) -> np.ndarray:
         """P[SINR > theta | serving event, serving distance x] at the serving
         distances of ``table`` (X,)."""
         ev = self._ev[event]
         s_vals = self._s_factor(event, table.x) * self.cfg.radio.theta
-        # where e^{-lambda} is 0 in double at the largest desired gain (at
-        # the latest where the serving power underflows), so is every term
-        live = np.exp(-s_vals * (ev["noise"] / ev["gains"].max())) > 0.0
-        out = np.zeros(s_vals.shape)
-        if live.any():
-            s_live = s_vals[live]
-            nu0 = s_live[:, None] / ev["gains"]
-            lc = self._laplace_coeffs(event, table.take(live), nu0,
-                                      ev["m"] - 1)
-            out[live] = self._assemble_ccdf(event, s_live, lc)
-        return out
+        nu0 = s_vals[:, None] / ev["gains"]
+        lc = self._laplace_coeffs(event, table, nu0, ev["m"] - 1)
+        return self._assemble_ccdf(event, s_vals, lc)
 
     def _mean_snr(self, event: str, x):
         """snr(x) = c(x) E[g] / sigma^2, the mean SNR at serving distance x."""
         ev = self._ev[event]
         mean_g = float(ev["probs"] @ ev["gains"])
         return ev["m"] / self._s_factor(event, x) * mean_g / ev["noise"]
+
+    def _rate_live(self, event: str, x) -> np.ndarray:
+        """Where the mean SNR is at least ``_RATE_EPS``; elsewhere the rate
+        kernel is taken as 0, an error below ``_RATE_EPS`` (see
+        ``conditional_rate``)."""
+        return self._mean_snr(event, x) >= _RATE_EPS
 
     def _rate_grid(self, event: str) -> np.ndarray:
         """The rate's grid z_j for the serving tier of ``event``, the same
@@ -552,97 +552,79 @@ class AnalyticEngine:
     def _rate_bracket(self, c: str) -> TailIntegral:
         """The rate's bracket table of interferer class c, built on first
         use: a ``TailIntegral`` in v with, per z_j of the class's tier grid,
-        the column f_Z kappa_c dz/dv sum_g p_g (1 + z_j c_c(y) g / m_c)^-m_c,
-        and last the mass column f_Z kappa_c dz/dv."""
+        the column of the class's density times dz/dv times its interferer
+        kernel at order 0 (``_interferer_kernel``), and last the mass column
+        of the density times dz/dv."""
         if c not in self._brackets:
             seg = self._ev[c]
-            kap, amp, k_abs, alpha, m_seg = (
-                seg[k] for k in ("kappa", "amp", "k_a", "alpha", "m"))
+            density, path_gain, m = seg["density"], seg["path_gain"], seg["m"]
             gains, probs = seg["int_gains"], seg["int_probs"]
             z = self._rate_grid(c)
-            vmap, fz = self.vmap, self._fz
+            vmap = self.vmap
 
             def columns(v):
                 y, jac = vmap.z(v)
-                w = fz(y) * jac
-                if kap is not None:
-                    w = w * kap(y)
-                a = (amp * np.exp(-k_abs * y) * y ** (-alpha) / m_seg)[:, None]
-                out = np.zeros((v.size, z.size + 1))
-                ker, term = out[:, :-1], np.empty((v.size, z.size))
-                for g, p in zip(gains, probs):
-                    np.multiply(a, z * g, out=term)
-                    term += 1.0
-                    np.power(term, -m_seg, out=term)
-                    term *= p
-                    ker += term
+                w = density(y) * jac
+                ker = _interferer_kernel(path_gain(y) / m, z, gains, probs,
+                                         m, 0)[0]
                 ker *= w[:, None]
-                out[:, -1] = w
-                return out
+                return np.column_stack([ker, w])
 
-            self._brackets[c] = TailIntegral(columns, 0.0, self.vmap.v_max,
+            self._brackets[c] = TailIntegral(columns, 0.0, vmap.v_max,
                                              self.q_tail)
         return self._brackets[c]
 
-    def _rate_laplace(self, event: str, table: ServingTable):
-        """L_I(z_j | x) (X, J) on the rate's grid at the serving distances of
-        ``table``: one lookup of each interferer class's bracket table at the
-        table's lower limit ``lo[c]``, the brackets summed over the classes
-        and divided by their summed mass column, to the power of the
-        interferer count.  1 without interferers.  Raises
-        ``DegenerateEvent`` where an x has no interferer mass."""
-        n_exp, classes = self._ev[event]["tiers"][self._ev[event]["own"]]
-        if n_exp == 0:
-            return 1.0
-        _check_interferer_mass(event, table, classes)
-        cols = sum(self._rate_bracket(c)(table.lo[c]) for c in classes)
-        return np.power(cols[:, :-1] / cols[:, -1:], float(n_exp))
+    def _rate_laplace(self, event: str, table: ServingTable, z) -> np.ndarray:
+        """The rate's L_I (X, Z) at the serving distances of ``table`` and
+        the grid ``z`` (Z,) of the event's tier: the one L_I transform
+        (``_laplace``) at order 0, with each class's bracket and mass from
+        one lookup of its bracket table at the table's ``lo[c]``."""
+        def bracket(c):
+            cols = self._rate_bracket(c)(table.lo[c])
+            return cols[None, :, :-1], cols[:, -1]
+
+        return self._laplace(event, table, (1, table.x.size, z.size),
+                             bracket)[0]
 
     def _rate_kernel(self, event: str, table: ServingTable) -> np.ndarray:
         """E[ln(1 + SINR) | serving event, serving distance x] at the
         serving distances of ``table`` (X,): the trapezoid sum of Hamdi's
-        lemma in lambda = ln z (see ``conditional_rate``), 0 where the mean
-        SNR is below ``_RATE_EPS``, which bounds the value by it."""
+        lemma in lambda = ln z (see ``conditional_rate``)."""
         ev = self._ev[event]
         m, gains, probs = ev["m"], ev["gains"], ev["probs"]
-        out = np.zeros(table.x.shape)
-        live = self._mean_snr(event, table.x) >= _RATE_EPS
-        if not live.any():
-            return out
-        table = table.take(live)
         s = self._s_factor(event, table.x)[:, None]         # m / c(x)
         z = self._rate_grid(event)
         # 1 - M_S(z_j) by expm1/log1p: small z keeps its digits
         one_minus_ms = -sum(p * np.expm1(-m * np.log1p(z * g / s))
                             for g, p in zip(gains, probs))
-        g_vals = one_minus_ms * self._rate_laplace(event, table)
-        out[live] = self.rate_step * (g_vals @ np.exp(-z * ev["noise"]))
-        return out
+        g_vals = one_minus_ms * self._rate_laplace(event, table, z)
+        return self.rate_step * (g_vals @ np.exp(-z * ev["noise"]))
 
-    def _expect_over_serving(self, event: str, point_fn) -> float:
-        """(1/A) * int w(x) point_fn(x) dx over the serving support.
+    def _expect_over_serving(self, event: str, kernel, live) -> float:
+        """(1/A) * int w(x) kernel(x) dx over the serving support.
 
         Starts on the final panels of the event's association integral:
         w(x) is a factor of this integrand too, and those panels are where
-        it needed resolution.  ``point_fn`` takes the ``ServingTable`` of
-        one outer sweep's serving distances with w(x) > 0 and returns one
-        value per distance.
+        it needed resolution.  ``kernel(event, table)`` takes the
+        ``ServingTable`` of one outer sweep's serving distances where
+        w(x) > 0 and ``live(event, x)`` holds, and returns one value per
+        distance; the integrand is 0 at every other x.
         """
         a = self._event_probability(event)
 
         def outer(xs):
             table = self._serving_table(event, xs)
             out = np.zeros_like(xs)
-            pos = table.w > 0.0
-            if pos.any():
-                out[pos] = table.w[pos] * point_fn(table.take(pos))
+            sel = (table.w > 0.0) & live(event, table.x)
+            if sel.any():
+                out[sel] = table.w[sel] * kernel(event, table.take(sel))
             return out
 
         return self._integrate_over_serving(outer, self._panels[event]).value / a
 
     def conditional_coverage(self, event: str) -> float:
-        val = self._expect_over_serving(
-            event, lambda table: self._coverage_kernel(event, table))
+        val = self._expect_over_serving(event, self._coverage_kernel,
+                                        self._coverage_live)
         if not -PROBABILITY_SPILL_TOL <= val <= 1.0 + PROBABILITY_SPILL_TOL:
             raise NumericalInconsistency(
                 f"conditional coverage for event {event} is {val!r}"
@@ -660,8 +642,11 @@ class AnalyticEngine:
         e^{-z sigma^2} dz, with M_S(z) = E[e^{-z S}].  Given the serving
         distance x, S = c(x) g h with c(x) = amp e^{-k_a x} x^-alpha
         = m / s(x), g a desired-gain atom and h ~ Gamma(m, 1/m), so
-        M_S(z) = sum_g p_g (1 + z c g / m)^-m in closed form, and L_I is
-        needed at order 0 only.
+        M_S(z) = sum_g p_g (1 + z c g / m)^-m in closed form.  L_I is the
+        same transform as coverage's (``_laplace``), with the same class
+        densities and interferer kernel (``_interferer_kernel``), needed at
+        order 0 only: its brackets are read from one table per interferer
+        class (``_rate_bracket``) instead of inner integrals.
 
         In lambda = ln z the integral is int G dlambda with
         G = (1 - M_S) L_I e^{-z sigma^2}, analytic in the strip
@@ -684,16 +669,16 @@ class AnalyticEngine:
         1 - M_S(z) <= z E[S], the part below lambda_0 is at most
         eps E[S] / max(P_max, sigma^2) <= eps min(1, snr(x)), snr(x) the
         mean SNR c(x) E[g] / sigma^2; above the grid e^{-z sigma^2} < e^{-40}.
-        A serving distance with snr(x) < eps is given exactly 0, as by the
-        Monte-Carlo engine where the serving power all but underflows: an
-        error below eps, since E[ln(1 + SINR)] <= ln(1 + snr(x)) <= snr(x)
-        by Jensen's inequality.
+        A serving distance with snr(x) < eps is given exactly 0
+        (``_rate_live``), as by the Monte-Carlo engine where the serving
+        power all but underflows: an error below eps, since
+        E[ln(1 + SINR)] <= ln(1 + snr(x)) <= snr(x) by Jensen's inequality.
 
         The mean log is then averaged over the serving distance.  Raises
         ``NumericalInconsistency`` if it comes out negative.
         """
-        val = self._expect_over_serving(
-            event, lambda table: self._rate_kernel(event, table))
+        val = self._expect_over_serving(event, self._rate_kernel,
+                                        self._rate_live)
         if val < 0.0:
             raise NumericalInconsistency(
                 f"conditional mean log-rate for event {event} is {val!r}"

@@ -296,7 +296,8 @@ _preset_opt = click.option("--preset", default=None,
                            help="Figure preset fig4..fig9 (overrides --sweep).")
 _json_opt = click.option("--json", "as_json", is_flag=True,
                          help="Emit JSON records instead of CSV.")
-_workers_opt = click.option("--workers", type=int, default=1, show_default=True,
+_workers_opt = click.option("--workers", type=click.IntRange(min=1), default=1,
+                            show_default=True,
                             help="Process pool size for sweep points.")
 
 

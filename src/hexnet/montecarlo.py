@@ -29,6 +29,7 @@ import numpy as np
 
 from .analytic import TierMetrics
 from .antenna import desired_gain_pmf, interferer_gain_pmf, sample_gain
+from .errors import ConfigError
 from .geometry import sample_deployment_arrays
 from .params import NetworkConfig
 from .propagation import LINKS, link_table, sample_fading
@@ -194,7 +195,7 @@ def estimate(cfg: NetworkConfig, n_trials: int, seed,
     not on ``workers``.
     """
     if n_trials < MIN_TRIALS:
-        raise ValueError(f"n_trials must be >= {MIN_TRIALS}, got {n_trials}")
+        raise ConfigError(f"n_trials must be >= {MIN_TRIALS}, got {n_trials}")
 
     base, extra = divmod(n_trials, SUBSTREAMS)
     args = ([cfg] * SUBSTREAMS, np.random.SeedSequence(seed).spawn(SUBSTREAMS),

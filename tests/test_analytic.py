@@ -103,8 +103,8 @@ def test_serving_pdf_zero_outside_support(table3):
                 pdf = eng.serving_distance_pdf(event, xs)
                 assert pdf.shape == xs.shape
                 assert np.all(pdf[~inside] == 0.0)
-                assert np.array_equal(pdf[inside],
-                                      eng._weight(event, xs[inside]) / a)
+                assert np.array_equal(
+                    pdf[inside], eng._serving_table(event, xs[inside]).w / a)
 
 
 def test_serving_pdf_degenerate_event(table3):
@@ -222,6 +222,31 @@ def test_laplace_vector_matches_per_x(table3):
                         (name, event, order)
                     if n_exp == 0:
                         assert np.all(vec[0] == 1.0) and np.all(vec[1:] == 0.0)
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"v_0": 10.0},
+    {"sigma_eps_T": math.radians(10.0), "sigma_eps_U": math.radians(10.0)},
+    {"N_A": 10, "delta_T": 0.5},
+], ids=["table3", "v_0=10", "sigma_eps=10", "N_A=10,delta_T=0.5"])
+def test_rate_and_coverage_laplace_agree(table3, overrides):
+    # one interference law, two bracket sources: the rate's L_I from its
+    # bracket tables equals coverage's order-0 L_I from inner integrals at
+    # the rate's grid z_j, within the inner level's tolerance
+    cfg = with_updates(table3, **overrides)
+    for rel_tol in (1e-4, 1e-7):
+        eng = AnalyticEngine(cfg, rel_tol=rel_tol)
+        # no interferer mass at z_p for N and R
+        xs = np.linspace(eng.sup.z_l, eng.sup.z_p, 41)[:-1]
+        for event in EVENTS:
+            table = eng._serving_table(event, xs)
+            z = eng._rate_grid(event)
+            rate = eng._rate_laplace(event, table, z)
+            cov = eng._laplace_coeffs(
+                event, table, np.broadcast_to(z, (xs.size, z.size)), 0)[0]
+            assert rate.shape == cov.shape == (xs.size, z.size)
+            assert np.abs(rate - cov).max() <= eng.q_inner.rel_tol, \
+                (rel_tol, event, np.abs(rate - cov).max())
 
 
 def test_inner_calls_batched_over_serving_distances(table3, monkeypatch):
@@ -380,7 +405,7 @@ def test_m1_reduction_oracle(table3):
                    breakpoints=eng._event_breakpoints("L"))
 
     def integrand(xs):
-        w = eng._weight("L", xs)
+        w = eng._serving_table("L", xs).w
         out = np.zeros_like(xs)
         for i, x in enumerate(xs):
             if w[i] > 0:
@@ -420,7 +445,7 @@ def test_rate_linear_in_bandwidth(table3):
 def test_rate_rejects_negative_mean_log(table3, monkeypatch):
     # a negative Hamdi integrand raises instead of clamping to rate 0
     eng = AnalyticEngine(table3, rel_tol=1e-4)
-    monkeypatch.setattr(eng, "_rate_laplace", lambda event, table: -1.0)
+    monkeypatch.setattr(eng, "_rate_laplace", lambda event, table, z: -1.0)
     with pytest.raises(NumericalInconsistency, match="event L"):
         eng.conditional_rate("L")
 
@@ -604,7 +629,8 @@ def test_nearly_coplanar_aps_report_is_finite(table3):
 def test_rate_kernel_at_vanishing_serving_power(table3, s_unit):
     # unit gains and k_a = 25: at the serving distance where s(x) = s_unit the
     # serving power is positive (1e307, 1e308: near the smallest double) and
-    # the mean SNR is far below t_0, so the kernel is 0, without a warning
+    # the mean SNR is far below _RATE_EPS, so the rate's outer integrand
+    # leaves the kernel out there and is 0, without a warning
     from scipy.optimize import brentq
 
     eng = AnalyticEngine(with_updates(table3, k_a=25.0, delta_T=1.0,
@@ -617,20 +643,19 @@ def test_rate_kernel_at_vanishing_serving_power(table3, s_unit):
         assert 0.0 < ev["m"] / eng._s_factor(event, np.array([x]))[0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = eng._serving_table(event, np.array([x]))
-            assert eng._rate_kernel(event, table)[0] == 0.0
+            assert not eng._rate_live(event, np.array([x]))[0]
 
 
 def test_pointwise_values_independent_of_batch(engine):
     # on 2,000 serving distances, the LOS and NLOS tail masses, an exclusion
-    # boundary and each event's weight computed in one array equal their
-    # values alone, bit for bit: no value depends on the batch it is
-    # computed in
+    # boundary and each event's serving-distance density computed in one
+    # array equal their values alone, bit for bit: no value depends on the
+    # batch it is computed in
     xs = np.random.default_rng(5).uniform(engine.sup.z_l, engine.sup.z_p, 2000)
     cases = {
         "tail": (engine.tail, engine.vmap.v(xs)),
         "e_rl": (engine.excl.e_rl, xs),
-        **{"weight_" + e: (lambda x, e=e: engine._weight(e, x), xs)
+        **{"pdf_" + e: (lambda x, e=e: engine.serving_distance_pdf(e, x), xs)
            for e in EVENTS},
     }
     for name, (fn, args) in cases.items():
@@ -755,7 +780,8 @@ def test_assoc_against_independent_quadrature(table3, v_0):
     eng = AnalyticEngine(with_updates(table3, v_0=v_0), rel_tol=1e-10)
     assoc = eng.assoc_probabilities()
     for event in EVENTS:
-        want, _ = quad(lambda x: eng._weight(event, x), eng.sup.z_l, eng.sup.z_p,
+        want, _ = quad(lambda x: eng._serving_table(event, np.array([x])).w[0],
+                       eng.sup.z_l, eng.sup.z_p,
                        points=eng._event_breakpoints(event), epsabs=0.0,
                        epsrel=1e-13, limit=200)
         assert assoc.get(event) == pytest.approx(want, rel=1e-10, abs=0.0), \

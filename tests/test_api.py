@@ -96,3 +96,33 @@ def test_traced_report_equals_untraced(table3):
     for name in ("build_nodes", "lookups"):
         assert tracer.counts[f"numerics.quadrature.tail.{name}"] > 0, name
     assert traced == plain
+
+
+def test_traced_names_looked_up_at_call_time(table3):
+    # the engine's laws and kernels look the traced names up at call time:
+    # report() on an engine built before the tracer is installed counts as
+    # much work in each of these layers as on one built after it, beyond
+    # that one's construction
+    tracing = _tracing()
+    names = ("geometry.distance_pdf.calls", "geometry.distance_pdf.points",
+             "propagation.kappa.calls", "propagation.kappa.points",
+             "numerics.jets.affine_power.calls",
+             "numerics.quadrature.inner.calls", "exclusion.calls",
+             "exclusion.points")
+    early = AnalyticEngine(table3, rel_tol=1e-4)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        late = AnalyticEngine(table3, rel_tol=1e-4)
+        built = dict(tracer.counts)
+        tracer.bind_engine(late)
+        late.report()
+        after_late = dict(tracer.counts)
+        tracer.bind_engine(early)
+        early.report()
+    finally:
+        tracer.uninstall()
+    for name in names:
+        late_n = after_late.get(name, 0) - built.get(name, 0)
+        early_n = tracer.counts[name] - after_late.get(name, 0)
+        assert early_n > 0 and early_n == late_n, (name, early_n, late_n)

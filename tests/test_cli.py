@@ -54,6 +54,34 @@ def test_simulate_below_min_trials_is_a_config_error(small_config, tmp_path):
     assert "below minimum" in res.output
 
 
+def test_analytic_zero_bias_is_a_config_error(table3, tmp_path):
+    # B_T = 0 is a valid Monte-Carlo scenario, but the analytic engine
+    # rejects it with a typed error: exit code 2 and its message, no
+    # traceback
+    path = tmp_path / "zero_bias.cfg"
+    path.write_text(serialize_config(with_updates(table3, B_T=0.0)))
+    res = CliRunner().invoke(main, ["analytic", "--config", str(path),
+                                    "--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == EXIT_CONFIG
+    assert "needs B_T > 0" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate", "validate"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_usage_error(small_config, tmp_path,
+                                            command, workers):
+    # rejected while parsing the options, before any point runs or any
+    # process starts
+    args = [command, "--config", small_config, "--workers", workers]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "out.csv")]
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2
+    assert "--workers" in res.output
+    assert not (tmp_path / "out.csv").exists()
+
+
 #: one seeded ``validate`` point per figure family: (preset, curve, value)
 VALIDATE_POINTS = (
     ("fig4", "sigma_eps=10deg", 10.0),

@@ -6,13 +6,15 @@ import pytest
 from conftest import path_gain
 from hexnet import montecarlo, with_updates
 from hexnet.antenna import desired_gain_pmf, interferer_gain_pmf, sample_gain
+from hexnet.errors import ConfigError
 from hexnet.geometry import sample_deployment_arrays
 from hexnet.montecarlo import MIN_TRIALS, _simulate_batch, estimate
 from hexnet.propagation import LinkClass, link_table, sample_fading
 
 
 def test_min_trials_guard(table3):
-    with pytest.raises(ValueError, match="n_trials"):
+    # a typed configuration error, which the CLI reports with exit code 2
+    with pytest.raises(ConfigError, match="n_trials"):
         estimate(table3, MIN_TRIALS - 1, seed=0)
 
 
