@@ -43,9 +43,12 @@ DEGENERATE_EVENT_TOL = 1e-12
 #: tolerated numerical spill of a probability outside [0, 1]
 PROBABILITY_SPILL_TOL = 1e-6
 
-#: the rate's Laplace-argument grid starts at _RATE_EPS / max(P_max, sigma^2),
-#: and a serving distance whose mean SNR is below _RATE_EPS has rate 0
+#: a serving distance whose mean SNR is below _RATE_EPS has rate 0
 _RATE_EPS = 1e-13
+
+#: the rate's Laplace-argument grid is cut where each end's share of the
+#: mean log is below eps = _RATE_TRUNC * rel_tol (see ``conditional_rate``)
+_RATE_TRUNC = 1e-3
 
 #: the rate's trapezoid step is pi^2 / ln(_RATE_C / rel_tol)
 _RATE_C = 1e4
@@ -89,6 +92,16 @@ class ServingTable(NamedTuple):
         return ServingTable(self.x[sel], self.w[sel],
                             {c: v[sel] for c, v in self.lo.items()},
                             {c: v[sel] for c, v in self.mass.items()})
+
+    def concat(self, other: "ServingTable") -> "ServingTable":
+        """This table's entries followed by ``other``'s."""
+        def cat(a, b):
+            return np.concatenate([a, b])
+        return ServingTable(cat(self.x, other.x), cat(self.w, other.w),
+                            {c: cat(v, other.lo[c])
+                             for c, v in self.lo.items()},
+                            {c: cat(v, other.mass[c])
+                             for c, v in self.mass.items()})
 
 
 def _interferer_kernel(c_m, nu, gains, probs, m, order: int):
@@ -146,13 +159,18 @@ class AnalyticEngine:
     integral starts on its breakpoints mapped into v; its coverage and rate
     integrals start on the panels the association integral ended on
     (``_panels``), as the weight w(x) is a factor of their integrands and
-    those panels are where it needed resolution.  Each outer sweep builds
-    one ``ServingTable`` (``_serving_table``): per class of a competing
-    tier with APs, the lower limit in v of its APs and, in one tail lookup
-    for all classes, the mass beyond it; w(x) is read from the table, and so
-    are the interferer classes' lower limits and masses in the Laplace
-    transform.  Coverage and rate evaluate their kernels only where w > 0
-    and the metric can be non-zero (``_expect_over_serving``).
+    those panels are where it needed resolution.  Each outer sweep reads
+    one ``ServingTable`` of its nodes (``_table_at``): per class of a
+    competing tier with APs, the lower limit in v of its APs and, in one
+    tail lookup for all classes, the mass beyond it; w(x) is read from the
+    table, and so are the interferer classes' lower limits and masses in
+    the Laplace transform.  A table is a pure function of the event and x,
+    so the engine keeps every node's table per event and builds
+    (``_serving_table``) only the nodes its store lacks: the first sweeps
+    of coverage and rate repeat the association integral's final nodes,
+    and the rate's refinement repeats coverage's splits.  Coverage and rate
+    evaluate their kernels only where w > 0 and the metric can be non-zero
+    (``_expect_over_serving``).
 
     Both metrics rest on one interference law: L_I = (sum_c bracket_c /
     sum_c mass_c)^n over the serving tier's classes, n its interferer count
@@ -164,14 +182,14 @@ class AnalyticEngine:
     tighter (``q_inner``), one per outer sweep and interferer class with
     mass for the sweep's whole vector of x (``_laplace_coeffs``).  The rate
     needs L_I at order 0 only, on one fixed grid z_j per serving tier
-    (``_rate_grid``): by Hamdi's lemma its mean log of 1 + SINR is a
-    trapezoid sum in ln z whose step ``rate_step`` is set a priori from
-    ``rel_tol`` (``conditional_rate``).  Per interferer class, one
-    ``TailIntegral`` in v (``_rate_bracket``), built on the first
-    ``conditional_rate``, holds the class's bracket at every z_j and its
-    mass, so one lookup per class and outer sweep at the serving table's
-    ``lo[c]`` gives L_I on the whole grid (``_rate_laplace``), with no
-    inner integral.
+    (``_rate_grid``, built once per tier): by Hamdi's lemma its mean log of
+    1 + SINR is a trapezoid sum in ln z whose step ``rate_step`` and ends
+    are set a priori from ``rel_tol`` (``conditional_rate``).  Per
+    interferer class, one ``TailIntegral`` in v (``_rate_bracket``), built
+    on the first ``conditional_rate``, holds the class's bracket at every
+    z_j and its mass, so one lookup per class and outer sweep at the
+    serving table's ``lo[c]`` gives L_I on the whole grid
+    (``_rate_laplace``), with no inner integral.
     """
 
     def __init__(self, cfg: NetworkConfig, rel_tol: float = 1e-7):
@@ -180,6 +198,8 @@ class AnalyticEngine:
                 "the analytic pipeline needs B_T > 0; B_T = 0 association "
                 "semantics are only defined for the Monte-Carlo engine"
             )
+        if rel_tol >= 1.0:
+            raise ConfigError(f"rel_tol must be below 1, got {rel_tol!r}")
         self.cfg = cfg
         g = cfg.geometry
         self.sup = support(cfg)
@@ -255,7 +275,13 @@ class AnalyticEngine:
         # per event, the final panels' edges (in v) of its association
         # integral, where every later outer integral of the event starts
         self._panels: dict[str, tuple] = {}
-        # per interferer class, the rate's bracket table, built on first use
+        # per event, the outer nodes whose serving table has been built,
+        # sorted, and their tables in the same order (``_table_at``)
+        self._tables: dict[str, tuple] = {}
+        # per serving tier (``own``), the rate's grid, and per interferer
+        # class, the rate's bracket table on its tier's grid, built on first
+        # use
+        self._grids: dict[int, np.ndarray] = {}
         self._brackets: dict[str, TailIntegral] = {}
 
     # -- serving-distance machinery --------------------------------------------
@@ -326,6 +352,34 @@ class AnalyticEngine:
                 w = w * np.power(sum(mass[c] for c in cs), count)
         return ServingTable(x, w, lo, mass)
 
+    def _table_at(self, event: str, xs) -> ServingTable:
+        """The ``ServingTable`` of one outer sweep's nodes xs (X,), each
+        node's entry built once per event.  The event's store keeps the raw
+        nodes built so far (before ``_serving_table``'s clip), sorted, with
+        their table in the same order: a sweep whose nodes it holds is
+        gathered by one ``searchsorted``, and the nodes it lacks are built
+        and merged in.  As every outer integral of the event starts on the
+        same panels and halves panels the same way, a panel evaluated twice
+        gives the same nodes bit for bit."""
+        store = self._tables.get(event)
+        new = xs
+        if store is not None:
+            keys, table = store
+            at = np.searchsorted(keys, xs)
+            found = keys[np.minimum(at, keys.size - 1)] == xs
+            if found.all():
+                return table.take(at)
+            new = xs[~found]
+        built = self._serving_table(event, new)
+        keys, table = (new, built) if store is None else (
+            np.concatenate([keys, new]), table.concat(built))
+        order = np.argsort(keys, kind="stable")
+        keys, table = keys[order], table.take(order)
+        self._tables[event] = keys, table
+        if new.size == xs.size:
+            return built
+        return table.take(np.searchsorted(keys, xs))
+
     def assoc_probabilities(self) -> TierMetrics:
         if self._assoc is not None:
             return self._assoc
@@ -340,7 +394,7 @@ class AnalyticEngine:
                 vals["R"] = 0.0
                 continue
             res = self._integrate_over_serving(
-                lambda x, e=event: self._serving_table(e, x).w,
+                lambda x, e=event: self._table_at(e, x).w,
                 self._event_cuts(event))
             vals[event] = res.value
             self._panels[event] = res.breakpoints
@@ -477,12 +531,14 @@ class AnalyticEngine:
 
     # -- coverage and rate -------------------------------------------------------
 
-    def _s_factor(self, event: str, xs):
-        """s(x) at unit threshold, m / c(x); multiply by theta to finish.
-        +inf, without a warning, where the serving power c(x) underflows."""
+    def _s_factor(self, event: str, xs, theta: float = 1.0):
+        """s(x) = theta m / c(x), at unit threshold by default.  +inf,
+        without a warning, where the serving power c(x) underflows or the
+        threshold carries it past the float range."""
         ev = self._ev[event]
         with np.errstate(over="ignore"):
-            return ev["m"] * np.exp(ev["k_a"] * xs) * xs ** ev["alpha"] / ev["amp"]
+            return (ev["m"] * np.exp(ev["k_a"] * xs) * xs ** ev["alpha"]
+                    / ev["amp"] * theta)
 
     def _assemble_ccdf(self, event: str, s_vals, l_coeffs):
         """Combine Laplace derivatives into the conditional SINR tail.
@@ -514,14 +570,14 @@ class AnalyticEngine:
         in double at the largest desired gain (at the latest where the
         serving power underflows), so is every term."""
         ev = self._ev[event]
-        s_vals = self._s_factor(event, x) * self.cfg.radio.theta
+        s_vals = self._s_factor(event, x, self.cfg.radio.theta)
         return np.exp(-s_vals * (ev["noise"] / ev["gains"].max())) > 0.0
 
     def _coverage_kernel(self, event: str, table: ServingTable) -> np.ndarray:
         """P[SINR > theta | serving event, serving distance x] at the serving
         distances of ``table`` (X,)."""
         ev = self._ev[event]
-        s_vals = self._s_factor(event, table.x) * self.cfg.radio.theta
+        s_vals = self._s_factor(event, table.x, self.cfg.radio.theta)
         nu0 = s_vals[:, None] / ev["gains"]
         lc = self._laplace_coeffs(event, table, nu0, ev["m"] - 1)
         return self._assemble_ccdf(event, s_vals, lc)
@@ -540,14 +596,20 @@ class AnalyticEngine:
 
     def _rate_grid(self, event: str) -> np.ndarray:
         """The rate's grid z_j for the serving tier of ``event``, the same
-        for each of the tier's classes (see ``conditional_rate``)."""
+        for each of the tier's classes, built on first use (see
+        ``conditional_rate``)."""
         ev = self._ev[event]
-        z_l = np.array([self.sup.z_l])
-        snr_max = max(float(self._mean_snr(c, z_l)[0])
-                      for c in ev["tiers"][ev["own"]][1])
-        lo = math.log(_RATE_EPS / max(snr_max, 1.0))
-        n = math.ceil((math.log(40.0) - lo) / self.rate_step)
-        return np.exp(lo + self.rate_step * np.arange(n + 1)) / ev["noise"]
+        tier = ev["own"]
+        if tier not in self._grids:
+            z_l = np.array([self.sup.z_l])
+            snr_max = max(float(self._mean_snr(c, z_l)[0])
+                          for c in ev["tiers"][tier][1])
+            eps = _RATE_TRUNC * self.q_outer.rel_tol
+            lo = math.log(eps / max(snr_max, 1.0))
+            n = math.ceil((math.log(-math.log(eps)) - lo) / self.rate_step)
+            self._grids[tier] = (np.exp(lo + self.rate_step * np.arange(n + 1))
+                                 / ev["noise"])
+        return self._grids[tier]
 
     def _rate_bracket(self, c: str) -> TailIntegral:
         """The rate's bracket table of interferer class c, built on first
@@ -613,7 +675,7 @@ class AnalyticEngine:
         a = self._event_probability(event)
 
         def outer(xs):
-            table = self._serving_table(event, xs)
+            table = self._table_at(event, xs)
             out = np.zeros_like(xs)
             sel = (table.w > 0.0) & live(event, table.x)
             if sel.any():
@@ -663,16 +725,25 @@ class AnalyticEngine:
         v_0 = 79.9, h_A 1.41 and 1.4 + 1e-7, N_A = 1 and sigma_eps = 10 deg.
 
         The grid lambda_j = lambda_0 + j h is the same for every x of a
-        serving tier: from lambda_0 = ln eps - ln max(P_max, sigma^2), with
-        eps = ``_RATE_EPS`` = 1e-13 and P_max the tier's largest mean
-        serving power c(z_l) E[g], to ln(40 / sigma^2).  As
-        1 - M_S(z) <= z E[S], the part below lambda_0 is at most
-        eps E[S] / max(P_max, sigma^2) <= eps min(1, snr(x)), snr(x) the
-        mean SNR c(x) E[g] / sigma^2; above the grid e^{-z sigma^2} < e^{-40}.
-        A serving distance with snr(x) < eps is given exactly 0
-        (``_rate_live``), as by the Monte-Carlo engine where the serving
-        power all but underflows: an error below eps, since
-        E[ln(1 + SINR)] <= ln(1 + snr(x)) <= snr(x) by Jensen's inequality.
+        serving tier, and its ends are set by eps = ``_RATE_TRUNC`` rel_tol,
+        ``_RATE_TRUNC`` = 1e-3: from lambda_0 = ln eps - ln max(P_max,
+        sigma^2), P_max the tier's largest mean serving power c(z_l) E[g],
+        to the first node at or past ln(-ln(eps) / sigma^2).  As
+        1 - M_S(z) <= min(1, z E[S]) and L_I <= 1, the part below lambda_0
+        is at most eps E[S] / max(P_max, sigma^2) <= eps min(1, snr(x)),
+        snr(x) the mean SNR c(x) E[g] / sigma^2, and the part above the
+        grid, where z sigma^2 >= -ln eps, at most
+        min(E[S] int e^{-z sigma^2} dz, E_1(-ln eps))
+        <= eps min(snr(x), 1 / -ln eps).  So each end cuts at most
+        eps min(1, snr(x)) off the mean log at x.  Against a grid from
+        1e-13 to z sigma^2 = 40, every conditional rate moved by at most
+        1.03e-3 rel_tol on the configurations above, at rel_tol 1e-4 and
+        1e-7.
+        A serving distance with snr(x) < ``_RATE_EPS`` = 1e-13 is given
+        exactly 0 (``_rate_live``), as by the Monte-Carlo engine where the
+        serving power all but underflows: an error below ``_RATE_EPS``,
+        since E[ln(1 + SINR)] <= ln(1 + snr(x)) <= snr(x) by Jensen's
+        inequality.
 
         The mean log is then averaged over the serving distance.  Raises
         ``NumericalInconsistency`` if it comes out negative.

@@ -12,7 +12,6 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import click
 import numpy as np
@@ -229,6 +228,8 @@ def _run_points(points, with_analytic, with_mc, trials, seed, workers):
         for idx, (label, value, cfg) in enumerate(points)
     ]
     if workers > 1:
+        # imported here: the pool's modules cost every run of the CLI
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_compute_point, jobs))
     return [_compute_point(job) for job in jobs]

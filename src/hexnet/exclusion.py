@@ -22,8 +22,9 @@ import numpy as np
 from .errors import DomainError, NotConverged
 from .propagation import LinkTable
 
-#: Newton steps before ``wright_omega`` gives up
-NEWTON_STEPS = 8
+#: Newton steps ``wright_omega`` takes, from y0 = ln max(L, 1): five reach
+#: rounding on all of [-700, 1e12]
+NEWTON_STEPS = 5
 
 #: letter of each class code in the e_xy / h_xy names
 _CODES = "lnr"
@@ -37,25 +38,24 @@ def wright_omega(L):
     Newton's method in y = ln w on the convex, increasing g(y) = e^y + y - L,
     from y0 = ln max(L, 1), where g(y0) >= 0: the iterates fall
     monotonically onto the root, and the error left after a step is below
-    half the step's square.  An entry stops once its squared step is within
-    eps, so w is exact to rounding and does not depend on the rest of its
-    array.  Raises ``DomainError`` for NaN or infinite L and
-    ``NotConverged`` if an entry is still moving after ``NEWTON_STEPS``
-    steps.
+    half the step's square.  Every entry takes exactly ``NEWTON_STEPS``
+    steps, so w does not depend on the rest of its array; the last step's
+    square within eps means w is exact to rounding.  Raises ``DomainError``
+    for NaN or infinite L and ``NotConverged`` if an entry's last step is
+    larger.
     """
     L = np.asarray(L, dtype=float)
     if not np.isfinite(L).all():
         raise DomainError("wright_omega argument is NaN or infinite")
     y = np.log(np.maximum(L, 1.0))
-    active = np.ones(L.shape, dtype=bool)
     for _ in range(NEWTON_STEPS):
         ey = np.exp(y)
-        step = np.where(active, (ey + y - L) / (ey + 1.0), 0.0)
+        step = (ey + y - L) / (ey + 1.0)
         y = y - step
-        active &= step * step > _EPS
-        if not active.any():
-            return np.exp(y)
-    raise NotConverged(f"wright_omega still moving after {NEWTON_STEPS} Newton steps")
+    if not (step * step <= _EPS).all():
+        raise NotConverged(
+            f"wright_omega still moving after {NEWTON_STEPS} Newton steps")
+    return np.exp(y)
 
 
 class ExclusionRegions:
@@ -63,17 +63,30 @@ class ExclusionRegions:
 
     ``links`` is the scenario's ``LinkTable``; every boundary comes from the
     one balance ``_balance``, which needs every class's bias times amplitude
-    to be positive (``AnalyticEngine`` rejects B_T <= 0).  The threshold
-    ``h_xy`` is the reciprocal balance evaluated at z_l, which makes each
-    piecewise boundary continuous at its break by construction.
+    to be positive (``AnalyticEngine`` rejects B_T <= 0).  Each class pair's
+    constants are computed once, in ``_pairs``.  The threshold ``h_xy`` is
+    the reciprocal balance evaluated at z_l, which makes each piecewise
+    boundary continuous at its break by construction.
     """
 
     def __init__(self, z_l: float, links: LinkTable):
         self.z_l = z_l
-        self.links = links
-        for x, y in itertools.permutations(range(3), 2):
-            setattr(self, f"h_{_CODES[x]}{_CODES[y]}",
-                    float(self._balance(y, x, z_l)))
+        t = links
+        pairs = list(itertools.permutations(range(3), 2))
+        self._pairs = {}
+        for x, y in pairs:
+            a_y = t.alpha[y]
+            const = (np.log(t.bias[y] * t.amp[y])
+                     - np.log(t.bias[x] * t.amp[x])) / a_y
+            q = t.k_a[y] / a_y
+            if q != 0.0:
+                const += np.log(q)
+            self._pairs[x, y] = (float(const), float(t.k_a[x] / a_y),
+                                 float(t.alpha[x] / a_y), float(q))
+        self._h = {}
+        for x, y in pairs:
+            h = self._h[x, y] = float(self._balance(y, x, z_l))
+            setattr(self, f"h_{_CODES[x]}{_CODES[y]}", h)
 
     def _balance(self, x: int, y: int, r):
         """Distance E at which a class-y AP's biased power equals that of a
@@ -83,24 +96,22 @@ class ExclusionRegions:
 
         With q = k_y / alpha_y this is E e^{q E} = root, where ln root is a
         sum of logs, so E = root at k_y = 0 and E = omega(ln(q root)) / q
-        otherwise.  A class-y THz boundary is finite wherever the powers
-        underflow; a class-y RF one is +inf, without a warning, only where
-        root passes the float range, beyond every AP.
+        otherwise; the pair's constant already holds ln q.  A class-y THz
+        boundary is finite wherever the powers underflow; a class-y RF one
+        is +inf, without a warning, only where root passes the float range,
+        beyond every AP.
         """
-        t = self.links
-        a_y = t.alpha[y]
-        log_root = ((np.log(t.bias[y] * t.amp[y]) - np.log(t.bias[x] * t.amp[x])
-                     + t.k_a[x] * r + t.alpha[x] * np.log(r)) / a_y)
-        if t.k_a[y] == 0.0:
+        const, k_x, a_x, q = self._pairs[x, y]
+        log_root = const + k_x * r + a_x * np.log(r)
+        if q == 0.0:
             with np.errstate(over="ignore"):
                 return np.exp(log_root)
-        q = t.k_a[y] / a_y
-        return wright_omega(np.log(q) + log_root) / q
+        return wright_omega(log_root) / q
 
     # -- public piecewise boundaries ------------------------------------------
 
     def _piecewise(self, x: int, y: int, r):
-        h = getattr(self, f"h_{_CODES[x]}{_CODES[y]}")
+        h = self._h[x, y]
         r_arr = np.asarray(r, dtype=float)
         out = np.where(r_arr < h, self.z_l, self._balance(x, y, r_arr))
         return float(out) if np.ndim(r) == 0 else out

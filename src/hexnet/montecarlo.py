@@ -22,7 +22,6 @@ reproducible and independent of the degree of parallelism.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,6 +200,8 @@ def estimate(cfg: NetworkConfig, n_trials: int, seed,
     args = ([cfg] * SUBSTREAMS, np.random.SeedSequence(seed).spawn(SUBSTREAMS),
             [base + (i < extra) for i in range(SUBSTREAMS)])
     if workers > 1:
+        # imported here: the pool's modules cost every import of hexnet
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_stream_sums, *args))
     else:

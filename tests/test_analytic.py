@@ -17,7 +17,7 @@ from hexnet.analytic import (
 )
 from hexnet.antenna import mean_desired_gain
 from hexnet.cli import VALIDATE_SLACK_PROB, VALIDATE_SLACK_RATE
-from hexnet.errors import DegenerateEvent, NumericalInconsistency
+from hexnet.errors import ConfigError, DegenerateEvent, NumericalInconsistency
 from hexnet.geometry import distance_pdf
 from hexnet.montecarlo import estimate
 from hexnet.numerics import Quadrature, integrate, integrate_semiinfinite
@@ -744,14 +744,21 @@ def test_outer_integrals_start_on_association_panels(table3, monkeypatch):
 
 def test_one_tail_lookup_per_outer_sweep(table3, monkeypatch):
     # an outer sweep looks up the tail masses of all its classes at once,
-    # and the Laplace kernel reads them from the sweep's serving table
+    # in the one serving table it builds for the nodes the event's store
+    # lacks, and not at all where the store holds every node; the Laplace
+    # kernel reads them from the sweep's serving table
     eng = AnalyticEngine(table3)
-    counts = {"lookups": 0, "sweeps": 0}
+    counts = {"lookups": 0, "sweeps": 0, "builds": 0, "building_sweeps": 0}
     tail = eng.tail
+    build = eng._serving_table
 
     def lookup(v):
         counts["lookups"] += 1
         return tail(v)
+
+    def building(event, x):
+        counts["builds"] += 1
+        return build(event, x)
 
     plain = analytic.integrate
 
@@ -761,14 +768,56 @@ def test_one_tail_lookup_per_outer_sweep(table3, monkeypatch):
 
         def outer(xs):
             counts["sweeps"] += 1
-            return f(xs)
+            before = counts["builds"]
+            out = f(xs)
+            counts["building_sweeps"] += counts["builds"] > before
+            return out
         return plain(outer, a, b, q)
 
     monkeypatch.setattr(eng, "tail", lookup)
+    monkeypatch.setattr(eng, "_serving_table", building)
     monkeypatch.setattr(analytic, "integrate", counting)
     eng.coverage()
     assert counts["sweeps"] > 6
-    assert counts["lookups"] == counts["sweeps"]
+    assert counts["lookups"] == counts["builds"] == counts["building_sweeps"]
+    # coverage's first sweep of each event reads the association's nodes
+    assert counts["lookups"] <= counts["sweeps"] - len(EVENTS)
+
+
+@pytest.mark.parametrize("overrides", [{}, {"v_0": 10.0}],
+                         ids=["table3", "v_0=10"])
+def test_each_serving_table_built_once(table3, overrides, monkeypatch):
+    # a serving table is a pure function of (event, x): across the
+    # association, coverage and rate integrals of one engine, no outer node
+    # of an event is built twice, and report() reuses what the association
+    # built
+    eng = AnalyticEngine(with_updates(table3, **overrides), rel_tol=1e-4)
+    built = {e: [] for e in EVENTS}
+    build = eng._serving_table
+
+    def recording(event, x):
+        built[event].append(np.array(x, copy=True))
+        return build(event, x)
+
+    monkeypatch.setattr(eng, "_serving_table", recording)
+    eng.assoc_probabilities()
+    after_assoc = sum(len(v) for v in built.values())
+    eng.report()
+    assert sum(len(v) for v in built.values()) > after_assoc
+    for event, parts in built.items():
+        xs = np.concatenate(parts)
+        assert np.unique(xs).size == xs.size, event
+
+
+def test_report_at_a_large_threshold_without_warning(table3):
+    # all-THz k_a = 25 with theta = 1e10: theta s(x) passes the float range
+    # where the serving power nearly underflows, which report() takes as a
+    # point where the metric is 0, under the suite's error filter
+    eng = AnalyticEngine(with_updates(table3, k_a=25.0, delta_T=1.0,
+                                      theta=1e10), rel_tol=1e-4)
+    rep = eng.report()
+    assert rep.assoc.rf == 0.0
+    assert 0.0 <= rep.total_coverage <= 1.0 and rep.total_rate >= 0.0
 
 
 @pytest.mark.parametrize("v_0", [0.0, 10.0, 40.0, 79.0])
@@ -832,6 +881,44 @@ def test_rate_meets_rel_tol_against_tight(table3, overrides):
         eng = AnalyticEngine(cfg, rel_tol=rel_tol)
         got = np.array([eng.conditional_rate(e) for e in events])
         assert np.all(np.abs(got - want) <= rel_tol * want), (rel_tol, got, want)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"B_T": 1e-6}, {"B_T": 1e6},
+    {"m_L": 10, "m_N": 10, "k_a": 0.0},
+    {"lambda_B": 0.0},
+    {"v_0": 79.9},
+    {"h_A": 1.41},
+    {"N_A": 1, "delta_T": 0.0}, {"N_A": 1, "delta_T": 1.0},
+    {"sigma_eps_T": math.radians(10.0), "sigma_eps_U": math.radians(10.0)},
+], ids=["B_T=1e-6", "B_T=1e6", "m=10,k_a=0", "lambda_B=0", "v_0=79.9",
+        "h_A=1.41", "N_A=1,delta_T=0", "N_A=1,delta_T=1", "sigma_eps=10"])
+def test_rate_grid_ends_set_by_rel_tol(table3, overrides, monkeypatch):
+    # the rate's grid ends where each end's share is below 1e-3 rel_tol:
+    # against a grid from at most 1e-13 to z sigma^2 = 40 (eps = e^-40 at
+    # both ends), every conditional rate is within 0.01 rel_tol
+    cfg = with_updates(table3, **overrides)
+    for rel_tol in (1e-4, 1e-7):
+        eng = AnalyticEngine(cfg, rel_tol=rel_tol)
+        assoc = eng.assoc_probabilities()
+        events = [e for e in EVENTS if assoc.get(e) > DEGENERATE_EVENT_TOL]
+        got = np.array([eng.conditional_rate(e) for e in events])
+        with monkeypatch.context() as m:
+            m.setattr(analytic, "_RATE_TRUNC", math.exp(-40.0) / rel_tol)
+            wide = AnalyticEngine(cfg, rel_tol=rel_tol)
+            want = np.array([wide.conditional_rate(e) for e in events])
+            assert all(wide._rate_grid(e).size > eng._rate_grid(e).size
+                       for e in events)
+        assert np.all(np.abs(got - want) <= 0.01 * rel_tol * want), (
+            rel_tol, got, want)
+
+
+@pytest.mark.parametrize("rel_tol", [1.0, 2e3])
+def test_rel_tol_of_one_or_more_is_a_config_error(table3, rel_tol):
+    # the rate's grid ends at -ln(1e-3 rel_tol), which needs rel_tol < 1e3;
+    # a relative tolerance of 1 or more asks for no digit at all
+    with pytest.raises(ConfigError, match="rel_tol"):
+        AnalyticEngine(table3, rel_tol=rel_tol)
 
 
 def test_rate_unchanged_by_a_finer_step(table3):

@@ -3,6 +3,9 @@ name the benchmark's tracer (hexbench/tracing.py) replaces during a traced
 run, which must stay bound on its owner and be looked up at call time."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hexnet
@@ -126,3 +129,17 @@ def test_traced_names_looked_up_at_call_time(table3):
         late_n = after_late.get(name, 0) - built.get(name, 0)
         early_n = tracer.counts[name] - after_late.get(name, 0)
         assert early_n > 0 and early_n == late_n, (name, early_n, late_n)
+
+
+def test_import_loads_no_process_pool():
+    # the process pool is imported where one is made: importing the package
+    # or its CLI loads neither multiprocessing nor concurrent.futures
+    code = ("import sys, hexnet; a = set(sys.modules); import hexnet.cli; "
+            "b = set(sys.modules); "
+            "print([m for m in ('multiprocessing', 'concurrent.futures') "
+            "for s in (a, b) if m in s])")
+    src = Path(hexnet.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
