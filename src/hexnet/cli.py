@@ -2,13 +2,18 @@
 
 Sweeps reproduce the reference scenario's figure axes; results are emitted as
 CSV (or JSON records with ``--json``) with a fixed column schema so one output
-format serves every figure.  Exit codes: 0 success / all points pass,
-1 validation failure, 2 configuration error, 3 numerical failure.
+format serves every figure.  A ``--sweep`` is ``param=v1,v2,...`` or
+``param=linspace:a,b,n`` / ``logspace:a,b,n``; ``logspace`` takes the endpoint
+values a and b, not their exponents.  The aliases ``B_T_db`` and ``theta_db``
+take decibels and ``sigma_eps_deg`` degrees.  Every command runs its points
+through ``_rows``.  Exit codes: 0 success / all points pass, 1 validation
+failure, 2 configuration error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import sys
@@ -16,7 +21,7 @@ import sys
 import click
 import numpy as np
 
-from . import montecarlo
+from . import default_config, montecarlo
 from .analytic import AnalyticEngine
 from .errors import ConfigError, HexnetError
 from .params import NetworkConfig, load_config, with_updates
@@ -50,14 +55,6 @@ MC_COLUMNS = tuple(c for m in _MC_METRICS for c in (m, m + "_ci"))
 #: probability slack and relative rate slack of the validation verdict
 VALIDATE_SLACK_PROB = 0.005
 VALIDATE_SLACK_RATE = 0.01
-
-
-class EmptySweep(ConfigError):
-    pass
-
-
-class BelowMinTrials(ConfigError):
-    pass
 
 
 def apply_sweep_value(cfg: NetworkConfig, parameter: str, value: float) -> NetworkConfig:
@@ -99,7 +96,7 @@ def parse_sweep(text: str) -> dict:
         except ValueError as exc:
             raise ConfigError(f"malformed {kind} spec {spec!r}") from exc
         if n < 1:
-            raise EmptySweep(f"{kind} with {n} points")
+            raise ConfigError(f"{kind} with {n} points")
         if kind == "linspace":
             values = np.linspace(a, b, n)
         else:
@@ -109,7 +106,7 @@ def parse_sweep(text: str) -> dict:
     else:
         items = [s for s in (p.strip() for p in spec.split(",")) if s]
         if not items:
-            raise EmptySweep(f"sweep {text!r} lists no values")
+            raise ConfigError(f"sweep {text!r} lists no values")
         try:
             values = [float(s) for s in items]
         except ValueError as exc:
@@ -212,21 +209,37 @@ def _mc_cells(cfg: NetworkConfig, trials: int, seed) -> dict:
     return cells
 
 
-def _compute_point(args):
-    label, value, cfg, with_analytic, with_mc, trials, seed_parts = args
-    row = {"sweep_param": label, "sweep_value": value}
-    if with_analytic:
-        row.update(_analytic_cells(cfg))
-    if with_mc:
-        row.update(_mc_cells(cfg, trials, list(seed_parts)))
+def _compute_point(job):
+    label, value, cfg, trials, seed = job
+    row = {"sweep_param": label, "sweep_value": value, **_analytic_cells(cfg)}
+    if trials is not None:
+        row.update(_mc_cells(cfg, trials, seed))
     return row
 
 
-def _run_points(points, with_analytic, with_mc, trials, seed, workers):
-    jobs = [
-        (label, value, cfg, with_analytic, with_mc, trials, (seed, idx))
-        for idx, (label, value, cfg) in enumerate(points)
-    ]
+def _rows(config_path, sweep, preset, workers, trials=None, seed=0):
+    """One row per point of ``preset``, else ``sweep``, else the config
+    alone, on the config at ``config_path`` (the shipped baseline if None):
+    the analytic cells, plus the Monte-Carlo cells with ``trials`` trials
+    when ``trials`` is not None.  Point ``i`` draws from seed ``[seed, i]``.
+    """
+    if trials is not None and trials < montecarlo.MIN_TRIALS:
+        raise ConfigError(
+            f"--trials {trials} below minimum {montecarlo.MIN_TRIALS}")
+    if config_path is None:
+        cfg = default_config()
+    else:
+        with open(config_path, "r", encoding="utf-8") as fh:
+            cfg = load_config(fh.read())
+    if preset is not None:
+        if preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; choose fig4..fig9")
+        points = _points(PRESETS[preset], cfg)
+    elif sweep is not None:
+        points = _points([parse_sweep(sweep)], cfg)
+    else:
+        points = [("none", 0.0, cfg)]
+    jobs = [(*point, trials, [seed, idx]) for idx, point in enumerate(points)]
     if workers > 1:
         # imported here: the pool's modules cost every run of the CLI
         from concurrent.futures import ProcessPoolExecutor
@@ -241,47 +254,35 @@ def _write_rows(rows, columns, out_path, as_json):
         payload = json.dumps(records, indent=2, allow_nan=True) + "\n"
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
-        return
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([
-                row["sweep_param"],
-                *(_fmt(row.get(c, math.nan)) for c in columns[1:]),
-            ])
+    else:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            for row in rows:
+                writer.writerow([
+                    row["sweep_param"],
+                    *(_fmt(row.get(c, math.nan)) for c in columns[1:]),
+                ])
+    click.echo(f"wrote {len(rows)} rows to {out_path}")
 
 
-def _load_cfg(path) -> NetworkConfig:
-    if path is None:
-        from . import default_config
-        return default_config()
-    with open(path, "r", encoding="utf-8") as fh:
-        return load_config(fh.read())
+def _guarded(command):
+    """Run ``command``, turning a configuration or I/O error into exit code
+    2 and any other package error into exit code 3, each with its message
+    on stderr."""
 
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            command(*args, **kwargs)
+        except (ConfigError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+        except HexnetError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_NUMERICAL)
 
-def _gather_points(cfg, sweep, preset):
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; choose fig4..fig9")
-        return _points(PRESETS[preset], cfg)
-    if sweep is not None:
-        return _points([parse_sweep(sweep)], cfg)
-    return [("none", 0.0, cfg)]
-
-
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
-def _guarded(fn):
-    try:
-        fn()
-    except (ConfigError, FileNotFoundError, OSError) as exc:
-        _fail(EXIT_CONFIG, str(exc))
-    except HexnetError as exc:
-        _fail(EXIT_NUMERICAL, str(exc))
+    return run
 
 
 @click.group()
@@ -291,10 +292,14 @@ def main():
 
 _config_opt = click.option("--config", "config_path", type=click.Path(), default=None,
                            help="Scenario config; defaults to the shipped baseline.")
-_sweep_opt = click.option("--sweep", default=None,
-                          help="param=v1,v2,... or param=linspace:a,b,n / logspace:a,b,n")
+_sweep_opt = click.option(
+    "--sweep", default=None,
+    help="param=v1,v2,... or param=linspace:a,b,n / logspace:a,b,n (logspace "
+         "takes endpoint values, not exponents); the aliases B_T_db, theta_db "
+         "and sigma_eps_deg take dB and degrees.")
 _preset_opt = click.option("--preset", default=None,
                            help="Figure preset fig4..fig9 (overrides --sweep).")
+_out_opt = click.option("--out", "out_path", required=True, type=click.Path())
 _json_opt = click.option("--json", "as_json", is_flag=True,
                          help="Emit JSON records instead of CSV.")
 _workers_opt = click.option("--workers", type=click.IntRange(min=1), default=1,
@@ -302,108 +307,77 @@ _workers_opt = click.option("--workers", type=click.IntRange(min=1), default=1,
                             help="Process pool size for sweep points.")
 
 
+def _mc_opts(command):
+    """The ``--trials``/``--seed`` pair of the Monte-Carlo commands."""
+    trials = click.option("--trials", type=int, default=200_000,
+                          show_default=True)
+    seed = click.option("--seed", type=int, default=1, show_default=True)
+    return trials(seed(command))
+
+
 @main.command(name="analytic")
 @_config_opt
 @_sweep_opt
 @_preset_opt
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_out_opt
 @_json_opt
 @_workers_opt
+@_guarded
 def analytic_cmd(config_path, sweep, preset, out_path, as_json, workers):
     """Run the analytical pipeline over a sweep."""
-
-    def run():
-        cfg = _load_cfg(config_path)
-        points = _gather_points(cfg, sweep, preset)
-        rows = _run_points(points, True, False, 0, 0, workers)
-        _write_rows(rows, BASE_COLUMNS, out_path, as_json)
-        click.echo(f"wrote {len(rows)} rows to {out_path}")
-
-    _guarded(run)
+    rows = _rows(config_path, sweep, preset, workers)
+    _write_rows(rows, BASE_COLUMNS, out_path, as_json)
 
 
 @main.command()
 @_config_opt
 @_sweep_opt
 @_preset_opt
-@click.option("--trials", type=int, default=200_000, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
+@_mc_opts
+@_out_opt
 @_json_opt
 @_workers_opt
+@_guarded
 def simulate(config_path, sweep, preset, trials, seed, out_path, as_json, workers):
     """Run both engines over a sweep; adds mc_* columns with 95% CIs."""
-
-    def run():
-        if trials < montecarlo.MIN_TRIALS:
-            raise BelowMinTrials(
-                f"--trials {trials} below minimum {montecarlo.MIN_TRIALS}")
-        cfg = _load_cfg(config_path)
-        points = _gather_points(cfg, sweep, preset)
-        rows = _run_points(points, True, True, trials, seed, workers)
-        _write_rows(rows, BASE_COLUMNS + MC_COLUMNS, out_path, as_json)
-        click.echo(f"wrote {len(rows)} rows to {out_path}")
-
-    _guarded(run)
+    rows = _rows(config_path, sweep, preset, workers, trials, seed)
+    _write_rows(rows, BASE_COLUMNS + MC_COLUMNS, out_path, as_json)
 
 
 @main.command()
 @_config_opt
 @_sweep_opt
 @_preset_opt
-@click.option("--trials", type=int, default=200_000, show_default=True)
-@click.option("--seed", type=int, default=1, show_default=True)
+@_mc_opts
 @_workers_opt
+@_guarded
 def validate(config_path, sweep, preset, trials, seed, workers):
     """Compare the engines pointwise; exit 0 only if every point passes."""
-
-    def run():
-        if trials < montecarlo.MIN_TRIALS:
-            raise BelowMinTrials(
-                f"--trials {trials} below minimum {montecarlo.MIN_TRIALS}")
-        cfg = _load_cfg(config_path)
-        points = _gather_points(cfg, sweep, preset)
-        rows = _run_points(points, True, True, trials, seed, workers)
-        failures = []
-        for row in rows:
-            checks = [
-                ("A_T", row["A_L"] + row["A_N"],
-                 row["mc_A_L"] + row["mc_A_N"],
-                 row["mc_A_L_ci"] + row["mc_A_N_ci"] + VALIDATE_SLACK_PROB),
-                ("Pcov", row["Pcov"], row["mc_Pcov"],
-                 row["mc_Pcov_ci"] + VALIDATE_SLACK_PROB),
-                ("tau", row["tau"], row["mc_tau"],
-                 row["mc_tau_ci"] + VALIDATE_SLACK_RATE * abs(row["mc_tau"])),
-            ]
-            point_fail = []
-            for name, an, mc, tol in checks:
-                ok = abs(an - mc) <= tol
-                if not ok:
-                    point_fail.append((name, an, mc, tol))
-            verdict = "PASS" if not point_fail else "FAIL"
-            click.echo(
-                f"{verdict} {row['sweep_param']}={_fmt(row['sweep_value'])} "
-                + " ".join(
-                    f"{name}: analytic={_fmt(an)} mc={_fmt(mc)} tol={_fmt(tol)}"
-                    for name, an, mc, tol in checks
-                )
-            )
-            if point_fail:
-                failures.append((row, point_fail))
-        if failures:
-            row, details = failures[0]
-            click.echo(
-                f"FAILED at {row['sweep_param']}={_fmt(row['sweep_value'])}: "
-                + "; ".join(
-                    f"{name} |{_fmt(an)} - {_fmt(mc)}| > {_fmt(tol)}"
-                    for name, an, mc, tol in details
-                ),
-                err=True,
-            )
-            sys.exit(EXIT_VALIDATION)
-        click.echo(f"all {len(rows)} points pass")
-
-    _guarded(run)
+    rows = _rows(config_path, sweep, preset, workers, trials, seed)
+    first_failure = None
+    for row in rows:
+        point = f"{row['sweep_param']}={_fmt(row['sweep_value'])}"
+        checks = [
+            ("A_T", row["A_L"] + row["A_N"], row["mc_A_L"] + row["mc_A_N"],
+             row["mc_A_L_ci"] + row["mc_A_N_ci"] + VALIDATE_SLACK_PROB),
+            ("Pcov", row["Pcov"], row["mc_Pcov"],
+             row["mc_Pcov_ci"] + VALIDATE_SLACK_PROB),
+            ("tau", row["tau"], row["mc_tau"],
+             row["mc_tau_ci"] + VALIDATE_SLACK_RATE * abs(row["mc_tau"])),
+        ]
+        failed = [(name, an, mc, tol) for name, an, mc, tol in checks
+                  if not abs(an - mc) <= tol]
+        click.echo(f"{'FAIL' if failed else 'PASS'} {point} " + " ".join(
+            f"{name}: analytic={_fmt(an)} mc={_fmt(mc)} tol={_fmt(tol)}"
+            for name, an, mc, tol in checks))
+        if failed and first_failure is None:
+            first_failure = f"FAILED at {point}: " + "; ".join(
+                f"{name} |{_fmt(an)} - {_fmt(mc)}| > {_fmt(tol)}"
+                for name, an, mc, tol in failed)
+    if first_failure is not None:
+        click.echo(first_failure, err=True)
+        sys.exit(EXIT_VALIDATION)
+    click.echo(f"all {len(rows)} points pass")
 
 
 if __name__ == "__main__":

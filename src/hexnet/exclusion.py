@@ -111,9 +111,12 @@ class ExclusionRegions:
     # -- public piecewise boundaries ------------------------------------------
 
     def _piecewise(self, x: int, y: int, r):
-        h = self._h[x, y]
+        # the balance is solved only where it is kept; a NaN r is solved,
+        # so a THz boundary raises DomainError for it
         r_arr = np.asarray(r, dtype=float)
-        out = np.where(r_arr < h, self.z_l, self._balance(x, y, r_arr))
+        solve = ~(r_arr < self._h[x, y])
+        out = np.full(r_arr.shape, self.z_l)
+        out[solve] = self._balance(x, y, r_arr[solve])
         return float(out) if np.ndim(r) == 0 else out
 
     def e_lr(self, r):

@@ -46,12 +46,17 @@ def test_unknown_sweep_parameter_is_a_config_error(small_config, tmp_path):
     assert "unknown sweep parameter" in res.output
 
 
-def test_simulate_below_min_trials_is_a_config_error(small_config, tmp_path):
-    res = CliRunner().invoke(main, ["simulate", "--config", small_config,
-                                    "--trials", "999",
-                                    "--out", str(tmp_path / "out.csv")])
+@pytest.mark.parametrize("command", ["simulate", "validate"])
+@pytest.mark.parametrize("trials", ["999", "0"])
+def test_simulate_below_min_trials_is_a_config_error(small_config, tmp_path,
+                                                     command, trials):
+    args = [command, "--config", small_config, "--trials", trials]
+    if command != "validate":
+        args += ["--out", str(tmp_path / "out.csv")]
+    res = CliRunner().invoke(main, args)
     assert res.exit_code == EXIT_CONFIG == 2
-    assert "below minimum" in res.output
+    assert f"error: --trials {trials} below minimum 1000" in res.output
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_analytic_zero_bias_is_a_config_error(table3, tmp_path):
@@ -119,3 +124,87 @@ def test_validate_passes_where_the_serving_power_vanishes(table3, tmp_path):
                                     "--trials", "2000", "--seed", "7"])
     assert res.exit_code == 0, res.output
     assert "all 1 points pass" in res.output
+
+
+def _sweep_records(config, tmp_path, sweep):
+    out = tmp_path / "out.json"
+    res = CliRunner().invoke(main, ["analytic", "--config", config,
+                                    "--sweep", sweep, "--out", str(out),
+                                    "--json"])
+    assert res.exit_code == 0, res.output
+    return json.loads(out.read_text())
+
+
+@pytest.mark.parametrize("sweep, param, values", [
+    ("B_T=linspace:1,3,3", "B_T", (1.0, 2.0, 3.0)),
+    ("delta_T=linspace:0.5,0.5,1", "delta_T", (0.5,)),
+    # logspace takes the endpoint values, not their exponents
+    ("B_T=logspace:0.1,10,3", "B_T", (0.1, 1.0, 10.0)),
+])
+def test_sweep_ranges(small_config, tmp_path, sweep, param, values):
+    records = _sweep_records(small_config, tmp_path, sweep)
+    assert [r["sweep_param"] for r in records] == [param] * len(values)
+    assert [r["sweep_value"] for r in records] == pytest.approx(values,
+                                                                rel=1e-15)
+
+
+@pytest.mark.parametrize("sweep, param, value", [
+    ("B_T_db=10", "B_T", 10.0),
+    ("theta_db=3", "theta", 10.0 ** 0.3),
+    ("sigma_eps_deg=10", "sigma_eps", math.radians(10.0)),
+])
+def test_sweep_aliases_convert_their_values(small_config, tmp_path,
+                                            sweep, param, value):
+    (record,) = _sweep_records(small_config, tmp_path, sweep)
+    assert record["sweep_param"] == param
+    assert record["sweep_value"] == pytest.approx(value, rel=1e-15)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--sweep", "B_T=logspace:0,10,3"], "logspace endpoints must be positive"),
+    (["--sweep", "B_T=logspace:1,-10,3"], "logspace endpoints must be positive"),
+    (["--sweep", "B_T=linspace:1,2,0"], "linspace with 0 points"),
+    (["--sweep", "B_T=logspace:1,2,-1"], "logspace with -1 points"),
+    (["--sweep", "B_T=linspace:1,2"], "malformed linspace spec 'linspace:1,2'"),
+    (["--sweep", "B_T=logspace:1,2,x"], "malformed logspace spec 'logspace:1,2,x'"),
+    (["--sweep", "B_T"], "sweep spec 'B_T' must look like param=values"),
+    (["--sweep", "B_T=,"], "sweep 'B_T=,' lists no values"),
+    (["--sweep", "B_T=1,x"], "non-numeric sweep value in 'B_T=1,x'"),
+    (["--preset", "fig99"], "unknown preset 'fig99'; choose fig4..fig9"),
+], ids=["logspace-zero", "logspace-negative", "linspace-n0", "logspace-n-1",
+        "linspace-two-fields", "logspace-non-integer-n", "no-equals",
+        "no-values", "non-numeric", "unknown-preset"])
+def test_bad_sweep_or_preset_is_a_config_error(small_config, tmp_path,
+                                               args, message):
+    out = tmp_path / "out.csv"
+    res = CliRunner().invoke(main, ["analytic", "--config", small_config,
+                                    *args, "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG == 2
+    assert f"error: {message}" in res.output
+    assert not out.exists()
+
+
+def test_validate_failure_names_the_first_failing_point(small_config,
+                                                        monkeypatch):
+    # shifting every Monte-Carlo coverage by 0.5 fails the Pcov check at
+    # each point: one FAIL line per point on stdout, the first failing
+    # point on stderr, exit code 1
+    from hexnet import cli
+    mc_cells = cli._mc_cells
+
+    def shifted(cfg, trials, seed):
+        cells = mc_cells(cfg, trials, seed)
+        cells["mc_Pcov"] += 0.5
+        return cells
+
+    monkeypatch.setattr(cli, "_mc_cells", shifted)
+    res = CliRunner().invoke(main, ["validate", "--config", small_config,
+                                    "--sweep", "B_T=0.1,10",
+                                    "--trials", "2000", "--seed", "3"])
+    assert res.exit_code == cli.EXIT_VALIDATION == 1
+    lines = res.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [["FAIL", "B_T=0.1"],
+                                                    ["FAIL", "B_T=10"]]
+    assert res.stderr.startswith("FAILED at B_T=0.1: Pcov |")
+    assert res.stderr.count("\n") == 1
+    assert "points pass" not in res.stdout

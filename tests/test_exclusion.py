@@ -176,6 +176,41 @@ def test_boundaries_clamp_below_threshold(table3, regions):
             assert np.all(boundary(r) == sup.z_l)
 
 
+def test_balance_solved_only_at_or_above_threshold(table3, monkeypatch):
+    # below h_xy the boundary is z_l whatever the balance says, so no r
+    # there reaches _balance; a NaN r still does, and raises
+    sup, ex = _regions(table3)
+    seen = []
+    balance = ex._balance
+
+    def recording(x, y, r):
+        seen.append((x, y, np.array(r, dtype=float)))
+        return balance(x, y, r)
+
+    monkeypatch.setattr(ex, "_balance", recording)
+    r = np.linspace(sup.z_l, sup.z_p, 200)
+    below = 0
+    for name in ("lr", "ln", "nr", "nl", "rl", "rn"):
+        boundary = getattr(ex, f"e_{name}")
+        x, y = ("lnr".index(c) for c in name)
+        h = ex._h[x, y]
+        seen.clear()
+        vals = boundary(r)
+        assert seen and all(s[:2] == (x, y) and np.all(s[2] >= h)
+                            for s in seen)
+        below += int(np.sum(r < h))
+        assert np.all(vals[r < h] == sup.z_l)
+        assert np.array_equal(vals[r >= h], balance(x, y, r[r >= h]))
+        assert type(boundary(float(r[0]))) is float
+        assert type(boundary(float(r[-1]))) is float
+    assert below > 0
+    for boundary in (ex.e_ln, ex.e_rl):
+        with pytest.raises(DomainError):
+            boundary(np.array([sup.z_l, math.nan]))
+        with pytest.raises(DomainError):
+            boundary(math.nan)
+
+
 def test_continuity_at_thresholds():
     # the threshold h balances the competitor at z_l, and the boundary
     # leaves z_l continuously there

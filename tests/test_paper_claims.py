@@ -3,6 +3,8 @@ of the CLI's figure presets (read from ``cli.PRESETS``, not copied)."""
 
 from __future__ import annotations
 
+import pytest
+
 from hexnet import with_updates
 from hexnet.analytic import AnalyticEngine
 from hexnet.cli import PRESETS, apply_sweep_value
@@ -13,9 +15,11 @@ def _curve(figure: str, label: str):
     return curve
 
 
-def test_rate_rises_with_thz_fraction(table3):
-    # Fig. 7: a higher THz fraction raises the average rate
-    curve = _curve("fig7", "N_A=20")
+@pytest.mark.parametrize("label", ["N_A=10", "N_A=20", "N_A=30"])
+def test_rate_rises_with_thz_fraction(table3, label):
+    # Fig. 7: a higher THz fraction raises the average rate, on every AP
+    # count's curve
+    curve = _curve("fig7", label)
     base = with_updates(table3, **curve["overrides"])
     rates = [AnalyticEngine(apply_sweep_value(base, curve["parameter"], v),
                             rel_tol=1e-4).report().total_rate
