@@ -405,16 +405,14 @@ class AnalyticEngine:
         """Density of the serving distance given the association event.
 
         The weight w of ``_serving_table``, at x clipped to the support,
-        over the association probability; zero outside [z_l, z_p].  A
-        scalar x gives a float, an array x an array of the same shape.
-        Raises ``DegenerateEvent`` when the association probability is
-        ``<= DEGENERATE_EVENT_TOL``.
+        over the association probability; zero outside [z_l, z_p].  An
+        array of x's shape.  Raises ``DegenerateEvent`` when the association
+        probability is ``<= DEGENERATE_EVENT_TOL``.
         """
         a = self._event_probability(event)
         x = np.asarray(x, dtype=float)
         w = self._serving_table(event, x.reshape(-1)).w.reshape(x.shape)
-        pdf = np.where((x < self.sup.z_l) | (x > self.sup.z_p), 0.0, w) / a
-        return float(pdf) if pdf.ndim == 0 else pdf
+        return np.where((x < self.sup.z_l) | (x > self.sup.z_p), 0.0, w) / a
 
     def _event_probability(self, event: str) -> float:
         a = self.assoc_probabilities().get(event)

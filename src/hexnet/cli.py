@@ -2,7 +2,8 @@
 
 Sweeps reproduce the reference scenario's figure axes; results are emitted as
 CSV (or JSON records with ``--json``) with a fixed column schema so one output
-format serves every figure.  A ``--sweep`` is ``param=v1,v2,...`` or
+format serves every figure.  A JSON record holds ``null`` where a cell is
+undefined (NaN in the CSV).  A ``--sweep`` is ``param=v1,v2,...`` or
 ``param=linspace:a,b,n`` / ``logspace:a,b,n``; ``logspace`` takes the endpoint
 values a and b, not their exponents.  The aliases ``B_T_db`` and ``theta_db``
 take decibels and ``sigma_eps_deg`` degrees.  Every command runs its points
@@ -24,7 +25,7 @@ import numpy as np
 from . import default_config, montecarlo
 from .analytic import AnalyticEngine
 from .errors import ConfigError, HexnetError
-from .params import NetworkConfig, load_config, with_updates
+from .params import NetworkConfig, from_db, load_config, with_updates
 
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
@@ -34,8 +35,8 @@ SWEEP_PARAMETERS = ("B_T", "delta_T", "N_A", "v_0", "sigma_eps", "theta")
 
 #: accepted aliases: alias -> (canonical, converter)
 _SWEEP_ALIASES = {
-    "B_T_db": ("B_T", lambda v: 10.0 ** (v / 10.0)),
-    "theta_db": ("theta", lambda v: 10.0 ** (v / 10.0)),
+    "B_T_db": ("B_T", from_db),
+    "theta_db": ("theta", from_db),
     "sigma_eps_deg": ("sigma_eps", math.radians),
 }
 
@@ -64,10 +65,7 @@ def apply_sweep_value(cfg: NetworkConfig, parameter: str, value: float) -> Netwo
         if value != int(value):
             raise ConfigError(f"N_A sweep value {value!r} is not an integer")
         return with_updates(cfg, N_A=int(value))
-    if parameter in SWEEP_PARAMETERS:
-        return with_updates(cfg, **{parameter: value})
-    raise ConfigError(f"unknown sweep parameter {parameter!r}; "
-                      f"choose from {SWEEP_PARAMETERS}")
+    return with_updates(cfg, **{parameter: value})
 
 
 def parse_sweep(text: str) -> dict:
@@ -248,10 +246,16 @@ def _rows(config_path, sweep, preset, workers, trials=None, seed=0):
     return [_compute_point(job) for job in jobs]
 
 
+def _json_cell(value):
+    """A cell as strict JSON has it: NaN, which JSON lacks, as null."""
+    return None if isinstance(value, float) and math.isnan(value) else value
+
+
 def _write_rows(rows, columns, out_path, as_json):
     if as_json:
-        records = [{c: row.get(c, math.nan) for c in columns} for row in rows]
-        payload = json.dumps(records, indent=2, allow_nan=True) + "\n"
+        records = [{c: _json_cell(row.get(c, math.nan)) for c in columns}
+                   for row in rows]
+        payload = json.dumps(records, indent=2, allow_nan=False) + "\n"
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
     else:

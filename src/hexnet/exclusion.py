@@ -111,13 +111,13 @@ class ExclusionRegions:
     # -- public piecewise boundaries ------------------------------------------
 
     def _piecewise(self, x: int, y: int, r):
-        # the balance is solved only where it is kept; a NaN r is solved,
-        # so a THz boundary raises DomainError for it
+        # an array of r's shape; the balance is solved only where it is
+        # kept; a NaN r is solved, so a THz boundary raises DomainError for it
         r_arr = np.asarray(r, dtype=float)
         solve = ~(r_arr < self._h[x, y])
         out = np.full(r_arr.shape, self.z_l)
         out[solve] = self._balance(x, y, r_arr[solve])
-        return float(out) if np.ndim(r) == 0 else out
+        return out
 
     def e_lr(self, r):
         """Nearest-RF boundary given a LOS THz server at r."""

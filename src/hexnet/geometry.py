@@ -30,18 +30,14 @@ class DistanceSupport:
     z_m: float
     z_p: float
 
-    @classmethod
-    def from_scenario(cls, r_d: float, v_0: float, delta_h: float) -> "DistanceSupport":
-        return cls(
-            z_l=delta_h,
-            z_m=math.hypot(r_d - v_0, delta_h),
-            z_p=math.hypot(r_d + v_0, delta_h),
-        )
-
 
 def support(cfg: NetworkConfig) -> DistanceSupport:
+    """The distance support of the scenario: z_l the height gap, z_m and
+    z_p the distances to the nearest and farthest points of the disk's rim."""
     g = cfg.geometry
-    return DistanceSupport.from_scenario(g.r_d, g.v_0, g.delta_h)
+    return DistanceSupport(z_l=g.delta_h,
+                           z_m=math.hypot(g.r_d - g.v_0, g.delta_h),
+                           z_p=math.hypot(g.r_d + g.v_0, g.delta_h))
 
 
 def distance_pdf(z, sup: DistanceSupport, v_0: float, r_d: float):
@@ -50,11 +46,9 @@ def distance_pdf(z, sup: DistanceSupport, v_0: float, r_d: float):
     Piecewise: ``2 z / r_d^2`` on ``[z_l, z_m]``; on ``[z_m, z_p]`` the disk
     boundary cuts the horizontal circle of radius ``sqrt(z^2 - z_l^2)`` and the
     density picks up the subtended-angle factor ``arccos(.) / pi``.  Zero
-    outside the support.  Accepts scalars or arrays.
+    outside the support.  An array of z's shape.
     """
     z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
     out = np.zeros_like(z_arr)
 
     if v_0 == 0.0:
@@ -80,7 +74,7 @@ def distance_pdf(z, sup: DistanceSupport, v_0: float, r_d: float):
             arg = np.clip(arg, -1.0, 1.0)
             out[edge] = 2.0 * ze / (math.pi * r_d**2) * np.arccos(arg)
 
-    return float(out[0]) if scalar else out
+    return out
 
 
 class SmoothingMap:

@@ -31,7 +31,7 @@ from .antenna import desired_gain_pmf, interferer_gain_pmf, sample_gain
 from .errors import ConfigError
 from .geometry import sample_deployment_arrays
 from .params import NetworkConfig
-from .propagation import LINKS, link_table, sample_fading
+from .propagation import link_table, sample_fading
 
 MIN_TRIALS = 1000
 
@@ -92,11 +92,11 @@ def _log_path_gain(d, is_los, t):
     return d
 
 
-def _thz_served(cfg, rng, lg, los, col):
+def _thz_served(cfg, rng, lg, los, col, m):
     """(desired, interference) of THz-served rows, without the factor amp_T,
     from their log path gains ``lg`` (overwritten), LOS marks and winners.
     Draws the desired gains, the interferer gains over the block and the
-    fading of its LOS then its NLOS APs."""
+    fading of its LOS then its NLOS APs, of the shapes ``m`` (LOS, NLOS)."""
     rows = np.arange(len(col))
     g_des = sample_gain(desired_gain_pmf(cfg.antenna), rng, len(col))
     sig = np.exp(lg, out=lg)
@@ -105,9 +105,9 @@ def _thz_served(cfg, rng, lg, los, col):
     sig *= buf
     # the gains are in sig now, so buf takes the fading
     flat = los.ravel()
-    for link, mask in zip(LINKS, (flat, ~flat)):
+    for shape, mask in zip(m, (flat, ~flat)):
         idx = np.flatnonzero(mask)
-        np.put(buf, idx, sample_fading(link, rng, cfg.radio, idx.size))
+        np.put(buf, idx, sample_fading(shape, rng, idx.size))
     sig *= buf
     return _split(sig, col)
 
@@ -146,11 +146,11 @@ def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
     col, los = _rows(w_thz, serv, k), _rows(is_los, serv, k)
     event[serv] = ~los[np.arange(k), col]         # code 0 LOS, 1 NLOS
     desired[serv], interference[serv] = _thz_served(
-        cfg, rng, _rows(lg, serv, k), los, col)
+        cfg, rng, _rows(lg, serv, k), los, col, t.m[:2])
 
     rf = ~serv
     d = _rows(d_rf, rf, n - k)
-    sig = sample_fading(LINKS[2], rng, cfg.radio, d.shape)
+    sig = sample_fading(t.m[2], rng, d.shape)
     sig *= np.power(d, -t.alpha[2], out=d)
     desired[rf], interference[rf] = _split(sig, _rows(w_rf, rf, n - k))
 

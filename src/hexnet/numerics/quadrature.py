@@ -317,8 +317,10 @@ class TailIntegral:
     below b; at v_0 = 1, where one panel spans the short arccos branch, up
     to 6e-10 of a value near b, though within the build's error.
 
-    Vectorized over x; each lower limit is summed on its own, so a value
-    does not depend on the other entries of its array.  Raises as
+    Vectorized over x: T(x) is an array of x's shape followed by f's
+    trailing axes, and ``total`` and ``error`` arrays of the trailing axes'
+    shape.  Each lower limit is summed on its own, so a value does not
+    depend on the other entries of its array.  Raises as
     ``_refine`` does; a NaN lower limit raises DomainError.
     """
 
@@ -342,12 +344,8 @@ class TailIntegral:
         self._total = suffix[-1]
         self._means = _tail_means() @ fx[order]               # (P, 15, C)
         self._noise = _NOISE / _LOOKUP_TOL * np.abs(self._means).sum(axis=1)
-        if not self._shape:
-            self.total = float(self._total[0])
-            self.error = float(err[0])
-        else:
-            self.total = self._total.reshape(self._shape)
-            self.error = err.reshape(self._shape)
+        self.total = self._total.reshape(self._shape)
+        self.error = err.reshape(self._shape)
 
     def __call__(self, x):
         x_arr = np.asarray(x, dtype=float)
@@ -361,8 +359,7 @@ class TailIntegral:
             val = np.where((xs <= self.a)[:, None], self._total, 0.0)
             if inside.any():
                 val[inside] = self._lookup(xs[inside])
-        out = val.reshape(x_arr.shape + self._shape)
-        return float(out) if out.ndim == 0 else out
+        return val.reshape(x_arr.shape + self._shape)
 
     def _lookup(self, x):
         """T(x), (X, C), at lower limits x in (a, b)."""

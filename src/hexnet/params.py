@@ -10,7 +10,8 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from .errors import ConfigError, MissingKey, NonIntegerThzCount, OutOfRange
 
@@ -169,34 +170,23 @@ def _validate(cfg: NetworkConfig) -> None:
 
 # --- text config format ------------------------------------------------------
 #
-# One `key = value` per line, `#` comments, sections [geometry] [radio]
-# [blockage] [antenna].  Key names are exactly the field names; dB/degree
-# variants carry a unit suffix.  Conversion kinds:
-#   plain  - stored as given
+# One `key = value` per line, `#` comments, one section per NetworkConfig
+# field ([geometry] [radio] [blockage] [antenna]).  Key names are exactly the
+# field names of the section's dataclass; dB/degree variants carry a unit
+# suffix.  Conversion kinds, of the fields that are not plain (stored as
+# given):
 #   int    - integer
 #   power  - watts, or dBm via `<key>_dbm`
 #   gain   - linear, or dB via `<key>_db`
 #   angle  - radians, or degrees via `<key>_deg`
 
-_SCHEMA = {
-    "geometry": {
-        "r_d": "plain", "h_A": "plain", "h_U": "plain", "v_0": "plain",
-        "N_A": "int", "delta_T": "plain",
-    },
-    "radio": {
-        "P_T": "power", "P_R": "power", "f_T": "plain", "f_R": "plain",
-        "W_T": "plain", "W_R": "plain", "k_a": "plain",
-        "alpha_R": "plain", "alpha_L": "plain", "alpha_N": "plain",
-        "m_L": "int", "m_N": "int",
-        "sigma2_T": "power", "sigma2_R": "power",
-        "B_T": "gain", "theta": "gain",
-    },
-    "blockage": {"lambda_B": "plain", "r_B": "plain", "h_B": "plain"},
-    "antenna": {
-        "g_T_max": "gain", "g_T_min": "gain", "g_U_max": "gain", "g_U_min": "gain",
-        "phi_T": "angle", "phi_U": "angle",
-        "sigma_eps_T": "angle", "sigma_eps_U": "angle",
-    },
+_KINDS = {
+    "N_A": "int", "m_L": "int", "m_N": "int",
+    "P_T": "power", "P_R": "power", "sigma2_T": "power", "sigma2_R": "power",
+    "B_T": "gain", "theta": "gain",
+    "g_T_max": "gain", "g_T_min": "gain", "g_U_max": "gain", "g_U_min": "gain",
+    "phi_T": "angle", "phi_U": "angle",
+    "sigma_eps_T": "angle", "sigma_eps_U": "angle",
 }
 
 _SUFFIX = {"power": "_dbm", "gain": "_db", "angle": "_deg"}
@@ -238,17 +228,19 @@ def load_config(text: str) -> NetworkConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
-    unknown_sections = set(parser.sections()) - set(_SCHEMA)
+    groups = get_type_hints(NetworkConfig)
+    unknown_sections = set(parser.sections()) - set(groups)
     if unknown_sections:
         raise ConfigError(f"unknown section(s): {sorted(unknown_sections)}")
 
-    out: dict[str, dict] = {}
-    for section, keys in _SCHEMA.items():
+    out = {}
+    for section, group in groups.items():
         if section not in parser:
             raise MissingKey(section, f"[{section}] section")
         present = dict(parser[section])
         values = {}
-        for key, kind in keys.items():
+        for key in (f.name for f in fields(group)):
+            kind = _KINDS.get(key, "plain")
             candidates = [(key, False)]
             if kind in _SUFFIX:
                 candidates.append((key + _SUFFIX[kind], True))
@@ -269,27 +261,19 @@ def load_config(text: str) -> NetworkConfig:
             raise ConfigError(
                 f"unknown key(s) in section [{section}]: {sorted(present)}"
             )
-        out[section] = values
+        out[section] = group(**values)
 
-    return NetworkConfig(
-        geometry=GeometryParams(**out["geometry"]),
-        radio=RadioParams(**out["radio"]),
-        blockage=BlockageParams(**out["blockage"]),
-        antenna=AntennaParams(**out["antenna"]),
-    )
+    return NetworkConfig(**out)
 
 
 def serialize_config(cfg: NetworkConfig) -> str:
     """Canonical SI-linear text form; load_config(serialize_config(c)) == c."""
-    parts = {
-        "geometry": cfg.geometry, "radio": cfg.radio,
-        "blockage": cfg.blockage, "antenna": cfg.antenna,
-    }
     buf = io.StringIO()
-    for section, obj in parts.items():
-        buf.write(f"[{section}]\n")
-        for key in _SCHEMA[section]:
-            buf.write(f"{key} = {getattr(obj, key)!r}\n")
+    for section in fields(cfg):
+        obj = getattr(cfg, section.name)
+        buf.write(f"[{section.name}]\n")
+        for key in fields(obj):
+            buf.write(f"{key.name} = {getattr(obj, key.name)!r}\n")
         buf.write("\n")
     return buf.getvalue()
 
@@ -300,11 +284,14 @@ def with_updates(cfg: NetworkConfig, **updates) -> NetworkConfig:
     Accepts any field of the four parameter groups, e.g.
     ``with_updates(cfg, B_T=10.0, delta_T=0.5)``.
     """
-    groups = {"geometry": {}, "radio": {}, "blockage": {}, "antenna": {}}
+    # each dataclass's own field table, as dataclasses.replace reads it:
+    # dataclasses.fields builds a tuple per call, and CPython's tuple free
+    # list keeps up to 2000 of each size, about 1 MB over a long sweep
+    groups = {section: {} for section in cfg.__dataclass_fields__}
     for key, value in updates.items():
-        for section, keys in _SCHEMA.items():
-            if key in keys:
-                groups[section][key] = value
+        for section, vals in groups.items():
+            if key in getattr(cfg, section).__dataclass_fields__:
+                vals[key] = value
                 break
         else:
             raise KeyError(f"unknown config field {key!r}")

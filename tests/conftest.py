@@ -10,7 +10,6 @@ from hypothesis import settings
 
 from hexnet import default_config, with_updates
 from hexnet.analytic import AnalyticEngine
-from hexnet.propagation import LinkClass
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -58,11 +57,16 @@ def random_config(base, rng) -> "NetworkConfig":
     return cfg
 
 
+#: link class codes, in association event order
+LOS, NLOS, RF = 0, 1, 2
+
+
 def path_gain(link, z, radio):
-    """Oracle: distance-dependent channel gain of a link class (no antenna
-    gains, no fading).  RF: gamma_R z^-alpha_R.  THz: gamma_T e^{-k_a z}
-    z^-alpha, with the exponent of the LOS/NLOS class."""
-    if link is LinkClass.RF:
+    """Oracle: distance-dependent channel gain of a link class (``LOS``,
+    ``NLOS`` or ``RF``; no antenna gains, no fading).  RF: gamma_R
+    z^-alpha_R.  THz: gamma_T e^{-k_a z} z^-alpha, with the exponent of the
+    LOS/NLOS class."""
+    if link == RF:
         return radio.gamma_R * z ** -radio.alpha_R
-    alpha = radio.alpha_L if link is LinkClass.THZ_LOS else radio.alpha_N
+    alpha = radio.alpha_L if link == LOS else radio.alpha_N
     return radio.gamma_T * np.exp(-radio.k_a * z) * z ** -alpha

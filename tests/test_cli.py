@@ -38,6 +38,32 @@ def test_analytic_json_writes_one_record(small_config, tmp_path):
     assert tuple(records[0]) == BASE_COLUMNS
 
 
+def _refuse_constant(name):
+    raise ValueError(f"bare {name} token, which strict JSON refuses")
+
+
+def test_undefined_cells_are_null_in_json_and_nan_in_csv(tmp_path):
+    # an all-RF network has no THz event, so its LOS and NLOS cells are
+    # undefined: --json writes them as null, which a strict parser reads,
+    # and the CSV keeps writing nan
+    undefined = {f"{pre}{metric}_{e}{post}"
+                 for metric in ("Pcov", "tau") for e in "LN"
+                 for pre, post in (("", ""), ("mc_", ""), ("mc_", "_ci"))}
+    args = ["simulate", "--sweep", "delta_T=0", "--trials", "2000"]
+    out = tmp_path / "out.json"
+    res = CliRunner().invoke(main, [*args, "--out", str(out), "--json"])
+    assert res.exit_code == 0, res.output
+    (record,) = json.loads(out.read_text(), parse_constant=_refuse_constant)
+    assert {c for c, v in record.items() if v is None} == undefined
+    assert len(undefined) == 12
+    out = tmp_path / "out.csv"
+    res = CliRunner().invoke(main, [*args, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    with out.open() as fh:
+        header, row = csv.reader(fh)
+    assert {c for c, v in zip(header, row) if v == "nan"} == undefined
+
+
 def test_unknown_sweep_parameter_is_a_config_error(small_config, tmp_path):
     res = CliRunner().invoke(main, ["analytic", "--config", small_config,
                                     "--sweep", "nope=1,2",

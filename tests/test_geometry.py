@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hexnet import with_updates
+from hexnet import default_config, with_updates
 from hexnet.errors import DomainError
 from hexnet.geometry import (
     DistanceSupport,
@@ -12,12 +12,15 @@ from hexnet.geometry import (
     sample_deployment_arrays,
     support,
 )
-from hexnet.numerics import Quadrature, TailIntegral, integrate
+from hexnet.numerics.quadrature import Quadrature, TailIntegral, integrate
 from hexnet.propagation import kappa_los
 
 
 def _sup(r_d, v_0, dh):
-    return DistanceSupport.from_scenario(r_d, v_0, dh)
+    """The support of Table 3 with disk radius r_d, UE offset v_0 and height
+    gap dh (the UE on the floor, so that the gap is exactly h_A)."""
+    return support(with_updates(default_config(), r_d=r_d, v_0=v_0,
+                                h_A=dh, h_U=0.0))
 
 
 def test_support_endpoints():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from hexnet.numerics import Jet, Quadrature, affine_power, integrate
+from hexnet.numerics.jets import Jet, affine_power
+from hexnet.numerics.quadrature import Quadrature, integrate
 
 
 def _cauchy(a, b):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import path_gain
+from conftest import LOS, NLOS, RF, path_gain
 from hexnet import montecarlo, with_updates
 from hexnet.antenna import desired_gain_pmf, interferer_gain_pmf, sample_gain
 from hexnet.errors import ConfigError
 from hexnet.geometry import sample_deployment_arrays
 from hexnet.montecarlo import MIN_TRIALS, _simulate_batch, estimate
-from hexnet.propagation import LinkClass, link_table, sample_fading
+from hexnet.propagation import link_table, sample_fading
 
 
 def test_min_trials_guard(table3):
@@ -71,7 +71,7 @@ def test_run_trial_deterministic(table3):
 def pinned_fading(monkeypatch):
     """Every fading draw at its mean (1.0), without consuming the stream."""
     monkeypatch.setattr(montecarlo, "sample_fading",
-                        lambda link, rng, radio, size: np.ones(size))
+                        lambda m, rng, size: np.ones(size))
 
 
 def _trial(cfg, seed):
@@ -83,8 +83,7 @@ def _trial(cfg, seed):
 
 
 def _thz_power(radio, g, d, los):
-    link = LinkClass.THZ_LOS if los else LinkClass.THZ_NLOS
-    return radio.P_T * g * path_gain(link, d, radio)
+    return radio.P_T * g * path_gain(LOS if los else NLOS, d, radio)
 
 
 def test_single_ap_snr_matches_hand_formula(table3, pinned_fading):
@@ -107,8 +106,8 @@ def test_rf_two_ap_interference_structure(table3, pinned_fading):
     (dist, _), (event, sinr) = _trial(cfg, 7)
     d = sorted(dist)
     r = cfg.radio
-    sig = r.P_R * path_gain(LinkClass.RF, d[0], r)
-    interf = r.P_R * path_gain(LinkClass.RF, d[1], r)
+    sig = r.P_R * path_gain(RF, d[0], r)
+    interf = r.P_R * path_gain(RF, d[1], r)
     assert event == 2
     assert sinr == pytest.approx(sig / (interf + r.sigma2_R), rel=1e-12)
 
@@ -143,13 +142,14 @@ def test_interferer_uses_own_link_class(table3, pinned_fading):
 def test_each_ap_draws_its_own_class_only(table3, monkeypatch):
     # gains and fading are drawn for the serving tier's rows only: desired
     # and interferer gains and LOS/NLOS fading over the THz block of the
-    # THz-served rows, RF fading over the RF block of the RF-served rows
-    cfg = with_updates(table3, N_A=30, delta_T=0.8)
+    # THz-served rows, RF fading over the RF block of the RF-served rows;
+    # m_N = 2 gives each class its own fading shape
+    cfg = with_updates(table3, N_A=30, delta_T=0.8, m_N=2)
     fading, gains = [], []
 
-    def fading_recorder(link, rng, radio, size):
-        out = sample_fading(link, rng, radio, size)
-        fading.append((link, np.shape(out)))
+    def fading_recorder(m, rng, size):
+        out = sample_fading(m, rng, size)
+        fading.append((m, np.shape(out)))
         return out
 
     def gain_recorder(pmf, rng, size):
@@ -169,9 +169,7 @@ def test_each_ap_draws_its_own_class_only(table3, monkeypatch):
     los = int(is_los[thz_rows].sum())
     nlos = int((~is_los[thz_rows]).sum())
     assert 0 < los and 0 < nlos and 0 < n_t < n
-    assert fading == [(LinkClass.THZ_LOS, (los,)),
-                      (LinkClass.THZ_NLOS, (nlos,)),
-                      (LinkClass.RF, (n - n_t, n_rf))]
+    assert fading == [(3, (los,)), (2, (nlos,)), (1, (n - n_t, n_rf))]
     assert los + nlos == n_t * n_thz
     assert gains == [(desired_gain_pmf(cfg.antenna), (n_t,)),
                      (interferer_gain_pmf(cfg.antenna), (n_t, n_thz))]
@@ -201,7 +199,7 @@ def test_tier_winners_match_global_argmax(table3, monkeypatch):
     # serving AP as the whole-network argmax, and the serving tier's sum
     # without the winner is its interference
     monkeypatch.setattr(montecarlo, "sample_fading",
-                        lambda link, rng, radio, size: np.ones(size))
+                        lambda m, rng, size: np.ones(size))
     monkeypatch.setattr(montecarlo, "sample_gain",
                         lambda pmf, rng, size: np.ones(size))
     seen = set()
@@ -234,32 +232,33 @@ def test_empty_tier_edges(table3, n_a, delta):
 
 
 def test_fading_follows_the_serving_class(table3, monkeypatch):
-    # constant fading per class (LOS 2, NLOS 3, RF 5): with one AP the SINR
+    # constant fading per class, keyed by its Nakagami shape (LOS m_L = 3
+    # gives 2, NLOS m_N = 2 gives 3, RF m = 1 gives 5): with one AP the SINR
     # is that constant times the SNR of the hand formula, so a class mix-up
     # in the fading draws shows
-    constant = {LinkClass.THZ_LOS: 2.0, LinkClass.THZ_NLOS: 3.0,
-                LinkClass.RF: 5.0}
+    base = with_updates(table3, m_N=2)
+    constant = {3: 2.0, 2: 3.0, 1: 5.0}
     monkeypatch.setattr(montecarlo, "sample_fading",
-                        lambda link, rng, radio, size: np.full(size, constant[link]))
-    r = table3.radio
-    g1 = table3.antenna.g_T_max * table3.antenna.g_U_max
+                        lambda m, rng, size: np.full(size, constant[m]))
+    r = base.radio
+    g1 = base.antenna.g_T_max * base.antenna.g_U_max
 
-    thz = with_updates(table3, N_A=1, delta_T=1.0, lambda_B=0.5)
+    thz = with_updates(base, N_A=1, delta_T=1.0, lambda_B=0.5)
     seen = set()
     for seed in range(40):
         (dist, is_los), (event, sinr) = _trial(thz, seed)
         assert is_los.shape == (1,) and event == (0 if is_los[0] else 1)
-        link = LinkClass.THZ_LOS if is_los[0] else LinkClass.THZ_NLOS
+        m = r.m_L if is_los[0] else r.m_N
         snr = _thz_power(r, g1, dist[0], is_los[0]) / r.sigma2_T
-        assert sinr == pytest.approx(constant[link] * snr, rel=1e-12)
-        seen.add(link)
-    assert seen == {LinkClass.THZ_LOS, LinkClass.THZ_NLOS}
+        assert sinr == pytest.approx(constant[m] * snr, rel=1e-12)
+        seen.add(m)
+    assert seen == {3, 2}
 
-    rf = with_updates(table3, N_A=1, delta_T=0.0)
+    rf = with_updates(base, N_A=1, delta_T=0.0)
     (dist, is_los), (event, sinr) = _trial(rf, 3)
     assert is_los.size == 0 and event == 2
-    snr = r.P_R * path_gain(LinkClass.RF, dist[0], r) / r.sigma2_R
-    assert sinr == pytest.approx(constant[LinkClass.RF] * snr, rel=1e-12)
+    snr = r.P_R * path_gain(RF, dist[0], r) / r.sigma2_R
+    assert sinr == pytest.approx(constant[1] * snr, rel=1e-12)
 
 
 def test_half_width_shrinks_like_sqrt_n(table3):

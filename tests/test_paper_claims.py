@@ -3,6 +3,7 @@ of the CLI's figure presets (read from ``cli.PRESETS``, not copied)."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from hexnet import with_updates
@@ -107,3 +108,24 @@ def test_rate_ordered_by_thz_fraction_at_every_offset(table3):
     for i in range(len(offsets)):
         assert (rates["delta_T=0.8"][i] > rates["delta_T=0.5"][i]
                 > rates["delta_T=0.2"][i]), (offsets[i], rates)
+
+
+def test_best_thz_fraction_falls_as_the_ue_moves_off_centre(table3):
+    # Abstract and Fig. 8: the UE's location moves the THz fraction that
+    # covers it best.  On N_A=20, over fig6's delta_T axis (0 to 1 in steps
+    # of 0.1), the coverage-maximising fraction at each of fig8's offsets
+    # does not rise with v_0: 0.8 centred, 0.4 at v_0 = 76 and 79.  The
+    # closest call, at v_0 = 70, is 0.4499 at 0.5 against 0.4496 at 0.6
+    deltas = _curve("fig6", "N_A=20")
+    offsets = _curve("fig8", "delta_T=0.5")
+    base = with_updates(table3, **deltas["overrides"])
+    best = []
+    for v_0 in offsets["values"]:
+        cfg = apply_sweep_value(base, offsets["parameter"], v_0)
+        pcov = [AnalyticEngine(apply_sweep_value(cfg, deltas["parameter"], d),
+                               rel_tol=1e-4).coverage().total_coverage
+                for d in deltas["values"]]
+        best.append(deltas["values"][int(np.argmax(pcov))])
+    assert len(best) == 10
+    assert all(b <= a for a, b in zip(best, best[1:])), best
+    assert best[0] > best[-1], best

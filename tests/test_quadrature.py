@@ -13,7 +13,12 @@ from hexnet.errors import (
     NonFiniteEstimate,
     ToleranceBelowFloor,
 )
-from hexnet.numerics import Quadrature, TailIntegral, integrate, integrate_semiinfinite
+from hexnet.numerics.quadrature import (
+    Quadrature,
+    TailIntegral,
+    integrate,
+    integrate_semiinfinite,
+)
 
 
 def test_polynomial_exact():
