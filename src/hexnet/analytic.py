@@ -80,7 +80,9 @@ class ServingTable(NamedTuple):
     support, for one association event: the event's unnormalized density
     ``w``, whose integral is the event's association probability, and for
     each class c of a competing tier that has APs, the lower limit ``lo[c]``
-    in v of class c's APs and their tail mass ``mass[c]`` beyond it."""
+    in v of class c's APs and their tail mass ``mass[c]`` beyond it.  The
+    table is the engine's one source of a class's tail mass: w and the
+    denominator of L_I (``AnalyticEngine._laplace``) both read it."""
 
     x: np.ndarray
     w: np.ndarray
@@ -172,24 +174,24 @@ class AnalyticEngine:
     evaluate their kernels only where w > 0 and the metric can be non-zero
     (``_expect_over_serving``).
 
-    Both metrics rest on one interference law: L_I = (sum_c bracket_c /
-    sum_c mass_c)^n over the serving tier's classes, n its interferer count
+    Both metrics rest on one interference law: L_I = (sum_c bracket_c / sum_c
+    mass_c)^n over the serving tier's classes, n its interferer count
     (``_laplace``), where bracket_c integrates class c's density times the
     gain-averaged Nakagami kernel sum_g p_g (1 + s c_c g / m_c)^-m_c
-    (``_interferer_kernel``) beyond the class's lower limit.  Only the
-    bracket's source differs.  Coverage needs L_I's derivatives up to order
-    m - 1 at the threshold, carried as jets, from inner integrals 10x
-    tighter (``q_inner``), one per outer sweep and interferer class with
-    mass for the sweep's whole vector of x (``_laplace_coeffs``).  The rate
-    needs L_I at order 0 only, on one fixed grid z_j per serving tier
-    (``_rate_grid``, built once per tier): by Hamdi's lemma its mean log of
-    1 + SINR is a trapezoid sum in ln z whose step ``rate_step`` and ends
-    are set a priori from ``rel_tol`` (``conditional_rate``).  Per
-    interferer class, one ``TailIntegral`` in v (``_rate_bracket``), built
-    on the first ``conditional_rate``, holds the class's bracket at every
-    z_j and its mass, so one lookup per class and outer sweep at the
-    serving table's ``lo[c]`` gives L_I on the whole grid
-    (``_rate_laplace``), with no inner integral.
+    (``_interferer_kernel``) beyond the class's lower limit and mass_c is the
+    serving table's ``mass[c]``, the same lookup of ``tail`` that gives w(x).
+    Only the bracket's source differs.  Coverage needs L_I's derivatives up to
+    order m - 1 at the threshold, carried as jets, from inner integrals 10x
+    tighter (``q_inner``), one per outer sweep and interferer class with mass
+    for the sweep's whole vector of x (``_laplace_coeffs``).  The rate needs
+    L_I at order 0 only, on one fixed grid z_j per serving tier
+    (``_rate_grid``, built once per tier): by Hamdi's lemma its mean log of 1 +
+    SINR is a trapezoid sum in ln z whose step ``rate_step`` and ends are set a
+    priori from ``rel_tol`` (``conditional_rate``).  Per interferer class, one
+    ``TailIntegral`` in v (``_rate_bracket``), built on the first
+    ``conditional_rate``, holds the class's bracket at every z_j, so one lookup
+    per class and outer sweep at the serving table's ``lo[c]`` gives L_I on the
+    whole grid (``_rate_laplace``), with no inner integral.
     """
 
     def __init__(self, cfg: NetworkConfig, rel_tol: float = 1e-7):
@@ -328,14 +330,14 @@ class AnalyticEngine:
 
     def _serving_table(self, event: str, x) -> ServingTable:
         """The ``ServingTable`` of one association event at serving
-        distances x (X,), clipped to the support: one exclusion boundary
-        per class of a competing tier with APs, and one lookup of
-        ``self.tail`` for all of them, a class's mass being the sum of its
-        columns (``cols``: LOS, NLOS, or both for RF).  The weight
-        w = count times the serving class's density at x, times each
-        competing tier's summed mass to the power of its AP count."""
+        distances x (X,) in the support: one exclusion boundary per class of
+        a competing tier with APs, and one lookup of ``self.tail`` for all
+        of them, a class's mass being the sum of its columns (``cols``: LOS,
+        NLOS, or both for RF).  The weight w = count times the serving
+        class's density at x, times each competing tier's summed mass to the
+        power of its AP count.  These masses are the only ones the engine
+        uses: the serving tier's are also L_I's denominator (``_laplace``)."""
         ev = self._ev[event]
-        x = np.clip(x, self.sup.z_l, self.sup.z_p)
         classes = [c for count, cs in ev["tiers"] if count > 0 for c in cs]
         lo = {c: self.vmap.v(self._boundary(event, c, x)) for c in classes}
         mass = {}
@@ -353,13 +355,12 @@ class AnalyticEngine:
         return ServingTable(x, w, lo, mass)
 
     def _table_at(self, event: str, xs) -> ServingTable:
-        """The ``ServingTable`` of one outer sweep's nodes xs (X,), each
-        node's entry built once per event.  The event's store keeps the raw
-        nodes built so far (before ``_serving_table``'s clip), sorted, with
-        their table in the same order: a sweep whose nodes it holds is
-        gathered by one ``searchsorted``, and the nodes it lacks are built
-        and merged in.  As every outer integral of the event starts on the
-        same panels and halves panels the same way, a panel evaluated twice
+        """The ``ServingTable`` of one outer sweep's nodes xs (X,), each node's
+        entry built once per event.  The event's store keeps the nodes built so
+        far, sorted, with their table in the same order: a sweep whose nodes it
+        holds is gathered by one ``searchsorted``, and the nodes it lacks are
+        built and merged in.  As every outer integral of the event starts on
+        the same panels and halves panels the same way, a panel evaluated twice
         gives the same nodes bit for bit."""
         store = self._tables.get(event)
         new = xs
@@ -401,26 +402,6 @@ class AnalyticEngine:
         self._assoc = TierMetrics(vals["L"], vals["N"], vals["R"])
         return self._assoc
 
-    def serving_distance_pdf(self, event: str, x):
-        """Density of the serving distance given the association event.
-
-        The weight w of ``_serving_table``, at x clipped to the support,
-        over the association probability; zero outside [z_l, z_p].  An
-        array of x's shape.  Raises ``DegenerateEvent`` when the association
-        probability is ``<= DEGENERATE_EVENT_TOL``.
-        """
-        a = self._event_probability(event)
-        x = np.asarray(x, dtype=float)
-        w = self._serving_table(event, x.reshape(-1)).w.reshape(x.shape)
-        return np.where((x < self.sup.z_l) | (x > self.sup.z_p), 0.0, w) / a
-
-    def _event_probability(self, event: str) -> float:
-        a = self.assoc_probabilities().get(event)
-        if a <= DEGENERATE_EVENT_TOL:
-            raise DegenerateEvent(
-                f"association probability for event {event} is {a!r}")
-        return a
-
     # -- interference Laplace transforms ----------------------------------------
 
     def _laplace(self, event: str, table: ServingTable, shape, bracket):
@@ -430,36 +411,35 @@ class AnalyticEngine:
         over the serving tier's interferer classes c, n its interferer
         count.  ``bracket(c)`` gives class c's bracket (K+1, X, M), the
         integral of its density times the interferer kernel beyond its lower
-        limit, and its mass (X,) there; the caller's source sets how they
-        are integrated.  Dividing by the summed mass gives L(0) = 1 to the
-        source's precision.  L_I is 1 without interferers.  Raises
-        ``DegenerateEvent`` where an x has no interferer mass in ``table``,
-        summed over the classes, although the event has interferers."""
+        limit; the caller's source sets how it is integrated.  The masses
+        are the table's ``mass[c]``, looked up in ``self.tail`` with the
+        serving weight, so L(0) = 1 to the bracket source's tolerance.  L_I
+        is 1 without interferers.  Raises ``DegenerateEvent`` where an x has
+        no interferer mass in ``table``, summed over the classes, although
+        the event has interferers."""
         ev = self._ev[event]
         n_exp, classes = ev["tiers"][ev["own"]]
         if n_exp == 0:
             out = np.zeros(shape)
             out[0] = 1.0
             return out
-        bad = ~(sum(table.mass[c] for c in classes) > 0.0)
+        mass = sum(table.mass[c] for c in classes)
+        bad = ~(mass > 0.0)
         if bad.any():
             raise DegenerateEvent(
                 f"event {event} has interferers but no interferer mass at "
                 f"serving distance {float(table.x[bad][0])!r}"
             )
-        num = den = 0.0
-        for c in classes:
-            b, mass = bracket(c)
-            num, den = num + b, den + mass
-        return (Jet(num / den[:, None]) ** float(n_exp)).coeffs
+        num = sum(bracket(c) for c in classes)
+        return (Jet(num / mass[:, None]) ** float(n_exp)).coeffs
 
     def _laplace_coeffs(self, event: str, table: ServingTable, nu0,
                         order: int):
         """Coverage's L_I: Taylor coefficients (order+1, X, M) of the one
         L_I transform (``_laplace``) at the serving distances of ``table``
         (X,) and expansion points ``nu0`` (X, M), one row per x, with each
-        class's bracket and mass from one inner integral over all its x
-        (``_segment_integral``)."""
+        class's bracket from one inner integral over all its x
+        (``_segment_integral``) and its mass from ``table``."""
         nu0 = np.asarray(nu0, dtype=float)
         return self._laplace(
             event, table, (order + 1,) + nu0.shape,
@@ -467,9 +447,9 @@ class AnalyticEngine:
 
     def _segment_integral(self, c: str, table: ServingTable, nu0,
                           order: int):
-        """Interferer class c's bracket (order+1, X, M) and mass (X,) at the
-        serving distances of ``table`` and expansion points ``nu0``, 0 where
-        the table gives the class no mass: one ``integrate`` over the x with
+        """Interferer class c's bracket (order+1, X, M) at the serving
+        distances of ``table`` and expansion points ``nu0``, 0 where the
+        table gives the class no mass: one ``integrate`` over the x with
         mass.
 
         Column x runs over [lo, v_max] in the smoothing variable, lo from
@@ -480,21 +460,18 @@ class AnalyticEngine:
         density's square-root endpoints would make every column refine with
         the worst one.  Each column is divided by the table's mass at x and
         multiplied back afterwards: all columns are O(1), so the max-norm
-        tolerance holds per x, on the gain-averaged bracket.  The mass is
-        also integrated on the same panels, an extra column per x, so
-        L(0) = 1 to machine precision.  Dividing the small product density
-        dz/dv width by a tiny positive mass cannot overflow.  The kernel
-        jets are accumulated one piece at a time, so the widest temporary
-        has no piece axis."""
+        tolerance holds per x, on the gain-averaged bracket.  Dividing the
+        small product density dz/dv width by a tiny positive mass cannot
+        overflow.  The kernel jets are accumulated one piece at a time, so
+        the widest temporary has no piece axis."""
         seg = self._ev[c]
         density, path_gain, m = seg["density"], seg["path_gain"], seg["m"]
         gains, probs = seg["int_gains"], seg["int_probs"]
         k1 = order + 1
         num = np.zeros((k1,) + nu0.shape)
-        den = np.zeros(nu0.shape[0])
         idx = np.flatnonzero(table.mass[c] > 0.0)
         if idx.size == 0:
-            return num, den
+            return num
         lo, mass, nu = table.lo[c][idx], table.mass[c][idx], nu0[idx]
         vmap, breaks = self.vmap, self._inner_breaks
         # pieces per x: [lo, breakpoints above lo..., v_max], left-aligned
@@ -518,14 +495,11 @@ class AnalyticEngine:
                                          order)
                 ker *= wt[:, :, p, None]
                 acc += ker.swapaxes(0, 1)
-            return np.concatenate(
-                [acc.reshape(u.size, -1), wt.sum(axis=2)], axis=1)
+            return acc.reshape(u.size, -1)
 
         res = integrate(integrand, 0.0, 1.0, self.q_inner).value
-        num[:, idx] = res[:-idx.size].reshape(k1, idx.size, -1) \
-            * mass[:, None]
-        den[idx] = res[-idx.size:] * mass
-        return num, den
+        num[:, idx] = res.reshape(k1, idx.size, -1) * mass[:, None]
+        return num
 
     # -- coverage and rate -------------------------------------------------------
 
@@ -613,8 +587,9 @@ class AnalyticEngine:
         """The rate's bracket table of interferer class c, built on first
         use: a ``TailIntegral`` in v with, per z_j of the class's tier grid,
         the column of the class's density times dz/dv times its interferer
-        kernel at order 0 (``_interferer_kernel``), and last the mass column
-        of the density times dz/dv."""
+        kernel at order 0 (``_interferer_kernel``).  The class's mass, L_I's
+        denominator, is not a column: it is the serving table's, from
+        ``self.tail``."""
         if c not in self._brackets:
             seg = self._ev[c]
             density, path_gain, m = seg["density"], seg["path_gain"], seg["m"]
@@ -628,7 +603,7 @@ class AnalyticEngine:
                 ker = _interferer_kernel(path_gain(y) / m, z, gains, probs,
                                          m, 0)[0]
                 ker *= w[:, None]
-                return np.column_stack([ker, w])
+                return ker
 
             self._brackets[c] = TailIntegral(columns, 0.0, vmap.v_max,
                                              self.q_tail)
@@ -637,11 +612,11 @@ class AnalyticEngine:
     def _rate_laplace(self, event: str, table: ServingTable, z) -> np.ndarray:
         """The rate's L_I (X, Z) at the serving distances of ``table`` and
         the grid ``z`` (Z,) of the event's tier: the one L_I transform
-        (``_laplace``) at order 0, with each class's bracket and mass from
-        one lookup of its bracket table at the table's ``lo[c]``."""
+        (``_laplace``) at order 0, with each class's bracket from one lookup
+        of its bracket table at the table's ``lo[c]`` and its mass from
+        ``table``."""
         def bracket(c):
-            cols = self._rate_bracket(c)(table.lo[c])
-            return cols[None, :, :-1], cols[:, -1]
+            return self._rate_bracket(c)(table.lo[c])[None]
 
         return self._laplace(event, table, (1, table.x.size, z.size),
                              bracket)[0]
@@ -668,9 +643,14 @@ class AnalyticEngine:
         it needed resolution.  ``kernel(event, table)`` takes the
         ``ServingTable`` of one outer sweep's serving distances where
         w(x) > 0 and ``live(event, x)`` holds, and returns one value per
-        distance; the integrand is 0 at every other x.
+        distance; the integrand is 0 at every other x.  Raises
+        ``DegenerateEvent`` when the association probability A is
+        ``<= DEGENERATE_EVENT_TOL``.
         """
-        a = self._event_probability(event)
+        a = self.assoc_probabilities().get(event)
+        if a <= DEGENERATE_EVENT_TOL:
+            raise DegenerateEvent(
+                f"association probability for event {event} is {a!r}")
 
         def outer(xs):
             table = self._table_at(event, xs)

@@ -62,7 +62,7 @@ def apply_sweep_value(cfg: NetworkConfig, parameter: str, value: float) -> Netwo
     if parameter == "sigma_eps":
         return with_updates(cfg, sigma_eps_T=value, sigma_eps_U=value)
     if parameter == "N_A":
-        if value != int(value):
+        if not float(value).is_integer():
             raise ConfigError(f"N_A sweep value {value!r} is not an integer")
         return with_updates(cfg, N_A=int(value))
     return with_updates(cfg, **{parameter: value})

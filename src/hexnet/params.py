@@ -211,9 +211,7 @@ def _convert(kind: str, raw: str, suffixed: bool, key: str):
         return dbm_to_watt(val)
     if kind == "gain":
         return from_db(val)
-    if kind == "angle":
-        return math.radians(val)
-    raise AssertionError(kind)
+    return math.radians(val)  # angle
 
 
 def load_config(text: str) -> NetworkConfig:
@@ -236,7 +234,7 @@ def load_config(text: str) -> NetworkConfig:
     out = {}
     for section, group in groups.items():
         if section not in parser:
-            raise MissingKey(section, f"[{section}] section")
+            raise ConfigError(f"missing required section [{section}]")
         present = dict(parser[section])
         values = {}
         for key in (f.name for f in fields(group)):

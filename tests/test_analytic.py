@@ -64,57 +64,41 @@ def test_assoc_monotone_in_bias(table3):
 
 
 def test_serving_pdf_normalizes(engine):
+    # the serving table's weight w over the association probability is the
+    # serving distance's density given the event
     sup = engine.sup
     assoc = engine.assoc_probabilities()
     for event in EVENTS:
-        if assoc.get(event) < 1e-3:
+        a = assoc.get(event)
+        if a < 1e-3:
             continue
         q = Quadrature(rel_tol=1e-8, abs_tol=1e-12,
                        breakpoints=engine._event_breakpoints(event))
-        val = integrate(lambda x, e=event: engine.serving_distance_pdf(e, x),
+        val = integrate(lambda x, e=event: engine._serving_table(e, x).w / a,
                         sup.z_l, sup.z_p, q).value
         assert val == pytest.approx(1.0, abs=1e-6)
 
 
-def test_serving_pdf_support(engine):
-    sup = engine.sup
-    assert engine.serving_distance_pdf("L", sup.z_l - 0.01) == 0.0
-    assert engine.serving_distance_pdf("L", sup.z_p + 0.01) == 0.0
-    xs = np.linspace(sup.z_l, sup.z_p, 200)
-    assert np.all(engine.serving_distance_pdf("L", xs) >= 0.0)
-
-
-def test_serving_pdf_zero_outside_support(table3):
-    # Table 3 and the off-centre point of the coverage sweep
+def test_serving_pdf_support(table3):
+    # on the closed support, ends included, every event's weight is finite
+    # and non-negative, without a warning: Table 3 and the off-centre point
+    # of the coverage sweep
     for v_0 in (0.0, 10.0):
         eng = AnalyticEngine(with_updates(table3, v_0=v_0))
         sup = eng.sup
-        assoc = eng.assoc_probabilities()
-        outside = (sup.z_l - 0.01, 0.0, -5.0, sup.z_p + 0.01)
-        xs = np.concatenate([[-1.0, 0.0, sup.z_l - 1e-6],
-                             np.linspace(sup.z_l, sup.z_p, 9),
-                             [sup.z_p + 1e-6, 2.0 * sup.z_p]]).reshape(2, 7)
-        inside = (xs >= sup.z_l) & (xs <= sup.z_p)
+        xs = np.linspace(sup.z_l, sup.z_p, 200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for event in EVENTS:
-                a = assoc.get(event)
-                if a <= DEGENERATE_EVENT_TOL:
-                    continue
-                for x in outside:
-                    val = eng.serving_distance_pdf(event, x)
-                    assert val.shape == () and val == 0.0, (v_0, event, x)
-                pdf = eng.serving_distance_pdf(event, xs)
-                assert pdf.shape == xs.shape
-                assert np.all(pdf[~inside] == 0.0)
-                assert np.array_equal(
-                    pdf[inside], eng._serving_table(event, xs[inside]).w / a)
+                w = eng._serving_table(event, xs).w
+                assert w.shape == xs.shape
+                assert np.all(np.isfinite(w) & (w >= 0.0)), (v_0, event)
 
 
 def test_serving_pdf_degenerate_event(table3):
     eng = AnalyticEngine(with_updates(table3, delta_T=0.0))
     with pytest.raises(DegenerateEvent):
-        eng.serving_distance_pdf("L", 10.0)
+        eng.conditional_coverage("L")
 
 
 def _laplace(eng, event, s, x):
@@ -130,6 +114,20 @@ def test_laplace_at_zero_is_one(engine):
         for x in rng.uniform(engine.sup.z_l, engine.sup.z_p, size=4):
             assert _laplace(engine, event, 0.0, float(x)) == \
                 pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("v_0", [0.0, 10.0, 79.0])
+def test_laplace_at_zero_is_one_across_the_support(table3, v_0):
+    # L_I's denominator is the serving table's mass of exactly the classes
+    # the brackets integrate: at nu0 = 0 every bracket equals its mass, so
+    # L_I = 1 within the inner tolerance, also where the serving tier's
+    # classes are cut off near the room's edge
+    eng = AnalyticEngine(with_updates(table3, v_0=v_0))
+    xs = np.linspace(eng.sup.z_l, eng.sup.z_p, 41)[:-1]
+    for event in EVENTS:
+        table = eng._serving_table(event, xs)
+        lc = eng._laplace_coeffs(event, table, np.zeros((xs.size, 1)), 0)
+        assert np.abs(lc[0] - 1.0).max() <= eng.q_inner.rel_tol, event
 
 
 def test_laplace_monotone_decreasing(engine):
@@ -652,15 +650,15 @@ def test_rate_kernel_at_vanishing_serving_power(table3, s_unit):
 
 def test_pointwise_values_independent_of_batch(engine):
     # on 2,000 serving distances, the LOS and NLOS tail masses, an exclusion
-    # boundary and each event's serving-distance density computed in one
-    # array equal their values alone, bit for bit: no value depends on the
-    # batch it is computed in
+    # boundary and each event's serving weight w computed in one array equal
+    # their values alone, bit for bit: no value depends on the batch it is
+    # computed in
     xs = np.random.default_rng(5).uniform(engine.sup.z_l, engine.sup.z_p, 2000)
     cases = {
         "tail": (engine.tail, engine.vmap.v(xs)),
         "e_rl": (engine.excl.e_rl, xs),
-        **{"pdf_" + e: (lambda x, e=e: engine.serving_distance_pdf(e, x), xs)
-           for e in EVENTS},
+        **{"w_" + e: (lambda x, e=e: engine._serving_table(
+            e, np.atleast_1d(x)).w.reshape(np.shape(x)), xs) for e in EVENTS},
     }
     for name, (fn, args) in cases.items():
         got = fn(args)

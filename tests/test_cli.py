@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from hexnet import serialize_config, with_updates
-from hexnet.cli import BASE_COLUMNS, EXIT_CONFIG, PRESETS, main
+from hexnet.cli import BASE_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, PRESETS, main
+from hexnet.errors import NotConverged
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +167,8 @@ def _sweep_records(config, tmp_path, sweep):
     ("delta_T=linspace:0.5,0.5,1", "delta_T", (0.5,)),
     # logspace takes the endpoint values, not their exponents
     ("B_T=logspace:0.1,10,3", "B_T", (0.1, 1.0, 10.0)),
+    # an integral AP count; 2 and 3 THz APs at the small config's delta_T
+    ("N_A=4,6", "N_A", (4.0, 6.0)),
 ])
 def test_sweep_ranges(small_config, tmp_path, sweep, param, values):
     records = _sweep_records(small_config, tmp_path, sweep)
@@ -197,9 +200,13 @@ def test_sweep_aliases_convert_their_values(small_config, tmp_path,
     (["--sweep", "B_T=,"], "sweep 'B_T=,' lists no values"),
     (["--sweep", "B_T=1,x"], "non-numeric sweep value in 'B_T=1,x'"),
     (["--preset", "fig99"], "unknown preset 'fig99'; choose fig4..fig9"),
+    (["--sweep", "N_A=10.5"], "N_A sweep value 10.5 is not an integer"),
+    (["--sweep", "N_A=nan"], "N_A sweep value nan is not an integer"),
+    (["--sweep", "N_A=inf"], "N_A sweep value inf is not an integer"),
 ], ids=["logspace-zero", "logspace-negative", "linspace-n0", "logspace-n-1",
         "linspace-two-fields", "logspace-non-integer-n", "no-equals",
-        "no-values", "non-numeric", "unknown-preset"])
+        "no-values", "non-numeric", "unknown-preset", "non-integer-N_A",
+        "nan-N_A", "infinite-N_A"])
 def test_bad_sweep_or_preset_is_a_config_error(small_config, tmp_path,
                                                args, message):
     out = tmp_path / "out.csv"
@@ -234,3 +241,66 @@ def test_validate_failure_names_the_first_failing_point(small_config,
     assert res.stderr.startswith("FAILED at B_T=0.1: Pcov |")
     assert res.stderr.count("\n") == 1
     assert "points pass" not in res.stdout
+
+
+def _preset_csv(tmp_path, preset):
+    out = tmp_path / f"{preset}.csv"
+    res = CliRunner().invoke(main, ["analytic", "--preset", preset,
+                                    "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("preset, n_lines, first_label", [
+    ("fig6", 34, "delta_T[N_A=10]"),
+    ("fig4", 28, "B_T[sigma_eps=0deg]"),
+])
+def test_preset_writes_one_labelled_row_per_point(tmp_path, preset, n_lines,
+                                                  first_label):
+    # a header and one row per point of every curve, each row labelled with
+    # its curve
+    lines = _preset_csv(tmp_path, preset).decode().splitlines()
+    assert len(lines) == n_lines
+    assert n_lines == 1 + sum(len(c["values"]) for c in PRESETS[preset])
+    assert lines[1].split(",")[0] == first_label
+
+
+def test_fig7_rows_equal_fig6_rows(tmp_path):
+    # every row carries coverage and rate, so the rate figure's preset
+    # writes what the coverage figure's does
+    assert _preset_csv(tmp_path, "fig7") == _preset_csv(tmp_path, "fig6")
+
+
+def test_worker_pool_writes_what_one_process_writes(small_config, tmp_path):
+    # point i draws from seed [seed, i] wherever it runs
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}.csv"
+        res = CliRunner().invoke(main, [
+            "simulate", "--config", small_config, "--sweep", "B_T=0.1,1,10",
+            "--trials", "2000", "--workers", workers, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_numerical_failure_exits_3(small_config, tmp_path, monkeypatch):
+    # a package error other than a config error: exit code 3, its message
+    # on stderr, no traceback and no output file
+    from hexnet import cli
+
+    class Failing:
+        def __init__(self, cfg):
+            pass
+
+        def report(self):
+            raise NotConverged("balance residual 1e-3 above tolerance")
+
+    monkeypatch.setattr(cli, "AnalyticEngine", Failing)
+    out = tmp_path / "out.csv"
+    res = CliRunner().invoke(main, ["analytic", "--config", small_config,
+                                    "--out", str(out)])
+    assert res.exit_code == EXIT_NUMERICAL == 3
+    assert res.stderr == "error: balance residual 1e-3 above tolerance\n"
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert not out.exists()

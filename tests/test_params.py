@@ -98,3 +98,38 @@ def test_bias_defaults_to_unbiased():
 @given(st.floats(min_value=-120.0, max_value=120.0))
 def test_db_round_trip(x):
     assert 10.0 * math.log10(from_db(x)) == pytest.approx(x, abs=1e-12)
+
+
+def _without_section(name):
+    """Baseline document with section ``name`` and all its lines removed."""
+    kept, skip = [], False
+    for line in default_config_text().splitlines():
+        if line.startswith("["):
+            skip = line == f"[{name}]"
+        if not skip:
+            kept.append(line)
+    return "\n".join(kept)
+
+
+@pytest.mark.parametrize("doc, error, message", [
+    (_doc(r_d="eighty"), ConfigError,
+     "key 'r_d': cannot parse number from 'eighty'"),
+    (_doc(N_A="10.5"), OutOfRange,
+     "parameter 'N_A' = 10.5 violates: integer expected"),
+    (default_config_text().replace("r_d = 80", "r_d 80"), ConfigError,
+     "malformed config"),
+    (default_config_text() + "\n[extra]\nx = 1\n", ConfigError,
+     "unknown section(s): ['extra']"),
+    (_without_section("blockage"), ConfigError,
+     "missing required section [blockage]"),
+], ids=["non-numeric", "non-integer-N_A", "malformed-line", "unknown-section",
+        "missing-section"])
+def test_config_rejections(doc, error, message):
+    with pytest.raises(error) as info:
+        load_config(doc)
+    assert str(info.value).startswith(message)
+
+
+def test_with_updates_rejects_unknown_field(table3):
+    with pytest.raises(KeyError, match="unknown config field 'bogus'"):
+        with_updates(table3, bogus=1.0)
