@@ -95,6 +95,34 @@ def test_serving_pdf_support(table3):
                 assert np.all(np.isfinite(w) & (w >= 0.0)), (v_0, event)
 
 
+def test_serving_pdf_zero_outside_support(table3):
+    # the serving density is zero off [z_l, z_p]: its distance factor f_Z is
+    # zero there, scalar or array, and every event's weight w falls to exactly
+    # zero at z_p and stays zero beyond it, so the outer integrals over the
+    # support miss no mass; Table 3 and the off-centre point of the sweep
+    for v_0 in (0.0, 10.0):
+        eng = AnalyticEngine(with_updates(table3, v_0=v_0))
+        sup = eng.sup
+        g = eng.cfg.geometry
+        xs = np.concatenate([[-1.0, 0.0, sup.z_l - 1e-6],
+                             np.linspace(sup.z_l, sup.z_p, 9),
+                             [sup.z_p + 1e-6, 2.0 * sup.z_p]]).reshape(2, 7)
+        inside = (xs >= sup.z_l) & (xs <= sup.z_p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (sup.z_l - 0.01, 0.0, -5.0, sup.z_p + 0.01):
+                val = distance_pdf(x, sup, g.v_0, g.r_d)
+                assert val.shape == () and val == 0.0, (v_0, x)
+            fz = distance_pdf(xs, sup, g.v_0, g.r_d)
+            assert fz.shape == xs.shape
+            assert np.all(fz[~inside] == 0.0) and np.all(fz[inside] >= 0.0)
+            beyond = np.array([sup.z_p, sup.z_p + 1e-6, sup.z_p + 0.01,
+                               2.0 * sup.z_p])
+            for event in EVENTS:
+                w = eng._serving_table(event, beyond).w
+                assert np.all(w == 0.0), (v_0, event, w)
+
+
 def test_serving_pdf_degenerate_event(table3):
     eng = AnalyticEngine(with_updates(table3, delta_T=0.0))
     with pytest.raises(DegenerateEvent):
