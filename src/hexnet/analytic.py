@@ -508,9 +508,8 @@ class AnalyticEngine:
         without a warning, where the serving power c(x) underflows or the
         threshold carries it past the float range."""
         ev = self._ev[event]
-        with np.errstate(over="ignore"):
-            return (ev["m"] * np.exp(ev["k_a"] * xs) * xs ** ev["alpha"]
-                    / ev["amp"] * theta)
+        with np.errstate(over="ignore", divide="ignore"):
+            return theta * ev["m"] / ev["path_gain"](xs)
 
     def _assemble_ccdf(self, event: str, s_vals, l_coeffs):
         """Combine Laplace derivatives into the conditional SINR tail.

@@ -6,38 +6,9 @@ class HexnetError(Exception):
 
 
 class ConfigError(HexnetError, ValueError):
-    """Malformed or inconsistent scenario configuration."""
-
-
-class MissingKey(ConfigError):
-    """A required configuration key is absent."""
-
-    def __init__(self, section, key):
-        super().__init__(f"missing required key '{key}' in section [{section}]")
-        self.section = section
-        self.key = key
-
-
-class OutOfRange(ConfigError):
-    """A parameter violates its allowed range."""
-
-    def __init__(self, key, value, bound):
-        super().__init__(f"parameter '{key}' = {value!r} violates: {bound}")
-        self.key = key
-        self.value = value
-        self.bound = bound
-
-
-class NonIntegerThzCount(ConfigError):
-    """delta_T * N_A is not an integer within tolerance."""
-
-    def __init__(self, delta_t, n_a):
-        super().__init__(
-            f"delta_T * N_A = {delta_t * n_a!r} is not an integer "
-            f"(delta_T={delta_t!r}, N_A={n_a!r})"
-        )
-        self.delta_t = delta_t
-        self.n_a = n_a
+    """Every rejected input, a ``ValueError``: a config document, a field or
+    value given to ``with_updates``, a sweep, a non-finite value, or a
+    ``rel_tol`` the engines cannot reach.  The CLI exits 2 on it."""
 
 
 class DomainError(HexnetError, ValueError):
@@ -63,10 +34,6 @@ class NonFiniteEstimate(MaxDepthExceeded):
 
 class NotConverged(HexnetError, ArithmeticError):
     """An iterative solver stopped with its residual above tolerance."""
-
-
-class ToleranceBelowFloor(HexnetError, ValueError):
-    """A requested relative tolerance below the quadrature's error floor."""
 
 
 class DegenerateEvent(HexnetError, ValueError):

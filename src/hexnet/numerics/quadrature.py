@@ -26,12 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ..errors import (
-    DomainError,
-    MaxDepthExceeded,
-    NonFiniteEstimate,
-    ToleranceBelowFloor,
-)
+from ..errors import ConfigError, DomainError, MaxDepthExceeded, NonFiniteEstimate
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre (abscissae/weights on
 # [-1, 1]; the Gauss nodes are the odd-indexed Kronrod ones).
@@ -120,7 +115,7 @@ class Quadrature:
     integral of |f|, so wherever ``abs_tol`` does not dominate, a ``rel_tol``
     below that floor is out of reach and refinement would double the panels
     on every sweep until memory runs out.  Such a tolerance raises
-    ``ToleranceBelowFloor`` here, before any integrand is evaluated.
+    ``ConfigError`` here, before any integrand is evaluated.
     """
 
     rel_tol: float = 1e-8
@@ -129,7 +124,7 @@ class Quadrature:
 
     def __post_init__(self):
         if not self.rel_tol >= _ERR_FLOOR:
-            raise ToleranceBelowFloor(
+            raise ConfigError(
                 f"rel_tol {self.rel_tol!r} is below the quadrature error "
                 f"floor {_ERR_FLOOR!r}")
 

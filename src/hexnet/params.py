@@ -10,10 +10,11 @@ from __future__ import annotations
 import configparser
 import io
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
-from .errors import ConfigError, MissingKey, NonIntegerThzCount, OutOfRange
+from .errors import ConfigError
 
 C_LIGHT = 3.0e8  # speed of light, m/s
 
@@ -123,21 +124,31 @@ class NetworkConfig:
 
 def _require(key, value, ok: bool, bound: str):
     if not ok:
-        raise OutOfRange(key, value, bound)
+        raise ConfigError(f"parameter '{key}' = {value!r} violates: {bound}")
 
 
 def _validate(cfg: NetworkConfig) -> None:
+    # non-finite values first, so every rule below compares finite floats:
+    # NaN, the infinities and ints past the float range fail, with no
+    # OverflowError; each group's own field table, as in with_updates
+    for section in cfg.__dataclass_fields__:
+        group = getattr(cfg, section)
+        for key in group.__dataclass_fields__:
+            value = getattr(group, key)
+            _require(key, value, abs(value) <= sys.float_info.max, "finite value")
+
     g, r, b, a = cfg.geometry, cfg.radio, cfg.blockage, cfg.antenna
 
     _require("r_d", g.r_d, g.r_d > 0, "r_d > 0")
     _require("h_U", g.h_U, g.h_U >= 0, "h_U >= 0")
     _require("h_A", g.h_A, g.h_A > g.h_U, "h_A > h_U")
     _require("v_0", g.v_0, 0 <= g.v_0 <= g.r_d, "0 <= v_0 <= r_d")
-    _require("N_A", g.N_A, g.N_A >= 1 and g.N_A == int(g.N_A), "N_A integer >= 1")
+    _require("N_A", g.N_A, g.N_A >= 1 and float(g.N_A).is_integer(), "N_A integer >= 1")
     _require("delta_T", g.delta_T, 0.0 <= g.delta_T <= 1.0, "0 <= delta_T <= 1")
     n_thz = g.delta_T * g.N_A
     if abs(n_thz - round(n_thz)) > THZ_COUNT_TOL:
-        raise NonIntegerThzCount(g.delta_T, g.N_A)
+        raise ConfigError(f"delta_T * N_A = {n_thz!r} is not an integer "
+                          f"(delta_T={g.delta_T!r}, N_A={g.N_A!r})")
 
     for key in ("P_T", "P_R", "f_T", "f_R", "W_T", "W_R", "sigma2_T", "sigma2_R"):
         val = getattr(r, key)
@@ -148,7 +159,7 @@ def _validate(cfg: NetworkConfig) -> None:
         _require(key, val, val >= 2, f"{key} >= 2")
     for key in ("m_L", "m_N"):
         val = getattr(r, key)
-        _require(key, val, val == int(val) and 1 <= val <= MAX_NAKAGAMI_M,
+        _require(key, val, float(val).is_integer() and 1 <= val <= MAX_NAKAGAMI_M,
                  f"{key} integer in [1, {MAX_NAKAGAMI_M}]")
     _require("B_T", r.B_T, r.B_T >= 0, "B_T >= 0")
     _require("theta", r.theta, r.theta > 0, "theta > 0 (linear)")
@@ -202,8 +213,7 @@ def _convert(kind: str, raw: str, suffixed: bool, key: str):
     except ValueError as exc:
         raise ConfigError(f"key '{key}': cannot parse number from {raw!r}") from exc
     if kind == "int":
-        if val != int(val):
-            raise OutOfRange(key, val, "integer expected")
+        _require(key, val, val.is_integer(), "integer expected")
         return int(val)
     if not suffixed:
         return val
@@ -252,7 +262,8 @@ def load_config(text: str) -> NetworkConfig:
                 if (section, key) in _DEFAULTS:
                     values[key] = _DEFAULTS[(section, key)]
                     continue
-                raise MissingKey(section, key)
+                raise ConfigError(
+                    f"missing required key '{key}' in section [{section}]")
             name, suffixed = found[0]
             values[key] = _convert(kind, present.pop(name), suffixed, name)
         if present:
@@ -280,7 +291,8 @@ def with_updates(cfg: NetworkConfig, **updates) -> NetworkConfig:
     """Return a revalidated copy with scalar fields replaced by name.
 
     Accepts any field of the four parameter groups, e.g.
-    ``with_updates(cfg, B_T=10.0, delta_T=0.5)``.
+    ``with_updates(cfg, B_T=10.0, delta_T=0.5)``; an unknown field or a
+    rejected value raises ``ConfigError``.
     """
     # each dataclass's own field table, as dataclasses.replace reads it:
     # dataclasses.fields builds a tuple per call, and CPython's tuple free
@@ -292,7 +304,7 @@ def with_updates(cfg: NetworkConfig, **updates) -> NetworkConfig:
                 vals[key] = value
                 break
         else:
-            raise KeyError(f"unknown config field {key!r}")
+            raise ConfigError(f"unknown config field {key!r}")
     new = cfg
     for section, vals in groups.items():
         if vals:

@@ -99,6 +99,29 @@ def test_analytic_zero_bias_is_a_config_error(table3, tmp_path):
     assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("N_A", "nan", "parameter 'N_A' = nan violates: integer expected"),
+    ("r_d", "inf", "parameter 'r_d' = inf violates: finite value"),
+    ("k_a", "inf", "parameter 'k_a' = inf violates: finite value"),
+    ("W_T", "inf", "parameter 'W_T' = inf violates: finite value"),
+], ids=["nan-N_A", "inf-r_d", "inf-k_a", "inf-W_T"])
+def test_non_finite_config_value_is_a_config_error(table3, tmp_path, key,
+                                                   value, message):
+    # a NaN or infinite value in the config file is rejected when the
+    # config is built: exit code 2 and its message, no traceback, no file
+    lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line
+             for line in serialize_config(table3).splitlines()]
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join(lines))
+    out = tmp_path / "out.csv"
+    res = CliRunner().invoke(main, ["analytic", "--config", str(path),
+                                    "--out", str(out)])
+    assert res.exit_code == EXIT_CONFIG == 2
+    assert res.stderr == f"error: {message}\n"
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analytic", "simulate", "validate"])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_is_a_usage_error(small_config, tmp_path,

@@ -8,10 +8,10 @@ import pytest
 from hexnet import with_updates
 from hexnet.analytic import AnalyticEngine
 from hexnet.errors import (
+    ConfigError,
     DomainError,
     MaxDepthExceeded,
     NonFiniteEstimate,
-    ToleranceBelowFloor,
 )
 from hexnet.numerics.quadrature import (
     Quadrature,
@@ -233,7 +233,7 @@ def test_tolerance_below_error_floor_rejected():
     floor = 50.0 * np.finfo(float).eps
     Quadrature(rel_tol=floor)
     for rel_tol in (0.5 * floor, 1e-15, 0.0, math.nan):
-        with pytest.raises(ToleranceBelowFloor, match="error floor"):
+        with pytest.raises(ConfigError, match="error floor"):
             Quadrature(rel_tol=rel_tol, abs_tol=0.0)
 
 
