@@ -8,8 +8,9 @@ Laplace-transform derivatives, and a Monte-Carlo simulator
 
 from importlib import resources
 
-from .analytic import AnalyticEngine, CoverageReport, TierMetrics
+from .analytic import AnalyticEngine, CoverageReport
 from .montecarlo import McEstimate, SimulationSummary, estimate
+from .propagation import TierMetrics
 from .params import (
     NetworkConfig,
     load_config,

@@ -33,9 +33,7 @@ from .numerics.quadrature import Quadrature, TailIntegral, integrate
 # not called here: the benchmark's tracer binds this name on this module
 from .numerics.quadrature import integrate_semiinfinite  # noqa: F401
 from .params import NetworkConfig
-from .propagation import kappa_los, kappa_nlos, link_table
-
-EVENTS = ("L", "N", "R")
+from .propagation import EVENTS, TierMetrics, kappa_los, kappa_nlos, link_table
 
 #: association probability below which conditional laws are undefined
 DEGENERATE_EVENT_TOL = 1e-12
@@ -52,18 +50,6 @@ _RATE_TRUNC = 1e-3
 
 #: the rate's trapezoid step is pi^2 / ln(_RATE_C / rel_tol)
 _RATE_C = 1e4
-
-
-@dataclass(frozen=True)
-class TierMetrics:
-    """One scalar per association event (LOS THz, NLOS THz, RF)."""
-
-    los: float
-    nlos: float
-    rf: float
-
-    def get(self, event: str):
-        return {"L": self.los, "N": self.nlos, "R": self.rf}[event]
 
 
 @dataclass(frozen=True)
@@ -128,9 +114,9 @@ class AnalyticEngine:
 
     Each association event (LOS THz, NLOS THz, RF) is one entry of
     ``_ev``, keyed by the letter of its link class: that class's row of
-    ``propagation.link_table`` (``amp``, ``k_a``, ``alpha``, ``m``, ``bias``,
-    ``noise``, ``bw``), its law, the columns ``cols`` of ``tail`` whose sum
-    is its tail mass, the serving tier's AP count, the desired and
+    ``propagation.link_table`` (``amp``, ``k_a``, ``alpha``, ``m``,
+    ``log_power``, ``noise``, ``bw``), its law, the columns ``cols`` of
+    ``tail`` whose sum is its tail mass, the serving tier's AP count, the desired and
     interferer gain atoms, and two competing tiers, RF first, then THz.  A
     class's law is its ``density`` f_Z kappa_c (f_Z for RF) and its
     ``path_gain`` c_c(y) = amp e^{-k_a y} y^-alpha; every integrand over an
@@ -389,17 +375,22 @@ class AnalyticEngine:
             # no association integral to start from
             self._panels["R"] = self._event_cuts("R")
             return self._assoc
-        vals = {}
+        vals, error = [], 0.0
         for event in EVENTS:
             if event == "R" and self.n_rf == 0:
-                vals["R"] = 0.0
+                vals.append(0.0)
                 continue
             res = self._integrate_over_serving(
                 lambda x, e=event: self._table_at(e, x).w,
                 self._event_cuts(event))
-            vals[event] = res.value
+            vals.append(res.value)
+            error += res.error
             self._panels[event] = res.breakpoints
-        self._assoc = TierMetrics(vals["L"], vals["N"], vals["R"])
+        if not abs(sum(vals) - 1.0) <= error + PROBABILITY_SPILL_TOL:
+            raise NumericalInconsistency(
+                f"association probabilities sum to {float(sum(vals))!r}, "
+                f"not 1 within their error {error!r}")
+        self._assoc = TierMetrics(*vals)
         return self._assoc
 
     # -- interference Laplace transforms ----------------------------------------
@@ -735,21 +726,16 @@ class AnalyticEngine:
 
     def _per_event(self, fn) -> tuple[TierMetrics, float]:
         assoc = self.assoc_probabilities()
-        vals = {}
-        for event in EVENTS:
-            if assoc.get(event) > DEGENERATE_EVENT_TOL:
-                vals[event] = fn(event)
-            else:
-                vals[event] = math.nan
-        total = sum(assoc.get(e) * vals[e] for e in EVENTS
-                    if not math.isnan(vals[e]))
-        return TierMetrics(vals["L"], vals["N"], vals["R"]), total
+        vals = TierMetrics(*(fn(e) if a > DEGENERATE_EVENT_TOL else math.nan
+                             for e, a in zip(EVENTS, assoc)))
+        total = sum(a * v for a, v in zip(assoc, vals) if not math.isnan(v))
+        return vals, total
 
     def coverage(self) -> CoverageReport:
         cond, total = self._per_event(self.conditional_coverage)
-        nan3 = TierMetrics(math.nan, math.nan, math.nan)
+        nan = TierMetrics(*(math.nan for _ in EVENTS))
         return CoverageReport(self.assoc_probabilities(), cond, total,
-                              nan3, math.nan)
+                              nan, math.nan)
 
     def report(self) -> CoverageReport:
         cond_cov, total_cov = self._per_event(self.conditional_coverage)

@@ -26,6 +26,7 @@ from . import default_config, montecarlo
 from .analytic import AnalyticEngine
 from .errors import ConfigError, HexnetError
 from .params import NetworkConfig, from_db, load_config, with_updates
+from .propagation import EVENTS
 
 EXIT_VALIDATION = 1
 EXIT_CONFIG = 2
@@ -173,13 +174,10 @@ def _fmt(value) -> str:
 
 def _analytic_cells(cfg: NetworkConfig) -> dict:
     rep = AnalyticEngine(cfg).report()
-    return {
-        "A_L": rep.assoc.los, "A_N": rep.assoc.nlos, "A_R": rep.assoc.rf,
-        "Pcov_L": rep.cond_coverage.los, "Pcov_N": rep.cond_coverage.nlos,
-        "Pcov_R": rep.cond_coverage.rf, "Pcov": rep.total_coverage,
-        "tau_L": rep.cond_rate.los, "tau_N": rep.cond_rate.nlos,
-        "tau_R": rep.cond_rate.rf, "tau": rep.total_rate,
-    }
+    cells = {"Pcov": rep.total_coverage, "tau": rep.total_rate}
+    for e, *vals in zip(EVENTS, rep.assoc, rep.cond_coverage, rep.cond_rate):
+        cells.update(zip((f"A_{e}", f"Pcov_{e}", f"tau_{e}"), vals))
+    return cells
 
 
 def _binomial_ci(freq: float, n: int) -> float:
@@ -188,22 +186,14 @@ def _binomial_ci(freq: float, n: int) -> float:
 
 def _mc_cells(cfg: NetworkConfig, trials: int, seed) -> dict:
     sim = montecarlo.estimate(cfg, trials, seed)
-    n = sim.n_trials
-    cells = {
-        "mc_A_L": sim.assoc.los, "mc_A_L_ci": _binomial_ci(sim.assoc.los, n),
-        "mc_A_N": sim.assoc.nlos, "mc_A_N_ci": _binomial_ci(sim.assoc.nlos, n),
-        "mc_A_R": sim.assoc.rf, "mc_A_R_ci": _binomial_ci(sim.assoc.rf, n),
-        "mc_Pcov": sim.coverage.mean, "mc_Pcov_ci": sim.coverage.half_width_95,
-        "mc_tau": sim.rate.mean, "mc_tau_ci": sim.rate.half_width_95,
-    }
-    for key, est in (("mc_Pcov_L", sim.cond_coverage.los),
-                     ("mc_Pcov_N", sim.cond_coverage.nlos),
-                     ("mc_Pcov_R", sim.cond_coverage.rf),
-                     ("mc_tau_L", sim.cond_rate.los),
-                     ("mc_tau_N", sim.cond_rate.nlos),
-                     ("mc_tau_R", sim.cond_rate.rf)):
-        cells[key] = est.mean
-        cells[key + "_ci"] = est.half_width_95
+    cells, ests = {}, {"mc_Pcov": sim.coverage, "mc_tau": sim.rate}
+    for e, freq, cov, rate in zip(EVENTS, sim.assoc, sim.cond_coverage,
+                                  sim.cond_rate):
+        cells[f"mc_A_{e}"] = freq
+        cells[f"mc_A_{e}_ci"] = _binomial_ci(freq, sim.n_trials)
+        ests[f"mc_Pcov_{e}"], ests[f"mc_tau_{e}"] = cov, rate
+    for key, est in ests.items():
+        cells[key], cells[key + "_ci"] = est.mean, est.half_width_95
     return cells
 
 

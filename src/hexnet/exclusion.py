@@ -20,14 +20,14 @@ import itertools
 import numpy as np
 
 from .errors import DomainError, NotConverged
-from .propagation import LinkTable
+from .propagation import EVENTS, LinkTable
 
 #: Newton steps ``wright_omega`` takes, from y0 = ln max(L, 1): five reach
 #: rounding on all of [-700, 1e12]
 NEWTON_STEPS = 5
 
 #: letter of each class code in the e_xy / h_xy names
-_CODES = "lnr"
+_CODES = "".join(EVENTS).lower()
 
 _EPS = np.finfo(float).eps
 
@@ -62,8 +62,8 @@ class ExclusionRegions:
     """All six boundaries for one scenario, with precomputed thresholds.
 
     ``links`` is the scenario's ``LinkTable``; every boundary comes from the
-    one balance ``_balance``, which needs every class's bias times amplitude
-    to be positive (``AnalyticEngine`` rejects B_T <= 0).  Each class pair's
+    one balance ``_balance``, which needs every class's log power to be
+    finite (``AnalyticEngine`` rejects B_T <= 0).  Each class pair's
     constants are computed once, in ``_pairs``.  The threshold ``h_xy`` is
     the reciprocal balance evaluated at z_l, which makes each piecewise
     boundary continuous at its break by construction.
@@ -76,8 +76,7 @@ class ExclusionRegions:
         self._pairs = {}
         for x, y in pairs:
             a_y = t.alpha[y]
-            const = (np.log(t.bias[y] * t.amp[y])
-                     - np.log(t.bias[x] * t.amp[x])) / a_y
+            const = (t.log_power[y] - t.log_power[x]) / a_y
             q = t.k_a[y] / a_y
             if q != 0.0:
                 const += np.log(q)

@@ -26,12 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import TierMetrics
 from .antenna import desired_gain_pmf, interferer_gain_pmf, sample_gain
 from .errors import ConfigError
 from .geometry import sample_deployment_arrays
 from .params import NetworkConfig
-from .propagation import link_table, sample_fading
+from .propagation import EVENTS, TierMetrics, link_table, sample_fading
 
 MIN_TRIALS = 1000
 
@@ -51,9 +50,8 @@ class SimulationSummary:
     assoc: TierMetrics                # association frequencies
     coverage: McEstimate
     rate: McEstimate
-    cond_coverage: TierMetrics        # of McEstimate
+    cond_coverage: TierMetrics        # of McEstimate; n_trials per event
     cond_rate: TierMetrics            # of McEstimate
-    counts: tuple[int, int, int]      # trials per event (L, N, R)
     n_trials: int
 
 
@@ -118,9 +116,9 @@ def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
     Association compares biased log-powers, which neither underflow nor
     overflow.  A tier's bias is one constant, so its winner is its strongest
     AP: for THz the largest log path gain (``_log_path_gain``), for RF the
-    nearest AP.  THz serves where ``ln(bias_T amp_T)`` plus its winner's
-    log path gain is at least ``ln amp_R - alpha_R ln d`` of the nearest RF
-    AP.  A tier without APs scores ``-inf``, so with ``B_T = 0`` THz serves
+    nearest AP.  THz serves where its ``log_power`` plus its winner's log
+    path gain is at least RF's ``log_power - alpha_R ln d`` of the nearest
+    RF AP.  A tier without APs scores ``-inf``, so with ``B_T = 0`` THz serves
     only where there is no RF AP.
 
     Gains, fading and linear powers are computed for the serving tier's
@@ -136,9 +134,8 @@ def _simulate_batch(cfg: NetworkConfig, rng: np.random.Generator, n: int):
     d_rf = dist[:, n_thz:]
     w_thz, lg_win = _best(lg, np.argmax, -np.inf)
     w_rf, d_near = _best(d_rf, np.argmin, np.inf)
-    with np.errstate(divide="ignore"):           # B_T = 0: ln 0 = -inf
-        lg_win += np.log(t.bias[0] * t.amp[0])
-    serv = lg_win >= math.log(t.amp[2]) - t.alpha[2] * np.log(d_near)
+    lg_win += t.log_power[0]
+    serv = lg_win >= t.log_power[2] - t.alpha[2] * np.log(d_near)
     k = np.count_nonzero(serv)
 
     event = np.full(n, 2)
@@ -166,12 +163,12 @@ def _stream_sums(cfg: NetworkConfig, seed_seq, n: int) -> np.ndarray:
     """Sufficient statistics of one sub-stream, a (5, 3) array.
 
     Rows: trial count, coverage, coverage^2, rate, rate^2, each summed per
-    event (columns L, N, R).
+    event (columns in ``EVENTS`` order).
     """
     rng = np.random.Generator(np.random.PCG64(seed_seq))
     event, sinr, rate = _simulate_batch(cfg, rng, n)
     cov = (sinr >= cfg.radio.theta).astype(float)
-    return np.array([np.bincount(event, w, minlength=3)
+    return np.array([np.bincount(event, w, minlength=len(EVENTS))
                      for w in (None, cov, cov**2, rate, rate**2)])
 
 
@@ -212,20 +209,14 @@ def estimate(cfg: NetworkConfig, n_trials: int, seed,
     sums = sum(results)
     count, cov1, cov2, rate1, rate2 = sums
     total = sums.sum(axis=1)
-    counts = tuple(int(c) for c in count)
-    per_event = [_mc_estimate(counts[c], cov1[c], cov2[c]) for c in range(3)]
-    per_event_rate = [_mc_estimate(counts[c], rate1[c], rate2[c])
-                      for c in range(3)]
-
-    f_l = counts[0] / n_trials
-    f_n = counts[1] / n_trials
-    f_r = 1.0 - f_l - f_n  # float sum of the three is exactly 1
+    count = [int(c) for c in count]
+    f_l, f_n = count[0] / n_trials, count[1] / n_trials
     return SimulationSummary(
-        assoc=TierMetrics(f_l, f_n, f_r),
+        # the float sum of the three is exactly 1
+        assoc=TierMetrics(f_l, f_n, 1.0 - f_l - f_n),
         coverage=_mc_estimate(n_trials, total[1], total[2]),
         rate=_mc_estimate(n_trials, total[3], total[4]),
-        cond_coverage=TierMetrics(*per_event),
-        cond_rate=TierMetrics(*per_event_rate),
-        counts=counts,
+        cond_coverage=TierMetrics(*map(_mc_estimate, count, cov1, cov2)),
+        cond_rate=TierMetrics(*map(_mc_estimate, count, rate1, rate2)),
         n_trials=n_trials,
     )

@@ -55,6 +55,26 @@ def test_assoc_rejects_zero_bias(table3):
         AnalyticEngine(with_updates(table3, B_T=0.0))
 
 
+def test_assoc_probabilities_that_do_not_sum_to_one_raise(table3):
+    # at N_A = 1e12 the three association integrals all come out 0: an
+    # error, not A = (0, 0, 0) with NaN per-event metrics
+    cfg = with_updates(table3, N_A=10**12, delta_T=0.8)
+    with pytest.raises(NumericalInconsistency, match="sum to 0.0, not 1"):
+        AnalyticEngine(cfg).assoc_probabilities()
+
+
+def test_bias_times_amplitude_past_the_float_range(table3):
+    # B_T E[g_des] P_T gamma_T overflows a float, but each class's log power
+    # is a sum of logs: every exclusion balance stays finite, RF serves with
+    # probability 0 and no warning is raised (tier-1 makes one an error)
+    rep = AnalyticEngine(with_updates(table3, B_T=1e308), rel_tol=1e-4).report()
+    assert tuple(rep.assoc) == pytest.approx((0.99431, 0.00569, 0.0), abs=1e-5)
+    assert math.isnan(rep.cond_coverage.rf) and math.isnan(rep.cond_rate.rf)
+    for value in (*rep.cond_coverage[:2], rep.total_coverage,
+                  *rep.cond_rate[:2], rep.total_rate):
+        assert math.isfinite(value)
+
+
 def test_assoc_monotone_in_bias(table3):
     vals = []
     for b in (0.05, 0.5, 1.0, 5.0, 50.0):
@@ -580,6 +600,8 @@ def test_rf_only_coverage_is_total(table3):
 def test_tier_metrics_accessors():
     t = TierMetrics(0.2, 0.3, 0.5)
     assert t.get("L") == 0.2 and t.get("N") == 0.3 and t.get("R") == 0.5
+    assert (t.los, t.nlos, t.rf) == tuple(t) == (0.2, 0.3, 0.5)
+    assert EVENTS == ("L", "N", "R")
 
 
 @pytest.mark.parametrize("k_a", [18.0, 25.0])

@@ -73,7 +73,7 @@ def test_tracer_installs_and_uninstalls(table3):
     # the sampler saw every trial once, and every AP of the serving tier
     # of every trial drew one fading value
     assert tracer.counts["geometry.sample.trials"] == 1000
-    n_l, n_n, n_r = sim.counts
+    n_l, n_n, n_r = (e.n_trials for e in sim.cond_coverage)
     assert tracer.counts["propagation.fading.draws"] == (
         (n_l + n_n) * cfg.geometry.n_thz + n_r * cfg.geometry.n_rf)
 

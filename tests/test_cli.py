@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from hexnet import serialize_config, with_updates
-from hexnet.cli import BASE_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, PRESETS, main
+from hexnet.cli import (BASE_COLUMNS, EXIT_CONFIG, EXIT_NUMERICAL, MC_COLUMNS,
+                        PRESETS, _rows, main)
 from hexnet.errors import NotConverged
 
 
@@ -97,6 +98,40 @@ def test_analytic_zero_bias_is_a_config_error(table3, tmp_path):
     assert res.exit_code == EXIT_CONFIG
     assert "needs B_T > 0" in res.output
     assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
+def test_analytic_assoc_not_summing_to_one_exits_3(table3, tmp_path):
+    # association probabilities that do not sum to 1 are a numerical
+    # failure: exit code 3 and its message, no traceback, no file
+    path = tmp_path / "huge_n_a.cfg"
+    path.write_text(serialize_config(
+        with_updates(table3, N_A=10**12, delta_T=0.8)))
+    out = tmp_path / "out.csv"
+    res = CliRunner().invoke(main, ["analytic", "--config", str(path),
+                                    "--out", str(out)])
+    assert res.exit_code == EXIT_NUMERICAL
+    assert res.stderr.startswith("error: association probabilities sum to")
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert not out.exists()
+
+
+def test_analytic_bias_past_the_float_range(table3, tmp_path):
+    # a finite B_T the config accepts runs, however large
+    path = tmp_path / "huge_bias.cfg"
+    path.write_text(serialize_config(with_updates(table3, B_T=1e308)))
+    res = CliRunner().invoke(main, ["analytic", "--config", str(path),
+                                    "--out", str(tmp_path / "out.csv")])
+    assert res.exit_code == 0, res.output
+
+
+@pytest.mark.parametrize("trials, columns", [
+    (None, BASE_COLUMNS), (1000, BASE_COLUMNS + MC_COLUMNS),
+], ids=["analytic", "simulate"])
+def test_rows_hold_exactly_the_schema_columns(small_config, trials, columns):
+    # the writer fills a missing cell with NaN, so a cell the row misses
+    # would pass the header tests; every row carries each column itself
+    rows = _rows(small_config, "delta_T=0.5,1", None, 1, trials)
+    assert [sorted(row) for row in rows] == [sorted(columns)] * 2
 
 
 @pytest.mark.parametrize("key, value, message", [

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import LOS, NLOS, RF, path_gain
 from hexnet import montecarlo, with_updates
-from hexnet.antenna import desired_gain_pmf, interferer_gain_pmf, sample_gain
+from hexnet.antenna import (desired_gain_pmf, interferer_gain_pmf,
+                            mean_desired_gain, sample_gain)
 from hexnet.errors import ConfigError
 from hexnet.geometry import sample_deployment_arrays
 from hexnet.montecarlo import MIN_TRIALS, _simulate_batch, estimate
@@ -32,16 +33,21 @@ def test_worker_count_invariance(table3):
     assert serial == parallel
 
 
+def _counts(sim):
+    """Trials per event, in event order."""
+    return tuple(e.n_trials for e in sim.cond_coverage)
+
+
 def test_assoc_frequencies_partition(table3):
     sim = estimate(table3, 5000, seed=3)
-    assert sum(sim.counts) == sim.n_trials
+    assert sum(_counts(sim)) == sim.n_trials
     assert sim.assoc.los + sim.assoc.nlos + sim.assoc.rf == 1.0
 
 
 def test_rf_only_network(table3):
     cfg = with_updates(table3, delta_T=0.0)
     sim = estimate(cfg, 3000, seed=5)
-    assert sim.counts == (0, 0, 3000)
+    assert _counts(sim) == (0, 0, 3000)
     assert math.isnan(sim.cond_coverage.los.mean)
     assert sim.cond_coverage.rf.mean == sim.coverage.mean
 
@@ -180,13 +186,15 @@ def _global_argmax_oracle(cfg, dist, is_los):
     gains and fading: the winner maximises biased power over all APs, the
     interference sums the serving tier's other APs."""
     t = link_table(cfg)
+    b_t = cfg.radio.B_T * mean_desired_gain(cfg.antenna)
+    bias = np.array([b_t, b_t, 1.0])
     n, n_thz = is_los.shape
     is_thz = np.arange(dist.shape[1]) < n_thz
     cls = np.full(dist.shape, 2)
     cls[:, :n_thz] = np.where(is_los, 0, 1)
     power = t.amp[cls] * np.exp(-t.k_a[cls] * dist) * dist ** -t.alpha[cls]
     rows = np.arange(n)
-    winner = np.argmax(power * t.bias[cls], axis=1)
+    winner = np.argmax(power * bias[cls], axis=1)
     event = cls[rows, winner]
     same_tier = is_thz[None, :] == (event < 2)[:, None]
     others = same_tier & (np.arange(dist.shape[1]) != winner[:, None])
@@ -222,11 +230,11 @@ def test_empty_tier_edges(table3, n_a, delta):
     # a tier without APs serves no trial, and nothing turns non-finite
     cfg = with_updates(table3, N_A=n_a, delta_T=delta)
     sim = estimate(cfg, MIN_TRIALS, seed=4)
-    assert sum(sim.counts) == sim.n_trials == MIN_TRIALS
+    assert sum(_counts(sim)) == sim.n_trials == MIN_TRIALS
     if cfg.geometry.n_thz == 0:
-        assert sim.counts[:2] == (0, 0)
+        assert _counts(sim)[:2] == (0, 0)
     if cfg.geometry.n_rf == 0:
-        assert sim.counts[2] == 0
+        assert _counts(sim)[2] == 0
     for est in (sim.coverage, sim.rate):
         assert math.isfinite(est.mean) and math.isfinite(est.half_width_95)
 
@@ -298,6 +306,14 @@ def test_zero_bias_keeps_thz_only_where_no_rf_ap(table3):
     # THz where none do, and no RuntimeWarning is raised (tier-1 makes one
     # an error)
     mixed = estimate(with_updates(table3, B_T=0.0), MIN_TRIALS, seed=6)
-    assert mixed.counts == (0, 0, MIN_TRIALS)
+    assert _counts(mixed) == (0, 0, MIN_TRIALS)
     thz = estimate(with_updates(table3, B_T=0.0, delta_T=1.0), MIN_TRIALS, seed=6)
-    assert thz.counts[2] == 0 and sum(thz.counts) == MIN_TRIALS
+    assert _counts(thz)[2] == 0 and sum(_counts(thz)) == MIN_TRIALS
+
+
+def test_bias_times_amplitude_past_the_float_range(table3):
+    # B_T E[g_des] P_T gamma_T overflows a float; THz's log power, a sum of
+    # logs, is finite and beats every RF AP, with no warning
+    sim = estimate(with_updates(table3, B_T=1e308), MIN_TRIALS, seed=6)
+    assert sim.cond_coverage.rf.n_trials == 0
+    assert sum(_counts(sim)) == MIN_TRIALS
