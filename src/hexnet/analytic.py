@@ -1,7 +1,7 @@
 """Analytical pipeline: association probabilities, serving-distance laws,
 interference Laplace transforms, coverage, and average rate.
 
-Everything is driven by one distance density ``f_Z`` (module geometry), the
+Everything is driven by one distance law ``f_Z`` (module geometry), the
 LOS/NLOS marking probabilities (module propagation), and the six exclusion
 boundaries (module exclusion).  The three association events condition the
 remaining APs to truncated i.i.d. distance laws, which turns every metric
@@ -13,7 +13,9 @@ Every integral over a distance runs in the smoothing variable v of
 ``geometry.SmoothingMap``, not in z: the LOS probability and, off centre,
 the arccos factor of ``f_Z`` have square-root endpoints at z_l, z_m and
 z_p, which adaptive Gauss-Kronrod in z can only bisect toward, sweep after
-sweep, while in v the integrands are smooth on each side of v_m.
+sweep, while in v the integrands are smooth on each side of v_m.  The law
+itself is written in v: ``geometry.distance_pdf`` takes v and returns the
+distance z and the weight f_Z dz/dv, which every integrand reads.
 """
 
 from __future__ import annotations
@@ -62,13 +64,14 @@ class CoverageReport:
 
 
 class ServingTable(NamedTuple):
-    """What one outer sweep needs of its serving distances x (X,), in the
-    support, for one association event: the event's unnormalized density
-    ``w``, whose integral is the event's association probability, and for
-    each class c of a competing tier that has APs, the lower limit ``lo[c]``
-    in v of class c's APs and their tail mass ``mass[c]`` beyond it.  The
-    table is the engine's one source of a class's tail mass: w and the
-    denominator of L_I (``AnalyticEngine._laplace``) both read it."""
+    """What one outer sweep needs of its nodes v (X,) in [0, v_max], for one
+    association event: their serving distances ``x``, the event's
+    unnormalized density ``w`` in v, whose integral is the event's
+    association probability, and for each class c of a competing tier that
+    has APs, the lower limit ``lo[c]`` in v of class c's APs and their tail
+    mass ``mass[c]`` beyond it.  The table is the engine's one source of a
+    class's tail mass: w and the denominator of L_I
+    (``AnalyticEngine._laplace``) both read it."""
 
     x: np.ndarray
     w: np.ndarray
@@ -118,12 +121,12 @@ class AnalyticEngine:
     ``log_power``, ``noise``, ``bw``), its law, the columns ``cols`` of
     ``tail`` whose sum is its tail mass, the serving tier's AP count, the desired and
     interferer gain atoms, and two competing tiers, RF first, then THz.  A
-    class's law is its ``density`` f_Z kappa_c (f_Z for RF) and its
+    class's law is its ``density`` f_Z kappa_c (f_Z for RF), in v, and its
     ``path_gain`` c_c(y) = amp e^{-k_a y} y^-alpha; every integrand over an
     AP distance reads them, and nothing else spells them out.  A tier is
-    ``(count, classes)``; class c's APs lie beyond ``_boundary``, the
-    serving distance itself for the serving class, else the exclusion
-    boundary ``e_xy``, x the event and y c.  The event's weight is the
+    ``(count, classes)``; class c's APs lie beyond the serving distance
+    itself for the serving class, else beyond the exclusion boundary
+    ``e_xy``, x the event and y c.  The event's weight is the
     serving class's density times each tier's summed tail mass beyond its
     boundaries to the power ``count`` (``_serving_table``); the boundaries
     give the panel breakpoints (``_event_breakpoints``); and the serving
@@ -131,41 +134,42 @@ class AnalyticEngine:
     transform, each with its ``_ev`` entry.
 
     Every quadrature over a distance runs in the smoothing variable v of
-    ``vmap`` (``geometry.SmoothingMap``) with the Jacobian dz/dv, which
-    cancels the square-root endpoints of the distance law and the LOS
-    probability; in z each would cost the adaptive rule a bisection sweep
-    per halving toward it, at every level.  ``tail`` is one ``TailIntegral``
-    of the LOS and NLOS densities in v, built at 1e-11 per column,
-    effectively exact for the outer loops: a lookup takes a lower limit in
-    v and returns the LOS and NLOS masses beyond it, read from the
+    ``vmap`` (``geometry.SmoothingMap``), whose Jacobian dz/dv cancels the
+    square-root endpoints of the distance law and the LOS probability; in z
+    each would cost the adaptive rule a bisection sweep per halving toward
+    it, at every level.  A class's ``density`` maps v to (y, f_Z(y) dz/dv
+    kappa_c(y)) by the one law ``geometry.distance_pdf``.  ``tail`` is one
+    ``TailIntegral`` of the LOS and NLOS densities in v, built at 1e-11 per
+    column, effectively exact for the outer loops: a lookup takes a lower
+    limit in v and returns the LOS and NLOS masses beyond it, read from the
     interpolants of the build's panels with no new evaluation of f_Z or
     kappa, except where the masses vanish toward v_max off centre.  The RF
     class's mass, that of f_Z, is the sum of the two columns.
 
     The outer expectations over the serving distance x run at ``rel_tol``
-    on [0, v_max] (``_integrate_over_serving``).  An event's association
-    integral starts on its breakpoints mapped into v; its coverage and rate
-    integrals start on the panels the association integral ended on
-    (``_panels``), as the weight w(x) is a factor of their integrands and
-    those panels are where it needed resolution.  Each outer sweep reads
-    one ``ServingTable`` of its nodes (``_table_at``): per class of a
-    competing tier with APs, the lower limit in v of its APs and, in one
-    tail lookup for all classes, the mass beyond it; w(x) is read from the
-    table, and so are the interferer classes' lower limits and masses in
-    the Laplace transform.  A table is a pure function of the event and x,
-    so the engine keeps every node's table per event and builds
-    (``_serving_table``) only the nodes its store lacks: the first sweeps
-    of coverage and rate repeat the association integral's final nodes,
-    and the rate's refinement repeats coverage's splits.  Coverage and rate
-    evaluate their kernels only where w > 0 and the metric can be non-zero
-    (``_expect_over_serving``).
+    in v on [0, v_max] (``_integrate_over_serving``).  An event's
+    association integral starts on its breakpoints mapped into v; its
+    coverage and rate integrals start on the panels the association
+    integral ended on (``_panels``), as the weight w is a factor of their
+    integrands and those panels are where it needed resolution.  Each outer
+    sweep reads one ``ServingTable`` of its nodes v (``_table_at``): their
+    serving distances x and, per class of a competing tier with APs, the
+    lower limit in v of its APs and, in one tail lookup for all classes,
+    the mass beyond it; w is read from the table, and so are the interferer
+    classes' lower limits and masses in the Laplace transform.  A table is
+    a pure function of the event and v, so the engine keeps every node's
+    table per event and builds (``_serving_table``) only the nodes its
+    store lacks: the first sweeps of coverage and rate repeat the
+    association integral's final nodes, and the rate's refinement repeats
+    coverage's splits.  Coverage and rate evaluate their kernels only where
+    w > 0 and the metric can be non-zero (``_expect_over_serving``).
 
     Both metrics rest on one interference law: L_I = (sum_c bracket_c / sum_c
     mass_c)^n over the serving tier's classes, n its interferer count
     (``_laplace``), where bracket_c integrates class c's density times the
     gain-averaged Nakagami kernel sum_g p_g (1 + s c_c g / m_c)^-m_c
     (``_interferer_kernel``) beyond the class's lower limit and mass_c is the
-    serving table's ``mass[c]``, the same lookup of ``tail`` that gives w(x).
+    serving table's ``mass[c]``, the same lookup of ``tail`` that gives w.
     Only the bracket's source differs.  Coverage needs L_I's derivatives up to
     order m - 1 at the threshold, carried as jets, from inner integrals 10x
     tighter (``q_inner``), one per outer sweep and interferer class with mass
@@ -214,17 +218,22 @@ class AnalyticEngine:
         # the laws close over what they use, not over self, and look up the
         # module's distance and blockage laws at call time: a dropped engine
         # is freed at once, without the cyclic collector
-        sup, vmap = self.sup, self.vmap
+        vmap = self.vmap
         beta = cfg.blockage.beta(g.h_A, g.h_U)
 
-        def fz(z):
-            return distance_pdf(z, sup, g.v_0, g.r_d)
+        def fz(v):
+            return distance_pdf(v, vmap, g.v_0, g.r_d)
+
+        def los(v):
+            z, w = fz(v)
+            return z, w * kappa_los(z, beta, g.delta_h)
+
+        def nlos(v):
+            z, w = fz(v)
+            return z, w * kappa_nlos(z, beta, g.delta_h)
 
         def path_gain(amp, k_a, alpha):
             return lambda y: amp * np.exp(-k_a * y) * y ** (-alpha)
-
-        densities = (lambda z: fz(z) * kappa_los(z, beta, g.delta_h),
-                     lambda z: fz(z) * kappa_nlos(z, beta, g.delta_h), fz)
 
         # gain atoms of probability zero contribute nothing to the outer sums
         des_g = np.asarray(self.pmf_desired.gains)
@@ -236,7 +245,7 @@ class AnalyticEngine:
         one = np.asarray([1.0])
         self._ev = {}
         for i, (event, density, cols) in enumerate(zip(
-                EVENTS, densities, ([0], [1], [0, 1]))):
+                EVENTS, (los, nlos, fz), ([0], [1], [0, 1]))):
             thz = event != "R"
             row = {f: col[i].item() for f, col in links._asdict().items()}
             self._ev[event] = dict(
@@ -251,11 +260,8 @@ class AnalyticEngine:
                 tiers=((self.n_rf - (not thz), "R"),
                        (self.n_thz - thz, "NL" if event == "N" else "LN")))
 
-        los, nlos = densities[:2]
-
         def los_nlos(v):
-            z, jac = vmap.z(v)
-            return np.column_stack([los(z), nlos(z)]) * jac[:, None]
+            return np.column_stack([los(v)[1], nlos(v)[1]])
 
         # LOS and NLOS tail masses beyond a lower limit given in v
         self.tail = TailIntegral(los_nlos, 0.0, vmap.v_max, self.q_tail)
@@ -274,29 +280,15 @@ class AnalyticEngine:
 
     # -- serving-distance machinery --------------------------------------------
 
-    def _in_v(self, f):
-        """The integrand f(z) dz/dv in the smoothing variable v."""
-        def integrand(v):
-            z, jac = self.vmap.z(v)
-            return f(z) * jac
-        return integrand
-
     def _integrate_over_serving(self, f, cuts):
-        """int f(x) dx over [z_l, z_p], run in the smoothing variable on
-        panels cut at ``cuts`` (in v); the ``integrate`` result."""
+        """int f(v) dv over [0, v_max], on panels cut at ``cuts`` (in v);
+        the ``integrate`` result."""
         q = replace(self.q_outer, breakpoints=tuple(cuts))
-        return integrate(self._in_v(f), 0.0, self.vmap.v_max, q)
+        return integrate(f, 0.0, self.vmap.v_max, q)
 
     def _event_cuts(self, event: str) -> tuple:
         """The event's breakpoints mapped into v."""
         return tuple(self.vmap.v(np.array(self._event_breakpoints(event))))
-
-    def _boundary(self, event: str, c: str, x):
-        """Lower limit of class-c APs at serving distance x: x itself for the
-        serving class, else the exclusion boundary ``e_<event><c>(x)``."""
-        if c == event:
-            return x
-        return getattr(self.excl, "e_" + (event + c).lower())(x)
 
     def _event_breakpoints(self, event: str) -> tuple:
         """Panel breakpoints: density kink, piecewise thresholds, and the radii
@@ -314,25 +306,31 @@ class AnalyticEngine:
         return tuple(sorted({float(c) for c in cands
                              if math.isfinite(c) and sup.z_l < c < zp}))
 
-    def _serving_table(self, event: str, x) -> ServingTable:
-        """The ``ServingTable`` of one association event at serving
-        distances x (X,) in the support: one exclusion boundary per class of
-        a competing tier with APs, and one lookup of ``self.tail`` for all
-        of them, a class's mass being the sum of its columns (``cols``: LOS,
-        NLOS, or both for RF).  The weight w = count times the serving
-        class's density at x, times each competing tier's summed mass to the
-        power of its AP count.  These masses are the only ones the engine
-        uses: the serving tier's are also L_I's denominator (``_laplace``)."""
+    def _serving_table(self, event: str, v) -> ServingTable:
+        """The ``ServingTable`` of one association event at the outer nodes
+        v (X,) in [0, v_max], whose serving distances x the serving class's
+        density gives with its weight in v: one lower limit per class of a
+        competing tier with APs, v itself for the serving class, else the
+        exclusion boundary ``e_<event><c>(x)`` mapped into v, and one lookup
+        of ``self.tail`` for all of them, a class's mass being the sum of
+        its columns (``cols``: LOS, NLOS, or both for RF).  The weight w =
+        count times the serving class's density, times each competing tier's
+        summed mass to the power of its AP count.  These masses are the only
+        ones the engine uses: the serving tier's are also L_I's denominator
+        (``_laplace``)."""
         ev = self._ev[event]
+        x, w = ev["density"](v)
         classes = [c for count, cs in ev["tiers"] if count > 0 for c in cs]
-        lo = {c: self.vmap.v(self._boundary(event, c, x)) for c in classes}
+        lo = {c: v if c == event else self.vmap.v(
+            getattr(self.excl, "e_" + (event + c).lower())(x))
+            for c in classes}
         mass = {}
         if classes:
             cols = self.tail(np.concatenate([lo[c] for c in classes]))
             for k, c in enumerate(classes):
-                mass[c] = cols[k * x.size:(k + 1) * x.size,
+                mass[c] = cols[k * v.size:(k + 1) * v.size,
                                self._ev[c]["cols"]].sum(axis=1)
-        w = ev["count"] * ev["density"](x)
+        w = ev["count"] * w
         for count, cs in ev["tiers"]:
             if count > 0:
                 # np.power, not **: a float's ** is libm's pow, which can
@@ -340,8 +338,8 @@ class AnalyticEngine:
                 w = w * np.power(sum(mass[c] for c in cs), count)
         return ServingTable(x, w, lo, mass)
 
-    def _table_at(self, event: str, xs) -> ServingTable:
-        """The ``ServingTable`` of one outer sweep's nodes xs (X,), each node's
+    def _table_at(self, event: str, vs) -> ServingTable:
+        """The ``ServingTable`` of one outer sweep's nodes vs (X,), each node's
         entry built once per event.  The event's store keeps the nodes built so
         far, sorted, with their table in the same order: a sweep whose nodes it
         holds is gathered by one ``searchsorted``, and the nodes it lacks are
@@ -349,23 +347,23 @@ class AnalyticEngine:
         the same panels and halves panels the same way, a panel evaluated twice
         gives the same nodes bit for bit."""
         store = self._tables.get(event)
-        new = xs
+        new = vs
         if store is not None:
             keys, table = store
-            at = np.searchsorted(keys, xs)
-            found = keys[np.minimum(at, keys.size - 1)] == xs
+            at = np.searchsorted(keys, vs)
+            found = keys[np.minimum(at, keys.size - 1)] == vs
             if found.all():
                 return table.take(at)
-            new = xs[~found]
+            new = vs[~found]
         built = self._serving_table(event, new)
         keys, table = (new, built) if store is None else (
             np.concatenate([keys, new]), table.concat(built))
         order = np.argsort(keys, kind="stable")
         keys, table = keys[order], table.take(order)
         self._tables[event] = keys, table
-        if new.size == xs.size:
+        if new.size == vs.size:
             return built
-        return table.take(np.searchsorted(keys, xs))
+        return table.take(np.searchsorted(keys, vs))
 
     def assoc_probabilities(self) -> TierMetrics:
         if self._assoc is not None:
@@ -451,10 +449,11 @@ class AnalyticEngine:
         density's square-root endpoints would make every column refine with
         the worst one.  Each column is divided by the table's mass at x and
         multiplied back afterwards: all columns are O(1), so the max-norm
-        tolerance holds per x, on the gain-averaged bracket.  Dividing the
-        small product density dz/dv width by a tiny positive mass cannot
-        overflow.  The kernel jets are accumulated one piece at a time, so
-        the widest temporary has no piece axis."""
+        tolerance holds per x, on the gain-averaged bracket.  The density's
+        weight in v is multiplied by the width before it is divided by a
+        tiny positive mass, so the quotient cannot overflow.  The kernel
+        jets are accumulated one piece at a time, so the widest temporary
+        has no piece axis."""
         seg = self._ev[c]
         density, path_gain, m = seg["density"], seg["path_gain"], seg["m"]
         gains, probs = seg["int_gains"], seg["int_probs"]
@@ -477,8 +476,8 @@ class AnalyticEngine:
         width = np.diff(edges, axis=1)
 
         def integrand(u):
-            y, jac = vmap.z(start + width * u[:, None, None])  # (n, X, P)
-            wt = density(y) * jac * width / mass[:, None]
+            y, wt = density(start + width * u[:, None, None])  # (n, X, P)
+            wt = wt * width / mass[:, None]
             c_m = path_gain(y) / m
             acc = np.zeros((u.size, k1) + nu.shape)
             for p in range(n_pieces):
@@ -585,17 +584,15 @@ class AnalyticEngine:
             density, path_gain, m = seg["density"], seg["path_gain"], seg["m"]
             gains, probs = seg["int_gains"], seg["int_probs"]
             z = self._rate_grid(c)
-            vmap = self.vmap
 
             def columns(v):
-                y, jac = vmap.z(v)
-                w = density(y) * jac
+                y, w = density(v)
                 ker = _interferer_kernel(path_gain(y) / m, z, gains, probs,
                                          m, 0)[0]
                 ker *= w[:, None]
                 return ker
 
-            self._brackets[c] = TailIntegral(columns, 0.0, vmap.v_max,
+            self._brackets[c] = TailIntegral(columns, 0.0, self.vmap.v_max,
                                              self.q_tail)
         return self._brackets[c]
 
@@ -626,14 +623,14 @@ class AnalyticEngine:
         return self.rate_step * (g_vals @ np.exp(-z * ev["noise"]))
 
     def _expect_over_serving(self, event: str, kernel, live) -> float:
-        """(1/A) * int w(x) kernel(x) dx over the serving support.
+        """(1/A) * int w(v) kernel(x(v)) dv over [0, v_max].
 
         Starts on the final panels of the event's association integral:
-        w(x) is a factor of this integrand too, and those panels are where
-        it needed resolution.  ``kernel(event, table)`` takes the
-        ``ServingTable`` of one outer sweep's serving distances where
-        w(x) > 0 and ``live(event, x)`` holds, and returns one value per
-        distance; the integrand is 0 at every other x.  Raises
+        w is a factor of this integrand too, and those panels are where it
+        needed resolution.  ``kernel(event, table)`` takes the
+        ``ServingTable`` of one outer sweep's nodes where w > 0 and
+        ``live(event, x)`` holds at their serving distance x, and returns
+        one value per node; the integrand is 0 at every other node.  Raises
         ``DegenerateEvent`` when the association probability A is
         ``<= DEGENERATE_EVENT_TOL``.
         """
@@ -642,9 +639,9 @@ class AnalyticEngine:
             raise DegenerateEvent(
                 f"association probability for event {event} is {a!r}")
 
-        def outer(xs):
-            table = self._table_at(event, xs)
-            out = np.zeros_like(xs)
+        def outer(vs):
+            table = self._table_at(event, vs)
+            out = np.zeros_like(vs)
             sel = (table.w > 0.0) & live(event, table.x)
             if sel.any():
                 out[sel] = table.w[sel] * kernel(event, table.take(sel))

@@ -4,6 +4,11 @@ The APs live on a ceiling disk of radius ``r_d`` at height ``h_A``; the UE
 sits at horizontal offset ``v_0`` from the disk center at height ``h_U``.
 Every 3-D AP-UE distance therefore falls in ``[z_l, z_p]`` with
 ``z_l = h_A - h_U``.
+
+The law is written once, in the smoothing variable v of ``SmoothingMap``:
+``distance_pdf`` gives the distance z(v) and the weight f_Z(z) dz/dv, with
+both ends of the arccos branch taken from v without cancellation.  Nothing
+evaluates f_Z in z.
 """
 
 from __future__ import annotations
@@ -13,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .params import NetworkConfig
-
-#: allowed floating-point spill of the arccos argument beyond [-1, 1]
-ARCCOS_SPILL_TOL = 1e-9
-
-_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -40,52 +39,15 @@ def support(cfg: NetworkConfig) -> DistanceSupport:
                            z_p=math.hypot(g.r_d + g.v_0, g.delta_h))
 
 
-def distance_pdf(z, sup: DistanceSupport, v_0: float, r_d: float):
-    """Density of the distance from the UE to one uniformly placed AP.
-
-    Piecewise: ``2 z / r_d^2`` on ``[z_l, z_m]``; on ``[z_m, z_p]`` the disk
-    boundary cuts the horizontal circle of radius ``sqrt(z^2 - z_l^2)`` and the
-    density picks up the subtended-angle factor ``arccos(.) / pi``.  Zero
-    outside the support.  An array of z's shape.
-    """
-    z_arr = np.asarray(z, dtype=float)
-    out = np.zeros_like(z_arr)
-
-    if v_0 == 0.0:
-        inner = (z_arr >= sup.z_l) & (z_arr <= sup.z_p)
-    else:
-        inner = (z_arr >= sup.z_l) & (z_arr < sup.z_m)
-    out[inner] = 2.0 * z_arr[inner] / r_d**2
-
-    if v_0 > 0.0 and sup.z_p >= sup.z_m:
-        # the boundary point z_m belongs to this branch: the arccos argument
-        # clamps to -1 there, reproducing the inner-branch value exactly
-        edge = (z_arr >= sup.z_m) & (z_arr <= sup.z_p)
-        if np.any(edge):
-            ze = z_arr[edge]
-            horiz = np.sqrt(np.maximum(ze**2 - sup.z_l**2, 0.0))
-            num = ze**2 + v_0**2 - r_d**2 - sup.z_l**2
-            arg = num / np.maximum(2.0 * v_0 * horiz, _TINY)
-            if np.any(np.abs(arg) > 1.0 + ARCCOS_SPILL_TOL):
-                bad = arg[np.abs(arg) > 1.0 + ARCCOS_SPILL_TOL]
-                raise DomainError(
-                    f"arccos argument {bad[0]!r} outside [-1, 1] beyond tolerance"
-                )
-            arg = np.clip(arg, -1.0, 1.0)
-            out[edge] = 2.0 * ze / (math.pi * r_d**2) * np.arccos(arg)
-
-    return out
-
-
 class SmoothingMap:
-    """Monotone map v -> z from the smoothing variable v in [0, v_max] onto
-    the distance support [z_l, z_p], whose Jacobian dz/dv cancels the
+    """The smoothing variable v in [0, v_max] of the distance support
+    [z_l, z_p]: the monotone map z(v) whose Jacobian dz/dv cancels the
     square-root endpoints of the distance law.
 
     Integrands over the distance law are not smooth in z at three points:
     the LOS probability exp(-beta sqrt(z^2 - z_l^2)) behaves like
-    sqrt(z - z_l) at z_l, and off centre the arccos factor of ``distance_pdf``
-    behaves like sqrt(z - z_m) and sqrt(z_p - z) at the ends of its branch.
+    sqrt(z - z_l) at z_l, and off centre the arccos factor of f_Z behaves
+    like sqrt(z - z_m) and sqrt(z_p - z) at the ends of its branch.
     Gauss-Kronrod reads each as a singularity and bisects toward it sweep
     after sweep.  In v they are smooth:
 
@@ -96,9 +58,8 @@ class SmoothingMap:
 
     A piece of zero width takes no room in v: a centred UE (z_m = z_p) has
     v_max = 1, and a UE at the disk edge (v_0 = r_d, so z_m = z_l) has
-    v_m = 0 and the cubic alone, whose Jacobian also covers z_l.  ``v``
-    inverts ``z``; NaN stays NaN, and z outside the support clamps to the
-    nearer end of [0, v_max].
+    v_m = 0 and the cubic alone, whose Jacobian also covers z_l.
+    ``distance_pdf`` maps v to z; ``v`` inverts it.
     """
 
     def __init__(self, sup: DistanceSupport):
@@ -106,20 +67,9 @@ class SmoothingMap:
         self.v_m = 1.0 if sup.z_m > sup.z_l else 0.0
         self.v_max = self.v_m + (1.0 if sup.z_p > sup.z_m else 0.0)
 
-    def z(self, v):
-        """(z, dz/dv) at v in [0, v_max]; arrays of v's shape."""
-        v = np.asarray(v, dtype=float)
-        zl, zm, zp = self.sup.z_l, self.sup.z_m, self.sup.z_p
-        t = v - self.v_m
-        first = t < 0.0
-        z = np.where(first, zl + (zm - zl) * v * v,
-                     zm + (zp - zm) * t * t * (3.0 - 2.0 * t))
-        jac = np.where(first, 2.0 * (zm - zl) * v,
-                       6.0 * (zp - zm) * t * (1.0 - t))
-        return z, jac
-
     def v(self, z):
-        """The v in [0, v_max] with z(v) = z."""
+        """The v in [0, v_max] with z(v) = z.  NaN stays NaN, and z outside
+        the support clamps to the nearer end of [0, v_max]."""
         z = np.asarray(z, dtype=float)
         zl, zm, zp = self.sup.z_l, self.sup.z_m, self.sup.z_p
         v = np.where(np.isnan(z), np.nan, 0.0)
@@ -131,6 +81,46 @@ class SmoothingMap:
             t = 0.5 - np.sin(np.arcsin(1.0 - 2.0 * s) / 3.0)
             v = np.where(z > zm, self.v_m + t, v)
         return v
+
+
+def distance_pdf(v, vmap: SmoothingMap, v_0: float, r_d: float):
+    """The distance law in the smoothing variable: ``(z, f_Z(z) dz/dv)`` at
+    v, arrays of v's shape, z = z(v) of ``vmap``.  A v outside [0, v_max]
+    is taken as the nearer end, where the weight is 0.
+
+    f_Z is ``2 z / r_d^2`` on [z_l, z_m].  On the arccos branch the disk's
+    rim cuts the horizontal circle of radius h = sqrt(z^2 - z_l^2) around
+    the UE, and f_Z picks up the angle fraction theta / pi, with cos theta =
+    (h^2 + v_0^2 - r_d^2) / (2 v_0 h).  With h_m = r_d - v_0 and
+    h_p = r_d + v_0, theta = 2 atan2(sqrt((h_p - h)(h + h_m)),
+    sqrt((h - h_m)(h + h_p))); h - h_m and h_p - h are taken from
+    z - z_m = (z_p - z_m) t^2 (3 - 2t) and z_p - z = (z_p - z_m)(1 - t)^2
+    (1 + 2t), products of non-negative factors, so neither end of the
+    branch loses digits to cancellation and theta stays in [0, pi].
+    """
+    sup = vmap.sup
+    zl, zm, zp = sup.z_l, sup.z_m, sup.z_p
+    v = np.clip(np.asarray(v, dtype=float), 0.0, vmap.v_max)
+    t = v - vmap.v_m
+    first = t < 0.0
+    dz_m = (zp - zm) * t * t * (3.0 - 2.0 * t)                  # z - z_m
+    z = np.where(first, zl + (zm - zl) * v * v, zm + dz_m)
+    w = np.where(first, 2.0 * (zm - zl) * v,
+                 6.0 * (zp - zm) * t * (1.0 - t))                  # dz/dv
+    w *= 2.0 * z / r_d**2
+    arc = ~first
+    if v_0 > 0.0 and arc.any():
+        za, ta = z[arc], t[arc]
+        dz_p = (zp - zm) * (1.0 - ta) ** 2 * (1.0 + 2.0 * ta)      # z_p - z
+        h_m, h_p = r_d - v_0, r_d + v_0
+        h = np.sqrt((zm - zl + dz_m[arc]) * (za + zl))
+        # h - h_m and h_p - h; at v_0 = r_d, h_m = 0 and z_m = z_l, and the
+        # quotient would be 0 / 0 at t = 0: h itself is h - h_m
+        d_m = h if h_m == 0.0 else dz_m[arc] * (za + zm) / (h + h_m)
+        d_p = dz_p * (zp + za) / (h_p + h)
+        w[arc] *= 2.0 / math.pi * np.arctan2(np.sqrt(d_p * (h + h_m)),
+                                             np.sqrt(d_m * (h + h_p)))
+    return z, w
 
 
 def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,

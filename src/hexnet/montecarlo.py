@@ -210,10 +210,8 @@ def estimate(cfg: NetworkConfig, n_trials: int, seed,
     count, cov1, cov2, rate1, rate2 = sums
     total = sums.sum(axis=1)
     count = [int(c) for c in count]
-    f_l, f_n = count[0] / n_trials, count[1] / n_trials
     return SimulationSummary(
-        # the float sum of the three is exactly 1
-        assoc=TierMetrics(f_l, f_n, 1.0 - f_l - f_n),
+        assoc=TierMetrics(*(c / n_trials for c in count)),
         coverage=_mc_estimate(n_trials, total[1], total[2]),
         rate=_mc_estimate(n_trials, total[3], total[4]),
         cond_coverage=TierMetrics(*map(_mc_estimate, count, cov1, cov2)),

@@ -70,3 +70,21 @@ def path_gain(link, z, radio):
         return radio.gamma_R * z ** -radio.alpha_R
     alpha = radio.alpha_L if link == LOS else radio.alpha_N
     return radio.gamma_T * np.exp(-radio.k_a * z) * z ** -alpha
+
+
+def f_z(z, sup, v_0, r_d):
+    """Reference: the AP-UE distance density in z, as the paper writes it.
+    ``2 z / r_d^2`` on [z_l, z_m]; on [z_m, z_p] times arccos(a) / pi, with
+    a = (z^2 + v_0^2 - r_d^2 - z_l^2) / (2 v_0 sqrt(z^2 - z_l^2)); zero
+    outside [z_l, z_p].  a is formed by cancellation and clamped to
+    [-1, 1], so the value loses relative accuracy toward z_m and z_p."""
+    z = np.asarray(z, dtype=float)
+    out = np.where((z >= sup.z_l) & (z <= sup.z_p), 2.0 * z / r_d**2, 0.0)
+    edge = (z >= sup.z_m) & (z <= sup.z_p)
+    if v_0 > 0.0 and edge.any():
+        ze = z[edge]
+        horiz = np.sqrt(np.maximum(ze**2 - sup.z_l**2, 0.0))
+        arg = (ze**2 + v_0**2 - r_d**2 - sup.z_l**2) / np.maximum(
+            2.0 * v_0 * horiz, np.finfo(float).tiny)
+        out[edge] *= np.arccos(np.clip(arg, -1.0, 1.0)) / math.pi
+    return out

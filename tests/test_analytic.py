@@ -1,12 +1,16 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import NLOS, path_gain, random_config
+from conftest import NLOS, f_z, path_gain, random_config
 import hexnet.analytic as analytic
 from hexnet import with_updates
 from hexnet.analytic import (
@@ -85,59 +89,58 @@ def test_assoc_monotone_in_bias(table3):
 
 def test_serving_pdf_normalizes(engine):
     # the serving table's weight w over the association probability is the
-    # serving distance's density given the event
-    sup = engine.sup
+    # serving distance's density given the event, in v
     assoc = engine.assoc_probabilities()
     for event in EVENTS:
         a = assoc.get(event)
         if a < 1e-3:
             continue
         q = Quadrature(rel_tol=1e-8, abs_tol=1e-12,
-                       breakpoints=engine._event_breakpoints(event))
-        val = integrate(lambda x, e=event: engine._serving_table(e, x).w / a,
-                        sup.z_l, sup.z_p, q).value
+                       breakpoints=engine._event_cuts(event))
+        val = integrate(lambda v, e=event: engine._serving_table(e, v).w / a,
+                        0.0, engine.vmap.v_max, q).value
         assert val == pytest.approx(1.0, abs=1e-6)
 
 
 def test_serving_pdf_support(table3):
-    # on the closed support, ends included, every event's weight is finite
-    # and non-negative, without a warning: Table 3 and the off-centre point
-    # of the coverage sweep
+    # on the closed support [0, v_max], ends included, every event's weight
+    # is finite and non-negative, without a warning: Table 3 and the
+    # off-centre point of the coverage sweep
     for v_0 in (0.0, 10.0):
         eng = AnalyticEngine(with_updates(table3, v_0=v_0))
-        sup = eng.sup
-        xs = np.linspace(sup.z_l, sup.z_p, 200)
+        vs = np.linspace(0.0, eng.vmap.v_max, 200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for event in EVENTS:
-                w = eng._serving_table(event, xs).w
-                assert w.shape == xs.shape
+                w = eng._serving_table(event, vs).w
+                assert w.shape == vs.shape
                 assert np.all(np.isfinite(w) & (w >= 0.0)), (v_0, event)
 
 
 def test_serving_pdf_zero_outside_support(table3):
-    # the serving density is zero off [z_l, z_p]: its distance factor f_Z is
-    # zero there, scalar or array, and every event's weight w falls to exactly
-    # zero at z_p and stays zero beyond it, so the outer integrals over the
-    # support miss no mass; Table 3 and the off-centre point of the sweep
+    # the serving density is zero off the support: the distance law's weight
+    # f_Z dz/dv is zero at v outside [0, v_max], scalar or array, with z at
+    # the nearer end of [z_l, z_p], and every event's weight w falls to
+    # exactly zero at v_max and stays zero beyond it, so the outer integrals
+    # miss no mass; Table 3 and the off-centre point of the sweep
     for v_0 in (0.0, 10.0):
         eng = AnalyticEngine(with_updates(table3, v_0=v_0))
-        sup = eng.sup
-        g = eng.cfg.geometry
-        xs = np.concatenate([[-1.0, 0.0, sup.z_l - 1e-6],
-                             np.linspace(sup.z_l, sup.z_p, 9),
-                             [sup.z_p + 1e-6, 2.0 * sup.z_p]]).reshape(2, 7)
-        inside = (xs >= sup.z_l) & (xs <= sup.z_p)
+        sup, vmap, g = eng.sup, eng.vmap, eng.cfg.geometry
+        vm = vmap.v_max
+        vs = np.concatenate([[-1.0, -1e-9, 0.0], np.linspace(0.0, vm, 9)[1:-1],
+                             [vm, vm + 1e-9, 2.0 * vm, 5.0]]).reshape(2, 7)
+        inside = (vs >= 0.0) & (vs <= vm)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for x in (sup.z_l - 0.01, 0.0, -5.0, sup.z_p + 0.01):
-                val = distance_pdf(x, sup, g.v_0, g.r_d)
-                assert val.shape == () and val == 0.0, (v_0, x)
-            fz = distance_pdf(xs, sup, g.v_0, g.r_d)
-            assert fz.shape == xs.shape
-            assert np.all(fz[~inside] == 0.0) and np.all(fz[inside] >= 0.0)
-            beyond = np.array([sup.z_p, sup.z_p + 1e-6, sup.z_p + 0.01,
-                               2.0 * sup.z_p])
+            for v in (-5.0, -1e-9, vm + 1e-9, 2.0 * vm):
+                z, w = distance_pdf(v, vmap, g.v_0, g.r_d)
+                assert z.shape == w.shape == () and w == 0.0, (v_0, v)
+                assert z == pytest.approx(sup.z_l if v < 0.0 else sup.z_p,
+                                          rel=1e-15, abs=0.0)
+            z, w = distance_pdf(vs, vmap, g.v_0, g.r_d)
+            assert z.shape == w.shape == vs.shape
+            assert np.all(w[~inside] == 0.0) and np.all(w[inside] >= 0.0)
+            beyond = np.array([vm, vm + 1e-6, vm + 0.01, 2.0 * vm])
             for event in EVENTS:
                 w = eng._serving_table(event, beyond).w
                 assert np.all(w == 0.0), (v_0, event, w)
@@ -151,7 +154,7 @@ def test_serving_pdf_degenerate_event(table3):
 
 def _laplace(eng, event, s, x):
     """L_I(s) at serving distance x: the order-0 Laplace coefficient."""
-    table = eng._serving_table(event, np.array([float(x)]))
+    table = eng._serving_table(event, eng.vmap.v(np.array([float(x)])))
     return float(eng._laplace_coeffs(event, table, np.array([[float(s)]]),
                                      0)[0, 0, 0])
 
@@ -173,7 +176,7 @@ def test_laplace_at_zero_is_one_across_the_support(table3, v_0):
     eng = AnalyticEngine(with_updates(table3, v_0=v_0))
     xs = np.linspace(eng.sup.z_l, eng.sup.z_p, 41)[:-1]
     for event in EVENTS:
-        table = eng._serving_table(event, xs)
+        table = eng._serving_table(event, eng.vmap.v(xs))
         lc = eng._laplace_coeffs(event, table, np.zeros((xs.size, 1)), 0)
         assert np.abs(lc[0] - 1.0).max() <= eng.q_inner.rel_tol, event
 
@@ -199,7 +202,7 @@ def test_laplace_jet_argument(engine):
     # the jet of L in its argument s: value, sign pattern of a completely
     # monotone transform, and central differences of the scalar transform
     s0, x = 1e12, 8.0
-    table = engine._serving_table("L", np.array([x]))
+    table = engine._serving_table("L", engine.vmap.v(np.array([x])))
     jet = engine._laplace_coeffs("L", table, np.array([[s0]]), 2)[:, 0, 0]
     scalar = _laplace(engine, "L", s0, x)
     assert jet[0] == pytest.approx(scalar, rel=1e-12)
@@ -258,11 +261,12 @@ def test_laplace_vector_matches_per_x(table3):
                            / ev["gains"]).reshape(xe.size, -1)
                 nu0_wide = s_x[:, None] / ev["m"] * wide_ts
                 for order, nu0 in ((ev["m"] - 1, nu0_cov), (0, nu0_wide)):
+                    ve = eng.vmap.v(xe)
                     vec = eng._laplace_coeffs(
-                        event, eng._serving_table(event, xe), nu0, order)
+                        event, eng._serving_table(event, ve), nu0, order)
                     per = np.stack(
                         [eng._laplace_coeffs(
-                            event, eng._serving_table(event, xe[i:i + 1]),
+                            event, eng._serving_table(event, ve[i:i + 1]),
                             nu0[i:i + 1], order)[:, 0]
                          for i in range(xe.size)], axis=1)
                     assert vec.shape == (order + 1, xe.size, nu0.shape[1])
@@ -289,7 +293,7 @@ def test_rate_and_coverage_laplace_agree(table3, overrides):
         # no interferer mass at z_p for N and R
         xs = np.linspace(eng.sup.z_l, eng.sup.z_p, 41)[:-1]
         for event in EVENTS:
-            table = eng._serving_table(event, xs)
+            table = eng._serving_table(event, eng.vmap.v(xs))
             z = eng._rate_grid(event)
             rate = eng._rate_laplace(event, table, z)
             cov = eng._laplace_coeffs(
@@ -322,7 +326,7 @@ def test_inner_calls_batched_over_serving_distances(table3, monkeypatch):
         def outer(vs):
             before = inner_calls[0]
             out = f(vs)
-            table = eng._serving_table("L", eng.vmap.z(vs)[0])
+            table = eng._serving_table("L", vs)
             pos = table.w > 0.0
             with_mass = sum(bool((table.mass[c][pos] > 0.0).any())
                             for c in classes)
@@ -452,17 +456,17 @@ def test_m1_reduction_oracle(table3):
         return acc
 
     q = Quadrature(rel_tol=1e-7, abs_tol=1e-11,
-                   breakpoints=eng._event_breakpoints("L"))
+                   breakpoints=eng._event_cuts("L"))
 
-    def integrand(xs):
-        w = eng._serving_table("L", xs).w
-        out = np.zeros_like(xs)
-        for i, x in enumerate(xs):
-            if w[i] > 0:
-                out[i] = w[i] * rayleigh_form(float(x))
+    def integrand(vs):
+        table = eng._serving_table("L", vs)
+        out = np.zeros_like(vs)
+        for i, (x, w) in enumerate(zip(table.x, table.w)):
+            if w > 0:
+                out[i] = w * rayleigh_form(float(x))
         return out
 
-    direct = integrate(integrand, eng.sup.z_l, eng.sup.z_p, q).value / \
+    direct = integrate(integrand, 0.0, eng.vmap.v_max, q).value / \
         eng.assoc_probabilities().los
     assert eng.conditional_coverage("L") == pytest.approx(direct, abs=1e-6)
 
@@ -512,7 +516,7 @@ def _threshold_mean_log(eng, event, x, q):
     def ccdf(ts):
         nu = (s1 * ts)[:, None] / gains                    # (T, gains)
         lam = nu * ev["noise"]
-        table = eng._serving_table(event, np.full(ts.size, x))
+        table = eng._serving_table(event, np.full(ts.size, eng.vmap.v(x)))
         lc = eng._laplace_coeffs(event, table, nu, m - 1)
         pois = [np.exp(-lam)]
         for j in range(1, m):
@@ -546,7 +550,8 @@ def test_rate_kernel_matches_threshold_integral(table3):
         for event in EVENTS:
             if assoc.get(event) <= DEGENERATE_EVENT_TOL:
                 continue
-            got = eng._rate_kernel(event, eng._serving_table(event, xs))
+            got = eng._rate_kernel(event,
+                                   eng._serving_table(event, eng.vmap.v(xs)))
             want = np.array([_threshold_mean_log(eng, event, x, q) for x in xs])
             tol = 10.0 * max(q.abs_tol, q.rel_tol * want.max())
             assert np.abs(got - want).max() <= tol, (name, event)
@@ -566,7 +571,7 @@ def test_rate_single_ap_closed_form(table3):
     g1 = a.g_T_max * a.g_U_max
 
     def density(xs):
-        return (distance_pdf(xs, sup, g.v_0, g.r_d)
+        return (f_z(xs, sup, g.v_0, g.r_d)
                 * kappa_nlos(xs, cfg.blockage.beta(g.h_A, g.h_U), g.delta_h))
 
     def mean_log(xs):
@@ -704,11 +709,12 @@ def test_pointwise_values_independent_of_batch(engine):
     # their values alone, bit for bit: no value depends on the batch it is
     # computed in
     xs = np.random.default_rng(5).uniform(engine.sup.z_l, engine.sup.z_p, 2000)
+    vs = engine.vmap.v(xs)
     cases = {
-        "tail": (engine.tail, engine.vmap.v(xs)),
+        "tail": (engine.tail, vs),
         "e_rl": (engine.excl.e_rl, xs),
-        **{"w_" + e: (lambda x, e=e: engine._serving_table(
-            e, np.atleast_1d(x)).w.reshape(np.shape(x)), xs) for e in EVENTS},
+        **{"w_" + e: (lambda v, e=e: engine._serving_table(
+            e, np.atleast_1d(v)).w.reshape(np.shape(v)), vs) for e in EVENTS},
     }
     for name, (fn, args) in cases.items():
         got = fn(args)
@@ -729,7 +735,7 @@ def test_tail_columns_against_quad(table3, overrides):
 
     eng = AnalyticEngine(with_updates(table3, **overrides))
     sup, g = eng.sup, eng.cfg.geometry
-    fz = lambda z: distance_pdf(z, sup, g.v_0, g.r_d)
+    fz = lambda z: f_z(z, sup, g.v_0, g.r_d)
     beta = eng.cfg.blockage.beta(g.h_A, g.h_U)
     kl = lambda z: kappa_los(z, beta, g.delta_h)
     columns = (lambda z: fz(z) * kl(z), lambda z: fz(z) * kappa_nlos(
@@ -753,6 +759,44 @@ def test_tail_columns_against_quad(table3, overrides):
                 assert got[k] == 0.0 and want == 0.0
             else:
                 assert abs(got[k] - want) <= rel_tol * total, (z0, k)
+
+
+@pytest.mark.parametrize("v_0", [10.0, 79.0])
+def test_tail_mass_near_v_max_follows_cube_law(table3, v_0):
+    # off centre the weight f_Z dz/dv vanishes like (v_max - v)^2, the angle
+    # and dz/dv each like v_max - v, so the mass beyond v_max - delta falls
+    # like delta^3: within 1% of the law from delta = 1e-6 at 1e-8 and 1e-10
+    eng = AnalyticEngine(with_updates(table3, v_0=v_0))
+    v_max = eng.vmap.v_max
+    ref = eng.tail(v_max - 1e-6).sum()
+    for delta in (1e-8, 1e-10):
+        law = ref * (delta / 1e-6) ** 3
+        assert eng.tail(v_max - delta).sum() == pytest.approx(
+            law, rel=0.01, abs=0.0), delta
+
+
+_TIGHT_OFF_CENTRE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from hexnet import default_config, with_updates
+from hexnet.analytic import AnalyticEngine
+for v_0, rel_tol in ((10.0, 1e-11), (79.0, 2e-11)):
+    cfg = with_updates(default_config(), v_0=v_0)
+    AnalyticEngine(cfg, rel_tol=rel_tol).coverage()
+"""
+
+
+def test_tight_tolerance_off_centre_finishes():
+    # off centre at tight rel_tol, the distance law's noise near the ends of
+    # its arccos branch once kept the inner refinement splitting panels
+    # until an allocation failed; in its own process, under a 2 GB address
+    # space cap and a timeout, coverage() finishes
+    pytest.importorskip("resource")
+    src = Path(analytic.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _TIGHT_OFF_CENTRE],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
 
 
 @pytest.mark.parametrize("overrides", [
@@ -808,9 +852,9 @@ def test_one_tail_lookup_per_outer_sweep(table3, monkeypatch):
         counts["lookups"] += 1
         return tail(v)
 
-    def building(event, x):
+    def building(event, v):
         counts["builds"] += 1
-        return build(event, x)
+        return build(event, v)
 
     plain = analytic.integrate
 
@@ -839,7 +883,7 @@ def test_one_tail_lookup_per_outer_sweep(table3, monkeypatch):
 @pytest.mark.parametrize("overrides", [{}, {"v_0": 10.0}],
                          ids=["table3", "v_0=10"])
 def test_each_serving_table_built_once(table3, overrides, monkeypatch):
-    # a serving table is a pure function of (event, x): across the
+    # a serving table is a pure function of (event, v): across the
     # association, coverage and rate integrals of one engine, no outer node
     # of an event is built twice, and report() reuses what the association
     # built
@@ -847,9 +891,9 @@ def test_each_serving_table_built_once(table3, overrides, monkeypatch):
     built = {e: [] for e in EVENTS}
     build = eng._serving_table
 
-    def recording(event, x):
-        built[event].append(np.array(x, copy=True))
-        return build(event, x)
+    def recording(event, v):
+        built[event].append(np.array(v, copy=True))
+        return build(event, v)
 
     monkeypatch.setattr(eng, "_serving_table", recording)
     eng.assoc_probabilities()
@@ -875,15 +919,15 @@ def test_report_at_a_large_threshold_without_warning(table3):
 @pytest.mark.parametrize("v_0", [0.0, 10.0, 40.0, 79.0])
 def test_assoc_against_independent_quadrature(table3, v_0):
     # at rel_tol 1e-10 the association probabilities meet it against
-    # QUADPACK's adaptive rule on the same weight, run in z
+    # QUADPACK's adaptive rule on the same weight
     from scipy.integrate import quad
 
     eng = AnalyticEngine(with_updates(table3, v_0=v_0), rel_tol=1e-10)
     assoc = eng.assoc_probabilities()
     for event in EVENTS:
-        want, _ = quad(lambda x: eng._serving_table(event, np.array([x])).w[0],
-                       eng.sup.z_l, eng.sup.z_p,
-                       points=eng._event_breakpoints(event), epsabs=0.0,
+        want, _ = quad(lambda v: eng._serving_table(event, np.array([v])).w[0],
+                       0.0, eng.vmap.v_max,
+                       points=eng._event_cuts(event), epsabs=0.0,
                        epsrel=1e-13, limit=200)
         assert assoc.get(event) == pytest.approx(want, rel=1e-10, abs=0.0), \
             event

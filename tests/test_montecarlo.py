@@ -41,7 +41,17 @@ def _counts(sim):
 def test_assoc_frequencies_partition(table3):
     sim = estimate(table3, 5000, seed=3)
     assert sum(_counts(sim)) == sim.n_trials
+    assert tuple(sim.assoc) == tuple(c / sim.n_trials for c in _counts(sim))
     assert sim.assoc.los + sim.assoc.nlos + sim.assoc.rf == 1.0
+
+
+def test_assoc_frequency_of_an_unserved_event_is_zero(table3):
+    # at B_T = 1e308 THz serves every trial: the RF frequency is its count
+    # over the trials, exactly 0, not what 1 - f_L - f_N rounds to
+    sim = estimate(with_updates(table3, B_T=1e308), 1000, seed=1)
+    assert sim.cond_coverage.rf.n_trials == 0
+    assert sim.assoc.rf == 0.0
+    assert tuple(sim.assoc) == tuple(c / sim.n_trials for c in _counts(sim))
 
 
 def test_rf_only_network(table3):
