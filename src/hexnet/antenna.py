@@ -79,10 +79,14 @@ def mean_desired_gain(ant: AntennaParams) -> float:
     return desired_gain_pmf(ant).mean
 
 
-def sample_gain(pmf: GainPmf, rng: np.random.Generator, size):
-    """Categorical draws from a gain PMF via inverse-CDF, one uniform each:
-    u takes atom #{j < 3 : u >= cum_j} of the cumulative probabilities."""
+def sample_gain(pmf: GainPmf, rng: np.random.Generator, out, idx):
+    """Categorical draws from a gain PMF via inverse-CDF, one uniform each,
+    into the float64 array ``out``, which is returned: u takes atom
+    #{j < 3 : u >= cum_j} of the cumulative probabilities.  ``idx``, an intp
+    array of out's shape, is overwritten."""
     cum = np.cumsum(pmf.probs)
-    u = rng.random(size)
-    idx = (u >= cum[0]).astype(np.intp) + (u >= cum[1]) + (u >= cum[2])
-    return np.asarray(pmf.gains).take(idx, out=u, mode="clip")
+    u = rng.random(out=out)
+    np.greater_equal(u, cum[0], out=idx)
+    idx += u >= cum[1]
+    idx += u >= cum[2]
+    return np.asarray(pmf.gains).take(idx, out=out, mode="clip")

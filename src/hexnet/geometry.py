@@ -123,8 +123,26 @@ def distance_pdf(v, vmap: SmoothingMap, v_0: float, r_d: float):
     return z, w
 
 
+def _sin2_pi(u, scratch):
+    """sin^2(pi U) of uniforms ``u`` in [0, 1), in place of ``u``; the
+    float64 ``scratch``, of u's shape, is overwritten.
+
+    U is folded to min(U, 1 - U), which is exact (1 - U is exact for
+    U >= 1/2), and the sine is taken in float32 of the float64 product
+    pi U, rounded once, in the first half of each row of ``scratch``.  The
+    result is 0 at U = 0 and within 3e-7 relative of the float64
+    sin^2(pi U) at every multiple of 2^-53 (every value ``Generator.random``
+    draws), where the float64 1 - cos(2 pi U) reads 0 for U below about
+    1.7e-9.
+    """
+    np.minimum(u, np.subtract(1.0, u, out=scratch), out=u)
+    s = np.multiply(u, math.pi, out=scratch.view(np.float32)[..., :u.shape[-1]])
+    np.sin(s, out=s)
+    return np.multiply(s, s, out=u, dtype=np.float64)
+
+
 def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
-                             n_trials: int):
+                             n_trials: int, bufs=None):
     """Vectorized deployment sampler for ``n_trials`` independent networks.
 
     Returns ``(dist, is_los)``: the 3-D AP-UE distances, ``(n_trials, N_A)``,
@@ -133,36 +151,47 @@ def sample_deployment_arrays(cfg: NetworkConfig, rng: np.random.Generator,
     independent of which APs are THz, so any fixed ``n_thz`` columns have
     the joint law of a uniformly random THz subset.
 
+    ``bufs`` are three flat float64 arrays of at least ``n_trials * N_A``
+    elements and one flat bool array of at least ``n_trials * n_thz`` (fresh
+    ones when omitted): ``dist`` and ``is_los`` are views of the first and
+    of the bool one, and the other two are overwritten.
+
     Draw order: one uniform U per AP for its radius r = r_d sqrt(U), one
-    angle a per AP off centre only, then one uniform per THz AP for its LOS
-    mark.  The sampler works in the squared horizontal distance h^2: r_d^2 U
-    for a centred UE; off centre r^2 + v_0^2 - 2 r v_0 cos a, written
-    (r - v_0)^2 + 2 r v_0 (1 - cos a) so that no rounding takes it below
-    zero.  A THz AP is LOS with probability exp(-beta h), taken from h^2
-    directly, and d = sqrt(h^2 + delta_h^2).
+    angle 2 pi U per AP off centre only, then one uniform per THz AP for its
+    LOS mark.  The sampler works in the squared horizontal distance h^2:
+    r_d^2 U for a centred UE; off centre r^2 + v_0^2 - 2 r v_0 cos 2 pi U,
+    written (r - v_0)^2 + 4 r v_0 sin^2(pi U) so that no rounding takes it
+    below zero, with sin^2 from ``_sin2_pi`` (within 3e-7 relative).  A THz
+    AP is LOS with probability exp(-beta h), taken from h^2 directly, and
+    d = sqrt(h^2 + delta_h^2).
     """
     g = cfg.geometry
+    if bufs is None:
+        size = n_trials * g.N_A
+        bufs = (np.empty(size), np.empty(size), np.empty(size),
+                np.empty(n_trials * g.n_thz, bool))
+    d_buf, a_buf, b_buf, los_buf = bufs
 
-    sq = rng.random((n_trials, g.N_A))
+    def view(buf, cols):
+        return buf[:n_trials * cols].reshape(n_trials, cols)
+
+    sq = rng.random(out=view(d_buf, g.N_A))
     if g.v_0 == 0.0:
         sq *= g.r_d**2
     else:
         radii = np.sqrt(sq, out=sq)
         radii *= g.r_d
-        # 2 r v_0 (1 - cos a) = (cos a - 1) r (-2 v_0), in one buffer
-        term = rng.random(sq.shape)
-        term *= 2.0 * math.pi
-        np.cos(term, out=term)
-        term -= 1.0
+        term = _sin2_pi(rng.random(out=view(a_buf, g.N_A)), view(b_buf, g.N_A))
         term *= radii
-        term *= -2.0 * g.v_0
+        term *= 4.0 * g.v_0
         radii -= g.v_0
         sq = np.square(radii, out=radii)
         sq += term
 
-    kappa = np.sqrt(sq[:, :g.n_thz])
+    kappa = np.sqrt(sq[:, :g.n_thz], out=view(a_buf, g.n_thz))
     kappa *= -cfg.blockage.beta(g.h_A, g.h_U)
     np.exp(kappa, out=kappa)
-    is_los = rng.random(kappa.shape) < kappa
+    is_los = np.less(rng.random(out=view(b_buf, g.n_thz)), kappa,
+                     out=view(los_buf, g.n_thz))
     sq += g.delta_h**2
     return np.sqrt(sq, out=sq), is_los

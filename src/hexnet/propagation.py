@@ -90,13 +90,17 @@ def kappa_nlos(r, beta: float, delta_h: float):
     return 1.0 - kappa_los(r, beta, delta_h)
 
 
-def sample_fading(m: int, rng: np.random.Generator, size=None):
-    """Unit-mean fading power draws of Nakagami shape m (``LinkTable.m``).
+def sample_fading(m: int, rng: np.random.Generator, out):
+    """Unit-mean fading power draws of Nakagami shape m (``LinkTable.m``),
+    into the float64 array ``out``, which is returned.
 
-    Gamma(shape=m, scale=1/m) via numpy's Generator (Marsaglia-Tsang for
-    shape >= 1), and the Rayleigh case m = 1 as a standard exponential;
+    Gamma(shape=m, scale=1/m) via numpy's Generator, drawn as a standard
+    gamma times 1/m, the values of ``rng.gamma(m, 1/m)`` (Marsaglia-Tsang
+    for shape >= 1), and the Rayleigh case m = 1 as a standard exponential;
     seeded streams are reproducible for a pinned numpy version.
     """
     if m == 1:
-        return rng.standard_exponential(size=size)
-    return rng.gamma(shape=m, scale=1.0 / m, size=size)
+        return rng.standard_exponential(out=out)
+    rng.standard_gamma(m, out=out)
+    out *= 1.0 / m
+    return out

@@ -209,10 +209,13 @@ def test_laplace_jet_argument(engine):
     assert jet[1] < 0 < jet[2]
     h = 0.05 * s0
     lap = [_laplace(engine, "L", s0 + k * h, x) for k in (-1, 0, 1)]
-    assert jet[1] == pytest.approx((lap[2] - lap[0]) / (2 * h), rel=1e-3)
+    # abs=0: the derivatives are about -4.9e-15 and 1.1e-27 here, far below
+    # pytest's default absolute tolerance of 1e-12
+    assert jet[1] == pytest.approx((lap[2] - lap[0]) / (2 * h), rel=1e-3,
+                                   abs=0.0)
     # second derivative: coeffs[2] is L''/2
     assert 2 * jet[2] == pytest.approx((lap[2] - 2 * lap[1] + lap[0]) / h**2,
-                                       rel=1e-2)
+                                       rel=1e-2, abs=0.0)
 
 
 def test_laplace_without_interferer_mass_raises(engine):

@@ -89,12 +89,17 @@ def test_gain_pmf_validation():
         GainPmf(gains=(1, 1, 1, 1), probs=(0.5, 0.2, 0.2, 0.2))
 
 
+def _draw(pmf, rng, shape):
+    """``sample_gain`` into fresh arrays of ``shape``."""
+    return sample_gain(pmf, rng, np.empty(shape), np.empty(shape, np.intp))
+
+
 def test_sample_gain_degenerate_and_frequencies():
     rng = np.random.default_rng(5)
     degenerate = GainPmf(gains=(7.0, 1.0, 2.0, 3.0), probs=(1.0, 0.0, 0.0, 0.0))
-    assert np.all(sample_gain(degenerate, rng, 50) == 7.0)
+    assert np.all(_draw(degenerate, rng, 50) == 7.0)
     pmf = interferer_gain_pmf(_ant())
-    draws = sample_gain(pmf, rng, 1_000_000)
+    draws = _draw(pmf, rng, 1_000_000)
     freq = (draws == pmf.gains[0]).mean()
     assert freq == pytest.approx(pmf.probs[0], abs=2e-4)
     # all four frequencies within 3-sigma multinomial bounds
@@ -106,19 +111,20 @@ def test_sample_gain_degenerate_and_frequencies():
 
 def test_sample_gain_deterministic():
     pmf = interferer_gain_pmf(_ant())
-    a = sample_gain(pmf, np.random.default_rng(9), 1000)
-    b = sample_gain(pmf, np.random.default_rng(9), 1000)
+    a = _draw(pmf, np.random.default_rng(9), 1000)
+    b = _draw(pmf, np.random.default_rng(9), 1000)
     assert np.array_equal(a, b)
 
 
 class _FixedUniforms:
-    """A stand-in generator whose ``random`` returns given uniforms."""
+    """A stand-in generator whose ``random`` writes given uniforms."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, size):
-        return self.u.reshape(size).copy()
+    def random(self, out):
+        out[...] = self.u.reshape(out.shape)
+        return out
 
 
 @pytest.mark.parametrize("pmf, below_one", [
@@ -141,6 +147,6 @@ def test_sample_gain_matches_searchsorted(pmf, below_one):
     assert (cum[-1] < 1.0) == below_one
     want = np.asarray(pmf.gains)[
         np.minimum(np.searchsorted(cum, u, side="right"), 3)]
-    assert np.array_equal(sample_gain(pmf, _FixedUniforms(u), u.size), want)
-    shaped = sample_gain(pmf, _FixedUniforms(u[:6]), (2, 3))
+    assert np.array_equal(_draw(pmf, _FixedUniforms(u), u.size), want)
+    shaped = _draw(pmf, _FixedUniforms(u[:6]), (2, 3))
     assert np.array_equal(shaped, want[:6].reshape(2, 3))

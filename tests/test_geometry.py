@@ -8,6 +8,7 @@ from hexnet import default_config, with_updates
 from hexnet.geometry import (
     SmoothingMap,
     distance_pdf,
+    _sin2_pi,
     sample_deployment_arrays,
     support,
 )
@@ -285,3 +286,23 @@ def test_all_points_inside_disk(table3):
         sup = support(cfg)
         assert np.all(dist >= sup.z_l - 1e-12)
         assert np.all(dist <= sup.z_p + 1e-12)
+
+
+def test_half_angle_term_precision():
+    # the off-centre sampler forms 1 - cos(2 pi U) as 2 sin^2(pi U), with
+    # the sine taken in float32: exactly 0 at U = 0 and within 3e-7
+    # relative of the float64 value elsewhere, also where 1 - cos rounds
+    # to 0 (U near 0 or 1)
+    import mpmath
+
+    edges = [1e-12, 1e-6, 0.25, 0.5 - 1e-12, 0.5, 1 - 1e-12]
+    batch = np.random.default_rng(5).random(200_000)
+    u = np.concatenate([[0.0], edges, batch])
+    term = 2.0 * _sin2_pi(u.copy(), np.empty_like(u))
+    assert term[0] == 0.0
+    with mpmath.workdps(40):
+        exact = [float(2 * mpmath.sin(mpmath.pi * mpmath.mpf(x))**2)
+                 for x in edges]
+    want = np.concatenate(
+        [exact, 2.0 * np.sin(np.pi * np.minimum(batch, 1.0 - batch))**2])
+    assert np.all(np.abs(term[1:] - want) <= 3e-7 * want)

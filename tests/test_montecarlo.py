@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hexnet.antenna import (desired_gain_pmf, interferer_gain_pmf,
                             mean_desired_gain, sample_gain)
 from hexnet.errors import ConfigError
 from hexnet.geometry import sample_deployment_arrays
-from hexnet.montecarlo import MIN_TRIALS, _simulate_batch, estimate
+from hexnet.montecarlo import (MIN_TRIALS, SUBSTREAMS, _simulate_batch,
+                               _stream_sums, _Workspace, estimate)
 from hexnet.propagation import link_table, sample_fading
 
 
@@ -31,6 +33,44 @@ def test_worker_count_invariance(table3):
     serial = estimate(table3, 4000, seed=9, workers=1)
     parallel = estimate(table3, 4000, seed=9, workers=2)
     assert serial == parallel
+
+
+def _same(a, b):
+    """Exact equality of two summaries; by repr, so that NaN cells (an
+    event without trials) compare equal."""
+    return repr(a) == repr(b)
+
+
+@pytest.mark.parametrize("updates", [
+    {}, {"N_A": 30, "delta_T": 1.0}, {"delta_T": 0.0},
+    {"N_A": 1, "delta_T": 1.0}, {"v_0": 40.0}, {"m_N": 2},
+])
+def test_reused_workspace_matches_fresh_buffers(table3, monkeypatch, updates):
+    # 4007 trials make sub-streams of 251 and 250 rows, so the rows of the
+    # shared workspace past a shorter sub-stream's own hold stale values of
+    # the one before; the estimate must equal, exactly, the sums of
+    # _simulate_batch on every sub-stream with buffers of its own
+    cfg = with_updates(table3, **updates)
+    shared = estimate(cfg, 4007, seed=21)
+    sizes = [len(r) for r in np.array_split(np.arange(4007), SUBSTREAMS)]
+    assert set(sizes) == {251, 250}
+
+    def fresh(cfg, seed_seqs, sizes):
+        return [_stream_sums(cfg, s, n, _Workspace(cfg, n))
+                for s, n in zip(seed_seqs, sizes)]
+
+    monkeypatch.setattr(montecarlo, "_chunk_sums", fresh)
+    assert _same(shared, estimate(cfg, 4007, seed=21))
+
+
+def test_back_to_back_estimates_of_different_sizes(table3):
+    # each estimate owns its workspace: a call after one with more APs per
+    # trial gives what it gives alone
+    big = with_updates(table3, N_A=30, delta_T=1.0)
+    small = with_updates(table3, N_A=5, delta_T=0.6)
+    first = [estimate(small, 3000, seed=2), estimate(big, 3000, seed=2)]
+    second = [estimate(big, 3000, seed=2), estimate(small, 3000, seed=2)]
+    assert _same(first[0], second[1]) and _same(first[1], second[0])
 
 
 def _counts(sim):
@@ -87,7 +127,7 @@ def test_run_trial_deterministic(table3):
 def pinned_fading(monkeypatch):
     """Every fading draw at its mean (1.0), without consuming the stream."""
     monkeypatch.setattr(montecarlo, "sample_fading",
-                        lambda m, rng, size: np.ones(size))
+                        lambda m, rng, out: np.ones(out.shape))
 
 
 def _trial(cfg, seed):
@@ -163,13 +203,13 @@ def test_each_ap_draws_its_own_class_only(table3, monkeypatch):
     cfg = with_updates(table3, N_A=30, delta_T=0.8, m_N=2)
     fading, gains = [], []
 
-    def fading_recorder(m, rng, size):
-        out = sample_fading(m, rng, size)
+    def fading_recorder(m, rng, out):
+        out = sample_fading(m, rng, out)
         fading.append((m, np.shape(out)))
         return out
 
-    def gain_recorder(pmf, rng, size):
-        out = sample_gain(pmf, rng, size)
+    def gain_recorder(pmf, rng, out, idx):
+        out = sample_gain(pmf, rng, out, idx)
         gains.append((pmf, np.shape(out)))
         return out
 
@@ -217,9 +257,9 @@ def test_tier_winners_match_global_argmax(table3, monkeypatch):
     # serving AP as the whole-network argmax, and the serving tier's sum
     # without the winner is its interference
     monkeypatch.setattr(montecarlo, "sample_fading",
-                        lambda m, rng, size: np.ones(size))
+                        lambda m, rng, out: np.ones(out.shape))
     monkeypatch.setattr(montecarlo, "sample_gain",
-                        lambda pmf, rng, size: np.ones(size))
+                        lambda pmf, rng, out, idx: np.ones(out.shape))
     seen = set()
     for seed, b_t in enumerate((1e-6, 1.0, 1e6)):
         cfg = with_updates(table3, N_A=30, delta_T=0.8, B_T=b_t)
@@ -257,7 +297,7 @@ def test_fading_follows_the_serving_class(table3, monkeypatch):
     base = with_updates(table3, m_N=2)
     constant = {3: 2.0, 2: 3.0, 1: 5.0}
     monkeypatch.setattr(montecarlo, "sample_fading",
-                        lambda m, rng, size: np.full(size, constant[m]))
+                        lambda m, rng, out: np.full(out.shape, constant[m]))
     r = base.radio
     g1 = base.antenna.g_T_max * base.antenna.g_U_max
 
@@ -327,3 +367,23 @@ def test_bias_times_amplitude_past_the_float_range(table3):
     sim = estimate(with_updates(table3, B_T=1e308), MIN_TRIALS, seed=6)
     assert sim.cond_coverage.rf.n_trials == 0
     assert sum(_counts(sim)) == MIN_TRIALS
+
+
+@pytest.mark.parametrize("updates, parent_mb", [
+    ({"N_A": 30, "delta_T": 0.8}, 2.64),
+    ({"N_A": 30, "delta_T": 1.0}, 3.11),
+    ({"delta_T": 0.8, "v_0": 40.0}, 1.86),
+])
+def test_estimate_memory_peak(table3, updates, parent_mb):
+    # the traced peak of one 50k-trial estimate on each benchmark mc_sweep
+    # point stays within 1.1 times that of commit 145bbde, which allocated
+    # every batch array afresh (parent_mb, after the same warm-up call)
+    cfg = with_updates(table3, **updates)
+    estimate(cfg, MIN_TRIALS, seed=0)
+    tracemalloc.start()
+    try:
+        estimate(cfg, 50_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * parent_mb * 1e6
